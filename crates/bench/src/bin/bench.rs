@@ -20,8 +20,8 @@
 //!
 //! The artifact-store round trip (cold collect+eval vs warm store hits) is
 //! measured in the `artifact_store` section against its own scratch store;
-//! the tracker itself never installs the process-wide store, so no section
-//! can be accidentally warmed by a previous invocation.
+//! no other section is handed a store, so none can be accidentally warmed
+//! by a previous invocation.
 //!
 //! Usage: `cargo run --release -p wade-bench --bin bench [output.json]`.
 //!
@@ -296,13 +296,10 @@ fn main() {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
         median_ms(ref_samples, || {
             pool.install(|| {
-                // A fresh isolated cache per sample: this section tracks the
-                // grid's *parallel scaling*, so every sample must pay the
-                // same cold profiling cost — the process-global cache would
-                // hand later samples warm profiles and report cache warmth
-                // as thread speedup.
+                // No profile cache: this section tracks the grid's
+                // *parallel scaling*, so every sample must pay the same
+                // cold profiling cost.
                 Campaign::new(SimulatedServer::with_seed(5), CampaignConfig::quick())
-                    .with_profile_cache(Arc::new(ProfileCache::new()))
                     .collect(&suite, 1)
             });
         })
@@ -318,9 +315,9 @@ fn main() {
     // The ML training/evaluation engine: the full (model × feature set ×
     // target) accuracy grid over a Test-scale campaign. `reference` is a
     // reconstruction of the pre-engine serial path exactly as the old
-    // consumers drove it — fig11 evaluated its WER cells (one
-    // `evaluate_wer_accuracy` call per (model, set), each rebuilding and
-    // re-splitting the per-rank datasets) and fig12 its PUE cells, with a
+    // consumers drove it — fig11 evaluated its WER cells (one single-cell
+    // evaluation per (model, set), each rebuilding and re-splitting the
+    // per-rank datasets) and fig12 its PUE cells, with a
     // sequential RNG stream across all forest trees and per-row serial
     // predictions. The current engine evaluates one shared `EvalGrid` in a
     // single pool dispatch (datasets built once, each fold split once and
@@ -346,17 +343,27 @@ fn main() {
         }
         std::hint::black_box(acc);
     };
+    let evaluate = || {
+        EvalGrid::evaluate_targets_with(
+            None,
+            &ml_data,
+            &MlKind::ALL,
+            &FeatureSet::ALL,
+            true,
+            true,
+        )
+    };
     let one = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
     let ml_single_ms = median_ms(cur_samples, || {
-        one.install(|| consume_grid(&EvalGrid::evaluate(&ml_data)));
+        one.install(|| consume_grid(&evaluate()));
     });
     let ml_parallel_ms = median_ms(cur_samples, || {
-        consume_grid(&EvalGrid::evaluate(&ml_data));
+        consume_grid(&evaluate());
     });
     let ml_identical = {
         let eight = rayon::ThreadPoolBuilder::new().num_threads(8).build().unwrap();
-        let a = one.install(|| EvalGrid::evaluate(&ml_data));
-        let b = eight.install(|| EvalGrid::evaluate(&ml_data));
+        let a = one.install(evaluate);
+        let b = eight.install(evaluate);
         grids_equal(&a, &b)
     };
     sections.push(format!(
@@ -401,7 +408,6 @@ fn main() {
     let store_identical = {
         let (warm_data, warm_grid) = run_with(&store_root);
         let ref_data = Campaign::new(SimulatedServer::with_seed(5), CampaignConfig::quick())
-            .with_profile_cache(Arc::new(ProfileCache::new()))
             .collect(&store_suite, 8);
         let ref_grid = EvalGrid::evaluate_targets_with(
             None,
@@ -593,7 +599,8 @@ fn main() {
     // population swept cold (simulate + persist per-(shard, epoch) slice
     // artifacts into a scratch store) versus warm (pure store reads). The
     // warm engine's simulation counter must stay at zero, and the merged
-    // fleet must be byte-identical cold-vs-warm and 1-thread-vs-parallel.
+    // fleet must be byte-identical cold-vs-warm and to the serial
+    // device-major replay of every device.
     eprintln!("[bench] fleet sweep: cold simulate-and-persist vs warm store reads …");
     let mut fleet_spec = wade_fleet::FleetSpec::test_default();
     if smoke {
@@ -622,8 +629,9 @@ fn main() {
         wade_fleet::FleetSweep::new(fleet_spec, fleet_seed).sweep_stored(&fleet_store);
     });
     let fleet_serial_json = {
-        let one = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        one.install(|| wade_fleet::FleetSweep::new(fleet_spec, fleet_seed).sweep().devices_json())
+        let engine = wade_fleet::FleetSweep::new(fleet_spec, fleet_seed);
+        let devices = (0..fleet_spec.devices).map(|k| engine.device_history(k)).collect();
+        wade_fleet::FleetOutcome { spec: fleet_spec, seed: fleet_seed, devices }.devices_json()
     };
     let fleet_identical = fleet_cold.devices_json() == fleet_warm.devices_json()
         && fleet_cold.devices_json() == fleet_serial_json;
@@ -1148,7 +1156,7 @@ fn serial_train(kind: MlKind, x: &[Vec<f64>], y: &[f64]) -> Box<dyn Regressor> {
 
 /// The pre-engine WER evaluation: rank-at-a-time, fold-at-a-time, one
 /// model per (kind, set, rank, fold) with per-row serial prediction — the
-/// historical `evaluate_wer_accuracy` loop, for all models × sets.
+/// historical single-cell WER loop, for all models × sets.
 fn serial_reference_wer(data: &CampaignData) {
     for kind in MlKind::ALL {
         for set in FeatureSet::ALL {
@@ -1176,8 +1184,8 @@ fn serial_reference_wer(data: &CampaignData) {
     }
 }
 
-/// The pre-engine PUE evaluation (the historical `evaluate_pue_accuracy`
-/// loop), for all models × sets.
+/// The pre-engine PUE evaluation (the historical single-cell PUE loop),
+/// for all models × sets.
 fn serial_reference_pue(data: &CampaignData) {
     for kind in MlKind::ALL {
         for set in FeatureSet::ALL {

@@ -11,7 +11,7 @@ use wade_workloads::{Scale, WorkloadId};
 
 fn main() {
     // Shared artifact store (--store-dir / WADE_STORE_DIR / target/wade-store).
-    wade_bench::init_store();
+    let (_store, cache) = wade_bench::init_store();
     let server = wade_bench::server();
     let op = OperatingPoint::relaxed(2.283, 70.0);
     let duration = 7200.0;
@@ -24,7 +24,7 @@ fn main() {
     println!("Fig. 2: WER vs time, {op} (2 h run)");
     let mut curves = Vec::new();
     for wl in &workloads {
-        let profiled = wade_core::ProfileCache::global().profile(
+        let profiled = cache.profile(
             &server,
             wl.as_ref(),
             wade_bench::CAMPAIGN_SEED,

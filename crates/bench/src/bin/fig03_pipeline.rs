@@ -8,14 +8,14 @@ use wade_workloads::{paper_suite, Scale};
 
 fn main() {
     // Shared artifact store (--store-dir / WADE_STORE_DIR / target/wade-store).
-    wade_bench::init_store();
+    let (_store, cache) = wade_bench::init_store();
     println!("Fig. 3: data collection and validation pipeline\n");
 
     println!("[1] Profiling phase: extract program features (perf + DynamoRIO stand-ins)");
     let server = wade_bench::server();
     let suite = paper_suite(Scale::Test);
     for wl in suite.iter().take(3) {
-        let p = wade_core::ProfileCache::global().profile(&server, wl.as_ref(), 1);
+        let p = cache.profile(&server, wl.as_ref(), 1);
         println!(
             "    {:<16} {:>9} accesses, {:>9} instrs, 249 features extracted",
             p.name, p.trace.mem_accesses, p.trace.instructions
@@ -24,7 +24,7 @@ fn main() {
     println!("    … ({} workloads total)", suite.len());
 
     println!("\n[2] DRAM characterization phase: run workloads under varying TREFP/VDD/temp");
-    let campaign = Campaign::new(server, CampaignConfig::quick());
+    let campaign = Campaign::new(server, CampaignConfig::quick()).with_profile_cache(cache);
     let data = campaign.collect(&suite, 1);
     let wer_rows = data.rows.iter().filter(|r| r.wer_run.is_some()).count();
     let pue_rows = data.rows.iter().filter(|r| !r.pue_runs.is_empty()).count();

@@ -8,7 +8,7 @@ use wade_dram::ErrorSim;
 
 fn main() {
     // Shared artifact store (--store-dir / WADE_STORE_DIR / target/wade-store).
-    wade_bench::init_store();
+    let (_store, cache) = wade_bench::init_store();
     let server = wade_bench::server();
     let op = OperatingPoint::relaxed(2.283, 50.0);
     let suite = wade_bench::experiment_suite();
@@ -20,7 +20,7 @@ fn main() {
     );
     let mut max_change: f64 = 0.0;
     for wl in suite.iter().take(14) {
-        let profiled = wade_core::ProfileCache::global().profile(
+        let profiled = cache.profile(
             &server,
             wl.as_ref(),
             wade_bench::CAMPAIGN_SEED,

@@ -7,8 +7,8 @@ use wade_core::OperatingPoint;
 
 fn main() {
     // Shared artifact store (--store-dir / WADE_STORE_DIR / target/wade-store).
-    wade_bench::init_store();
-    let data = wade_bench::full_campaign_data();
+    let (store, cache) = wade_bench::init_store();
+    let data = wade_bench::full_campaign_data(&store, &cache);
 
     // Group: temp → trefp → (workload → wer).
     let mut grid: BTreeMap<i64, BTreeMap<i64, Vec<(String, f64)>>> = BTreeMap::new();

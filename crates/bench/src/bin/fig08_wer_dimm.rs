@@ -7,8 +7,8 @@ use wade_dram::RankId;
 
 fn main() {
     // Shared artifact store (--store-dir / WADE_STORE_DIR / target/wade-store).
-    wade_bench::init_store();
-    let data = wade_bench::full_campaign_data();
+    let (store, cache) = wade_bench::init_store();
+    let data = wade_bench::full_campaign_data(&store, &cache);
 
     println!("Fig. 8: WER per DIMM/rank, TREFP=2.283 s, 50 °C");
     print!("{:<18}", "benchmark");

@@ -12,8 +12,8 @@ use wade_dram::RankId;
 
 fn main() {
     // Shared artifact store (--store-dir / WADE_STORE_DIR / target/wade-store).
-    wade_bench::init_store();
-    let data = wade_bench::full_campaign_data();
+    let (store, cache) = wade_bench::init_store();
+    let data = wade_bench::full_campaign_data(&store, &cache);
 
     let mut by_trefp: BTreeMap<i64, Vec<(String, f64)>> = BTreeMap::new();
     let mut rank_ues = [0u64; 8];

@@ -10,8 +10,8 @@ use wade_features::{schema, spearman};
 
 fn main() {
     // Shared artifact store (--store-dir / WADE_STORE_DIR / target/wade-store).
-    wade_bench::init_store();
-    let data = wade_bench::full_campaign_data();
+    let (store, cache) = wade_bench::init_store();
+    let data = wade_bench::full_campaign_data(&store, &cache);
 
     // WER samples: per (workload, op) aggregate WER, crash-free rows.
     let mut wer_rows: Vec<(&wade_core::CampaignRow, f64)> = Vec::new();

@@ -11,13 +11,20 @@ use wade_features::FeatureSet;
 
 fn main() {
     // Shared artifact store (--store-dir / WADE_STORE_DIR / target/wade-store).
-    wade_bench::init_store();
-    let data = wade_bench::full_campaign_data();
+    let (store, cache) = wade_bench::init_store();
+    let data = wade_bench::full_campaign_data(&store, &cache);
     // One grid dispatch for every (model, set) WER cell this figure
     // prints — the same cells table3/repro_all consume from their full
     // grids (ARCHITECTURE.md §10). PUE cells are fig12's target, so this
     // standalone binary leaves them out of its sub-grid.
-    let grid = EvalGrid::evaluate_targets(&data, &MlKind::ALL, &FeatureSet::ALL, true, false);
+    let grid = EvalGrid::evaluate_targets_with(
+        Some(store),
+        &data,
+        &MlKind::ALL,
+        &FeatureSet::ALL,
+        true,
+        false,
+    );
 
     for kind in MlKind::ALL {
         println!("\nFig. 11 — {kind}: error of WER estimates (%), leave-one-workload-out");

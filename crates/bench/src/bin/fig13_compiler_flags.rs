@@ -14,8 +14,8 @@ use wade_workloads::WorkloadId;
 
 fn main() {
     // Shared artifact store (--store-dir / WADE_STORE_DIR / target/wade-store).
-    wade_bench::init_store();
-    let data = wade_bench::full_campaign_data();
+    let (store, cache) = wade_bench::init_store();
+    let data = wade_bench::full_campaign_data(&store, &cache);
     let server = wade_bench::server();
     let op = OperatingPoint::relaxed(0.618, 70.0);
 
@@ -32,9 +32,9 @@ fn main() {
     let mut measured = Vec::new();
     for id in [WorkloadId::LuleshO2, WorkloadId::LuleshF, WorkloadId::MicroRandom] {
         let wl = id.instantiate(8, wade_bench::scale());
-        // Through the global profile cache, so the store serves the three
-        // study profiles on warm invocations.
-        let profiled = wade_core::ProfileCache::global().profile(
+        // Through the store-backed profile cache, so the store serves the
+        // three study profiles on warm invocations.
+        let profiled = cache.profile(
             &server,
             wl.as_ref(),
             wade_bench::CAMPAIGN_SEED,

@@ -10,8 +10,8 @@ use wade_workloads::WorkloadId;
 
 fn main() {
     // Shared artifact store (--store-dir / WADE_STORE_DIR / target/wade-store).
-    wade_bench::init_store();
-    let data = wade_bench::full_campaign_data();
+    let (store, cache) = wade_bench::init_store();
+    let data = wade_bench::full_campaign_data(&store, &cache);
     let mut md = String::new();
     md.push_str("# EXPERIMENTS — paper vs measured\n\n");
     md.push_str("Generated by `cargo run --release -p wade-bench --bin repro_all`.\n");
@@ -167,7 +167,14 @@ fn main() {
     // --- Figs. 11/12: model accuracy — one shared grid evaluation feeds
     // both figures (and the table3 binary), instead of re-training each
     // (model, set, target) cell per consumer. ---
-    let grid = EvalGrid::evaluate(&data);
+    let grid = EvalGrid::evaluate_targets_with(
+        Some(store),
+        &data,
+        &MlKind::ALL,
+        &FeatureSet::ALL,
+        true,
+        true,
+    );
     let mut wer_acc = String::new();
     let mut knn1 = f64::NAN;
     let mut svm3 = f64::NAN;
@@ -227,9 +234,9 @@ fn main() {
         let model = train_error_model(&train_data, MlKind::Knn, FeatureSet::Set1);
         let measure = |id: WorkloadId| -> (f64, f64) {
             let wl = id.instantiate(8, wade_bench::scale());
-            // Through the global profile cache, so warm invocations serve
-            // the three study profiles from the store.
-            let p = wade_core::ProfileCache::global().profile(
+            // Through the store-backed profile cache, so warm invocations
+            // serve the three study profiles from the store.
+            let p = cache.profile(
                 &server,
                 wl.as_ref(),
                 wade_bench::CAMPAIGN_SEED,

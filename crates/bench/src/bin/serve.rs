@@ -45,8 +45,8 @@ fn main() {
         i += 1;
     }
 
-    let store = wade_bench::init_store();
-    let data = wade_bench::full_campaign_data();
+    let (store, cache) = wade_bench::init_store();
+    let data = wade_bench::full_campaign_data(&store, &cache);
     eprintln!(
         "[serve] {} campaign rows, store {}",
         data.rows.len(),

@@ -7,8 +7,6 @@
 use wade_ecc::{DecodeOutcome, Secded};
 
 fn main() {
-    // Shared artifact store (--store-dir / WADE_STORE_DIR / target/wade-store).
-    wade_bench::init_store();
     let codec = Secded::new();
     let data = 0xDEAD_BEEF_0123_4567u64;
     let word = codec.encode(data);

@@ -10,7 +10,7 @@ use wade_features::schema;
 
 fn main() {
     // Shared artifact store (--store-dir / WADE_STORE_DIR / target/wade-store).
-    wade_bench::init_store();
+    let (_store, cache) = wade_bench::init_store();
     let server = wade_bench::server();
     let suite = wade_bench::experiment_suite();
 
@@ -35,7 +35,7 @@ fn main() {
     println!("{:<18} {:>12} {:>12}", "benchmark", "paper", "measured");
     println!("{}", "-".repeat(44));
     for wl in suite.iter().take(14) {
-        let p = wade_core::ProfileCache::global().profile(
+        let p = cache.profile(
             &server,
             wl.as_ref(),
             wade_bench::CAMPAIGN_SEED,

@@ -8,7 +8,7 @@ use wade_features::{schema, FeatureSet};
 
 fn main() {
     // Shared artifact store (--store-dir / WADE_STORE_DIR / target/wade-store).
-    wade_bench::init_store();
+    let (store, cache) = wade_bench::init_store();
     println!("Table III: input feature sets used for training");
     println!("{:<12} parameters", "input set");
     println!("{}", "-".repeat(76));
@@ -29,8 +29,15 @@ fn main() {
     // What each input set buys: the per-set accuracy summary of the shared
     // model-evaluation grid (one dispatch; fig11/fig12 print the detailed
     // breakdowns of the same cells).
-    let data = wade_bench::full_campaign_data();
-    let grid = EvalGrid::evaluate(&data);
+    let data = wade_bench::full_campaign_data(&store, &cache);
+    let grid = EvalGrid::evaluate_targets_with(
+        Some(store),
+        &data,
+        &MlKind::ALL,
+        &FeatureSet::ALL,
+        true,
+        true,
+    );
     println!("\naccuracy per input set (LOWO-CV; WER mean % error / PUE error in pp):");
     print!("{:<8}", "model");
     for set in FeatureSet::ALL {

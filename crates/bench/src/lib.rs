@@ -5,11 +5,14 @@
 //! plumbing: the reference server/campaign construction, the artifact-store
 //! wiring every figure binary shares (profiles, campaign data and trained
 //! fold models persist across *processes* — ARCHITECTURE.md §11), and small
-//! table-printing helpers.
+//! table-printing helpers. Nothing here is process-global: each binary
+//! opens its store and profile cache once with [`init_store`] and passes
+//! both handles to every stage that persists.
 //!
 //! ```no_run
 //! // The shared full-grid campaign (collected once, stored on disk):
-//! let data = wade_bench::full_campaign_data();
+//! let (store, cache) = wade_bench::init_store();
+//! let data = wade_bench::full_campaign_data(&store, &cache);
 //! println!("{} rows from the reference server", data.rows.len());
 //! ```
 
@@ -32,21 +35,20 @@ pub fn server() -> SimulatedServer {
     SimulatedServer::with_seed(DEVICE_SEED)
 }
 
-/// Installs the process-wide artifact store every figure binary shares and
-/// returns it. The directory is resolved `--store-dir DIR` (or
-/// `--store-dir=DIR`) > `WADE_STORE_DIR` > `target/wade-store`, and the
-/// store is attached to the global profile cache, so profiling, campaign
-/// collection and fold-model training all persist across invocations —
-/// `repro_all` warms the store and every standalone `fig*` binary reuses
-/// it. Idempotent: the first call wins, later calls return the installed
-/// store.
-pub fn init_store() -> Arc<ArtifactStore> {
-    let store = wade_store::install_global(Arc::new(ArtifactStore::open(store_dir())));
-    ProfileCache::global().set_store(Some(store.clone()));
-    store
+/// Opens the artifact store every figure binary shares, plus a profile
+/// cache over it. The directory is resolved `--store-dir DIR` (or
+/// `--store-dir=DIR`) > `WADE_STORE_DIR` > `target/wade-store`. Handing
+/// both to the stages makes profiling, campaign collection and fold-model
+/// training persist across invocations — `repro_all` warms the store and
+/// every standalone `fig*` binary reuses it. Call it once per process:
+/// every call opens fresh handles with their own counters and memo.
+pub fn init_store() -> (Arc<ArtifactStore>, Arc<ProfileCache>) {
+    let store = Arc::new(ArtifactStore::open(store_dir()));
+    let cache = Arc::new(ProfileCache::with_store(store.clone()));
+    (store, cache)
 }
 
-/// The store directory [`init_store`] resolves (without installing).
+/// The store directory [`init_store`] resolves (without opening it).
 /// Exits with an error if `--store-dir` is given without a value — falling
 /// back to the default store after a malformed flag would point
 /// destructive subcommands (`store clear`) at a store the user did not
@@ -82,12 +84,12 @@ pub fn scale() -> Scale {
 }
 
 /// The full-suite campaign data at the paper's grid ([`scale`]-sized),
-/// served through the artifact store so every figure binary — and every
-/// repeated invocation — shares one collection pass. The store key is
-/// explicit: (campaign seed, grid config, suite at its scale, device
-/// fingerprint); see `wade_core::campaign_store_key`.
-pub fn full_campaign_data() -> CampaignData {
-    let store = init_store();
+/// served through `store` so every figure binary — and every repeated
+/// invocation — shares one collection pass; a cold collection profiles
+/// through `cache`. The store key is explicit: (campaign seed, grid
+/// config, suite at its scale, device fingerprint); see
+/// `wade_core::campaign_store_key`.
+pub fn full_campaign_data(store: &ArtifactStore, cache: &Arc<ProfileCache>) -> CampaignData {
     let config = CampaignConfig::paper_full();
     let suite = experiment_suite();
     // Probe the campaign artifact itself (profile-kind hits during a cold
@@ -101,13 +103,9 @@ pub fn full_campaign_data() -> CampaignData {
         "[wade-bench] collecting full campaign into {} (first run)…",
         store.root().display()
     );
-    Campaign::new(server(), config).collect_stored(&store, &suite, CAMPAIGN_SEED)
-}
-
-/// Collects the full campaign without touching the store.
-pub fn collect_full_campaign() -> CampaignData {
-    let campaign = Campaign::new(server(), CampaignConfig::paper_full());
-    campaign.collect(&experiment_suite(), CAMPAIGN_SEED)
+    Campaign::new(server(), config)
+        .with_profile_cache(cache.clone())
+        .collect_stored(store, &suite, CAMPAIGN_SEED)
 }
 
 /// The workload suite used by the experiments: the paper's 14 configs plus
@@ -125,13 +123,6 @@ pub fn print_row(cells: &[String], widths: &[usize]) {
         .map(|(c, w)| format!("{c:>w$}", w = w))
         .collect();
     println!("{}", line.join("  "));
-}
-
-/// Prints a header row plus separator.
-pub fn print_header(cells: &[&str], widths: &[usize]) {
-    print_row(&cells.iter().map(|s| s.to_string()).collect::<Vec<_>>(), widths);
-    let total: usize = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
-    println!("{}", "-".repeat(total));
 }
 
 /// Formats a WER in the paper's scientific style.

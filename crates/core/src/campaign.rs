@@ -174,35 +174,27 @@ impl CampaignData {
 pub struct Campaign {
     server: SimulatedServer,
     config: CampaignConfig,
-    /// Memo table for the profiling phase; `None` disables caching
-    /// (the reference configuration for byte-identity tests).
+    /// Memo table for the profiling phase; `None` profiles every call
+    /// afresh (the reference configuration for byte-identity tests).
     profile_cache: Option<Arc<ProfileCache>>,
 }
 
 impl Campaign {
-    /// Binds a campaign configuration to a server. Profiling is memoized
-    /// through the process-wide [`ProfileCache::global`]; see
-    /// [`Campaign::without_profile_cache`] / [`Campaign::with_profile_cache`]
-    /// to opt out or isolate.
+    /// Binds a campaign configuration to a server. Profiling is not
+    /// memoized: every [`Campaign::profile`] call re-executes the kernel
+    /// unless [`Campaign::with_profile_cache`] supplies a cache. Output is
+    /// byte-identical either way (profiling is deterministic; asserted by
+    /// tests).
     pub fn new(server: SimulatedServer, config: CampaignConfig) -> Self {
-        Self { server, config, profile_cache: Some(ProfileCache::global()) }
+        Self { server, config, profile_cache: None }
     }
 
-    /// Replaces the profile cache with `cache` (e.g. an isolated one for a
-    /// benchmark measuring cold-cache cost).
+    /// Memoizes profiling through `cache` — shared across campaigns, and
+    /// across processes when the cache has a store
+    /// ([`ProfileCache::with_store`]).
     #[must_use]
     pub fn with_profile_cache(mut self, cache: Arc<ProfileCache>) -> Self {
         self.profile_cache = Some(cache);
-        self
-    }
-
-    /// Disables profile caching: every [`Campaign::profile`] call re-executes
-    /// the kernel. Output is byte-identical either way (profiling is
-    /// deterministic; asserted by tests) — this is the reference
-    /// configuration those tests compare against.
-    #[must_use]
-    pub fn without_profile_cache(mut self) -> Self {
-        self.profile_cache = None;
         self
     }
 
@@ -345,8 +337,8 @@ impl Campaign {
         let mut rows: Vec<CampaignRow> = Vec::new();
         let mut simulated = 0.0;
         // Profiling phase: the whole suite fans out on the shared pool
-        // (per-workload seeds are independent), with cache hits sharing
-        // frozen profiles across campaigns in this process.
+        // (per-workload seeds are independent); with a profile cache, hits
+        // share frozen profiles across the campaigns that hold it.
         let profiled: Vec<Arc<ProfiledWorkload>> = self.profile_suite(suite, seed);
 
         // Temperature set-points group the grid like the physical campaign

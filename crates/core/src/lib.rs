@@ -52,9 +52,7 @@ pub use model::{
     serving_model_keys, train_error_model, train_error_model_stored, AnyModel, ErrorModel,
     MlKind, Prediction, TRAINER_CONFIG_VERSION,
 };
-pub use predictor::{
-    evaluate_pue_accuracy, evaluate_wer_accuracy, AccuracyReport, EvalGrid, MODEL_KIND,
-};
+pub use predictor::{AccuracyReport, EvalGrid, MODEL_KIND};
 pub use profile_cache::ProfileCache;
 pub use server::{ProfiledWorkload, SimulatedServer, PROFILING_CONTRACT_VERSION};
 pub use thermal::{PidController, ThermalTestbed};

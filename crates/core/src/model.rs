@@ -49,15 +49,6 @@ impl MlKind {
         }
     }
 
-    /// Trains a boxed regressor of this kind on the given matrix.
-    pub fn train_boxed(&self, x: &[Vec<f64>], y: &[f64]) -> Box<dyn Regressor> {
-        match self.train_any(x, y) {
-            AnyModel::Knn(m) => Box::new(m),
-            AnyModel::Svr(m) => Box::new(m),
-            AnyModel::Rdf(m) => Box::new(m),
-        }
-    }
-
     /// Trains a shared (`Arc`) regressor of this kind — the form the
     /// parallel evaluation grid memoizes and hands out across threads.
     pub fn train_shared(&self, x: &[Vec<f64>], y: &[f64]) -> wade_ml::SharedModel {
@@ -156,11 +147,6 @@ impl ErrorModel {
     /// The learner used.
     pub fn kind(&self) -> MlKind {
         self.kind
-    }
-
-    /// The input feature set used.
-    pub fn feature_set(&self) -> FeatureSet {
-        self.set
     }
 
     /// Ranks with a trained WER model (had measurable errors).
@@ -285,36 +271,22 @@ impl core::fmt::Debug for ErrorModel {
 }
 
 /// Trains the full error model from campaign data: one WER regressor per
-/// rank (log₁₀-space) plus one PUE regressor.
+/// rank (log₁₀-space) plus one PUE regressor, with no persistence —
+/// [`train_error_model_stored`] without a store.
 pub fn train_error_model(data: &CampaignData, kind: MlKind, set: FeatureSet) -> ErrorModel {
-    let mut wer_models = Vec::with_capacity(RANK_COUNT);
-    for rank in 0..RANK_COUNT {
-        let ds = build_wer_dataset(data, set, rank);
-        if ds.len() < 4 {
-            wer_models.push(None);
-        } else {
-            wer_models.push(Some(kind.train_any(&ds.features(), &ds.targets())));
-        }
-    }
-    let pue_ds = build_pue_dataset(data, set);
-    let pue_model = if pue_ds.len() < 4 {
-        None
-    } else {
-        Some(kind.train_any(&pue_ds.features(), &pue_ds.targets()))
-    };
-    ErrorModel { kind, set, wer_models, pue_model }
+    train_error_model_stored(None, data, kind, set)
 }
 
-/// [`train_error_model`] through an [`ArtifactStore`]: every per-rank WER
-/// model and the PUE model is first looked up under its canonical key
-/// (kind [`crate::MODEL_KIND`]; trainer config [`TRAINER_CONFIG_VERSION`],
-/// dataset content fingerprint, fold `""` = trained on all samples — the
-/// same scheme [`crate::EvalGrid`] uses for fold models) and only trained
-/// on a miss, after which the trained model is published best-effort. A
-/// degraded, faulty or absent store falls back to in-process training, so
-/// the result is **always** byte-identical to [`train_error_model`] (the
-/// store round-trips `f64` exactly); `tests/serving.rs` asserts this cold
-/// and warm.
+/// Trains the full error model, through `store` when one is given: every
+/// per-rank WER model and the PUE model is first looked up under its
+/// canonical key (kind [`crate::MODEL_KIND`]; trainer config
+/// [`TRAINER_CONFIG_VERSION`], dataset content fingerprint, fold `""` =
+/// trained on all samples — the same scheme [`crate::EvalGrid`] uses for
+/// fold models) and only trained on a miss, after which the trained model
+/// is published best-effort. A degraded, faulty or absent store falls back
+/// to in-process training, so the result is **always** byte-identical to
+/// the store-free model (the store round-trips `f64` exactly);
+/// `tests/serving.rs` asserts this cold and warm.
 pub fn train_error_model_stored(
     store: Option<&ArtifactStore>,
     data: &CampaignData,
@@ -323,18 +295,16 @@ pub fn train_error_model_stored(
 ) -> ErrorModel {
     let train_via_store = |slot: u64, ds: &Dataset| -> AnyModel {
         let train = || kind.train_any(&ds.features(), &ds.targets());
-        match (store, dataset_id(slot, ds)) {
-            (Some(store), Some(id)) => {
-                let key = model_store_key(kind, &id, "");
-                if let Some(model) = store.get::<AnyModel>(MODEL_KIND, &key) {
-                    return model;
-                }
-                let model = train();
-                let _ = store.put(MODEL_KIND, &key, &model);
-                model
-            }
-            _ => train(),
+        // Checked before `dataset_id`, which serializes the whole dataset.
+        let Some(store) = store else { return train() };
+        let Some(id) = dataset_id(slot, ds) else { return train() };
+        let key = model_store_key(kind, &id, "");
+        if let Some(model) = store.get::<AnyModel>(MODEL_KIND, &key) {
+            return model;
         }
+        let model = train();
+        let _ = store.put(MODEL_KIND, &key, &model);
+        model
     };
     let mut wer_models = Vec::with_capacity(RANK_COUNT);
     for rank in 0..RANK_COUNT {

@@ -9,9 +9,8 @@
 //! consumer — `fig11_wer_accuracy`, `fig12_pue_accuracy`,
 //! `table3_feature_sets`, `repro_all` — from the same evaluation instead
 //! of three independent re-trainings. Results are byte-identical at any
-//! thread count (`tests/ml_parallel.rs`) and to the historical
-//! fold-at-a-time loops ([`evaluate_wer_accuracy`] /
-//! [`evaluate_pue_accuracy`] are now thin single-cell views of the grid).
+//! thread count (`tests/ml_parallel.rs`), and a single-cell sub-grid
+//! reproduces the full grid's cell bit for bit.
 
 use crate::campaign::CampaignData;
 use crate::collect::{build_pue_dataset, build_wer_dataset};
@@ -107,34 +106,13 @@ fn set_index(set: FeatureSet) -> u64 {
 }
 
 impl EvalGrid {
-    /// Evaluates the full paper grid — all three learners × all three
-    /// input sets × both targets — in one pool dispatch, persisting fold
-    /// models through the process-wide artifact store when one is
-    /// installed ([`wade_store::global`]).
-    pub fn evaluate(data: &CampaignData) -> Self {
-        Self::evaluate_targets(data, &MlKind::ALL, &FeatureSet::ALL, true, true)
-    }
-
-    /// Evaluates a sub-grid (the requested learners × sets; WER and/or PUE
-    /// targets) against the process-wide store, if any.
-    /// [`EvalGrid::evaluate`] is the full-grid convenience;
-    /// [`EvalGrid::evaluate_targets_with`] pins an explicit store.
-    pub fn evaluate_targets(
-        data: &CampaignData,
-        kinds: &[MlKind],
-        sets: &[FeatureSet],
-        wer: bool,
-        pue: bool,
-    ) -> Self {
-        Self::evaluate_targets_with(wade_store::global(), data, kinds, sets, wer, pue)
-    }
-
-    /// [`EvalGrid::evaluate_targets`] with an explicit model store
-    /// (`None` = purely in-process, the historical behaviour). Trained
-    /// fold models are keyed by (trainer config, dataset content
-    /// fingerprint, held-out group); a store hit deserializes a
-    /// bit-identically-predicting [`AnyModel`] instead of training, so a
-    /// warm-store evaluation performs **zero** trainings
+    /// Evaluates a sub-grid — the requested learners × sets, WER and/or
+    /// PUE targets — in one pool dispatch, persisting fold models through
+    /// `store` (`None` = purely in-process). Trained fold models are
+    /// keyed by (trainer config, dataset content fingerprint, held-out
+    /// group); a store hit deserializes a bit-identically-predicting
+    /// [`AnyModel`] instead of training, so a warm-store evaluation
+    /// performs **zero** trainings
     /// ([`EvalGrid::trainings`] / [`EvalGrid::store_hits`] expose the
     /// split) while producing byte-identical reports — asserted by
     /// `tests/artifact_store.rs`.
@@ -362,25 +340,6 @@ fn assemble_pue_error(folds: &[GroupCvOutcome]) -> f64 {
     errs.iter().sum::<f64>() / errs.len().max(1) as f64
 }
 
-/// Evaluates WER prediction accuracy with the paper's protocol: per rank,
-/// leave one workload's samples out, train on the rest, predict the
-/// held-out samples, report the mean percentage error of the *linear* WER
-/// (predictions and targets are log₁₀-space internally).
-///
-/// A single-cell view of [`EvalGrid`]; evaluating many cells through one
-/// [`EvalGrid::evaluate`] shares the dispatch and the model memo.
-pub fn evaluate_wer_accuracy(data: &CampaignData, kind: MlKind, set: FeatureSet) -> AccuracyReport {
-    EvalGrid::evaluate_targets(data, &[kind], &[set], true, false).wer_report(kind, set).clone()
-}
-
-/// Evaluates PUE prediction accuracy: leave-one-workload-out on the
-/// server-level PUE dataset; error in percentage points (Fig. 12's axis).
-///
-/// A single-cell view of [`EvalGrid`], like [`evaluate_wer_accuracy`].
-pub fn evaluate_pue_accuracy(data: &CampaignData, kind: MlKind, set: FeatureSet) -> f64 {
-    EvalGrid::evaluate_targets(data, &[kind], &[set], false, true).pue_error(kind, set)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,10 +358,33 @@ mod tests {
         Campaign::new(SimulatedServer::with_seed(11), CampaignConfig::quick()).collect(&suite, 4)
     }
 
+    /// The store-free grid over `kinds` × `sets`.
+    fn grid(
+        d: &CampaignData,
+        kinds: &[MlKind],
+        sets: &[FeatureSet],
+        wer: bool,
+        pue: bool,
+    ) -> EvalGrid {
+        EvalGrid::evaluate_targets_with(None, d, kinds, sets, wer, pue)
+    }
+
+    fn full_grid(d: &CampaignData) -> EvalGrid {
+        grid(d, &MlKind::ALL, &FeatureSet::ALL, true, true)
+    }
+
+    fn wer_cell(d: &CampaignData, kind: MlKind, set: FeatureSet) -> AccuracyReport {
+        grid(d, &[kind], &[set], true, false).wer_report(kind, set).clone()
+    }
+
+    fn pue_cell(d: &CampaignData, kind: MlKind, set: FeatureSet) -> f64 {
+        grid(d, &[kind], &[set], false, true).pue_error(kind, set)
+    }
+
     #[test]
     fn wer_accuracy_report_is_well_formed() {
         let d = data();
-        let report = evaluate_wer_accuracy(&d, MlKind::Knn, FeatureSet::Set1);
+        let report = wer_cell(&d, MlKind::Knn, FeatureSet::Set1);
         assert_eq!(report.per_rank.len(), RANK_COUNT);
         assert!(report.average.is_finite(), "no rank trained");
         assert!(report.average >= 0.0);
@@ -412,7 +394,7 @@ mod tests {
     #[test]
     fn pue_accuracy_is_bounded() {
         let d = data();
-        let err = evaluate_pue_accuracy(&d, MlKind::Knn, FeatureSet::Set2);
+        let err = pue_cell(&d, MlKind::Knn, FeatureSet::Set2);
         if err.is_finite() {
             assert!((0.0..=100.0).contains(&err), "PUE error {err}");
         }
@@ -423,22 +405,22 @@ mod tests {
         // The workload-aware model must out-predict a workload-unaware
         // constant (per-op mean) by a clear margin — the §VI-C claim.
         let d = data();
-        let knn = evaluate_wer_accuracy(&d, MlKind::Knn, FeatureSet::Set1);
+        let knn = wer_cell(&d, MlKind::Knn, FeatureSet::Set1);
         assert!(knn.average < 200.0, "KNN average MPE {}", knn.average);
     }
 
     #[test]
-    fn grid_cells_match_the_single_cell_views() {
-        // The shared grid and the historical per-cell entry points must be
-        // the same numbers, bit for bit.
+    fn grid_cells_match_single_cell_grids() {
+        // The shared grid and a grid of one cell must be the same numbers,
+        // bit for bit.
         let d = data();
-        let grid = EvalGrid::evaluate(&d);
+        let grid = full_grid(&d);
         for kind in [MlKind::Knn, MlKind::Rdf] {
-            let solo = evaluate_wer_accuracy(&d, kind, FeatureSet::Set1);
+            let solo = wer_cell(&d, kind, FeatureSet::Set1);
             let cell = grid.wer_report(kind, FeatureSet::Set1);
             assert_eq!(solo.average.to_bits(), cell.average.to_bits());
             assert_eq!(solo.per_workload, cell.per_workload);
-            let pue_solo = evaluate_pue_accuracy(&d, kind, FeatureSet::Set2);
+            let pue_solo = pue_cell(&d, kind, FeatureSet::Set2);
             let pue_cell = grid.pue_error(kind, FeatureSet::Set2);
             assert_eq!(pue_solo.to_bits(), pue_cell.to_bits());
         }
@@ -451,7 +433,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(ArtifactStore::open(&dir));
         let d = data();
-        let reference = EvalGrid::evaluate(&d); // no store: historical path
+        let reference = full_grid(&d); // no store
         let cold = EvalGrid::evaluate_targets_with(
             Some(store.clone()),
             &d,
@@ -492,7 +474,7 @@ mod tests {
     #[test]
     fn grid_counts_one_training_per_fold_unit() {
         let d = data();
-        let grid = EvalGrid::evaluate(&d);
+        let grid = full_grid(&d);
         assert!(grid.trainings() > 0);
         // One dispatch covers every unit exactly once: the memo never pays
         // a redundant training inside a single evaluation.

@@ -24,20 +24,20 @@
 //! `serde_json` round-trips `f64` exactly, so a disk hit is byte-identical
 //! to a fresh profile (asserted by `tests/artifact_store.rs`); corrupt or
 //! foreign-version entries read as misses and are rewritten. Caches built
-//! with [`ProfileCache::new`] have no disk tier; the process-wide
-//! [`ProfileCache::global`] adopts the store installed by
-//! `wade_store::install_global` (the figure binaries install one at
-//! startup).
+//! with [`ProfileCache::new`] have no disk tier; [`ProfileCache::with_store`]
+//! fixes one at construction. There is no process-wide cache: callers that
+//! want memoization hand a cache to [`crate::Campaign::with_profile_cache`]
+//! (the figure binaries build one per process over their store).
 
 use crate::server::{ProfiledWorkload, SimulatedServer};
 use rustc_hash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use wade_store::ArtifactStore;
 use wade_workloads::{Scale, Workload};
 
-/// Poison-tolerant lock: every mutation of the protected state is a single
-/// map/`Option` operation, so a thread that panicked while holding the
+/// Poison-tolerant lock: every mutation of the protected map is a single
+/// map operation, so a thread that panicked while holding the
 /// guard cannot have left it torn — recovering the inner value is always
 /// safe, and one crashed profiling thread must not poison every later
 /// campaign in the process.
@@ -97,13 +97,13 @@ const MAX_MEMOIZED: usize = 4096;
 
 /// Shared, thread-safe memo table for the profiling phase.
 ///
-/// [`crate::Campaign`] consults the process-wide [`ProfileCache::global`]
-/// by default; independent caches can be constructed for isolation (tests,
-/// benchmarks).
+/// A [`crate::Campaign`] memoizes profiling only through a cache handed to
+/// it with [`crate::Campaign::with_profile_cache`]; sharing one cache
+/// (and its store) between campaigns is how a process reuses profiles.
 #[derive(Debug, Default)]
 pub struct ProfileCache {
     map: Mutex<FxHashMap<ProfileKey, Arc<ProfiledWorkload>>>,
-    store: Mutex<Option<Arc<ArtifactStore>>>,
+    store: Option<Arc<ArtifactStore>>,
     hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
@@ -117,29 +117,7 @@ impl ProfileCache {
 
     /// An empty in-process memo backed by `store`'s `"profile"` artifacts.
     pub fn with_store(store: Arc<ArtifactStore>) -> Self {
-        let cache = Self::new();
-        cache.set_store(Some(store));
-        cache
-    }
-
-    /// Attaches (or detaches, with `None`) the disk tier. Memoized entries
-    /// and counters are kept.
-    pub fn set_store(&self, store: Option<Arc<ArtifactStore>>) {
-        *relock(&self.store) = store;
-    }
-
-    /// The process-wide cache shared by every [`crate::Campaign`] (and the
-    /// figure binaries) unless told otherwise. Its disk tier is the
-    /// process-wide `wade_store` store at first use, if one was installed.
-    pub fn global() -> Arc<ProfileCache> {
-        static GLOBAL: OnceLock<Arc<ProfileCache>> = OnceLock::new();
-        GLOBAL
-            .get_or_init(|| {
-                let cache = ProfileCache::new();
-                cache.set_store(wade_store::global());
-                Arc::new(cache)
-            })
-            .clone()
+        Self { store: Some(store), ..Self::default() }
     }
 
     /// Profiles `workload` on `server` with memoization: the first call per
@@ -170,8 +148,7 @@ impl ProfileCache {
         // Memory miss: consult the disk tier before paying for a profiling
         // run. A disk hit is byte-identical to a fresh profile (the store
         // round-trips exactly), so it can be memoized like one.
-        let store = relock(&self.store).clone();
-        if let Some(store) = &store {
+        if let Some(store) = &self.store {
             if let Some(stored) =
                 store.get::<ProfiledWorkload>(PROFILE_KIND, &key.canonical())
             {
@@ -185,7 +162,7 @@ impl ProfileCache {
         // wins so all consumers share one canonical allocation.
         let fresh = Arc::new(server.profile_workload(workload, seed));
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(store) = &store {
+        if let Some(store) = &self.store {
             // Best effort: an unwritable store degrades to in-process-only
             // caching, never to failure.
             let _ = store.put(PROFILE_KIND, &key.canonical(), fresh.as_ref());

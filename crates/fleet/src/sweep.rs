@@ -31,7 +31,9 @@
 //!   histories and alive set; peak memory is O(shard), not O(fleet). A
 //!   missing slice (cold, evicted, or failed under a degraded store)
 //!   recomputes exactly the alive devices of that one `(shard, epoch)`
-//!   cell and republishes — the fold is byte-identical either way.
+//!   cell and republishes — the fold is byte-identical either way. A
+//!   stored slice whose shard, epoch or rows disagree with the alive set
+//!   is mis-keyed and handled like a missing one.
 //! - A warm [`FleetSweep::sweep_stored`] performs **zero** simulations and
 //!   zero workload profiling ([`FleetSweep::simulations`] /
 //!   [`FleetSweep::profilings`]): the workload suite is profiled lazily,
@@ -238,9 +240,10 @@ impl FleetSweep {
     }
 
     /// Simulates one epoch of one (already manufactured) device — the
-    /// replay unit behind both the device-major in-memory path and the
-    /// epoch-major slice path; both produce bit-identical outcomes because
-    /// all randomness is keyed by `(spec, seed, index, epoch)`.
+    /// replay unit behind both device-major isolation replay
+    /// ([`FleetSweep::device_history`]) and the epoch-major slice path;
+    /// both produce bit-identical outcomes because all randomness is keyed
+    /// by `(spec, seed, index, epoch)`.
     fn simulate_epoch(
         &self,
         device: &DramDevice,
@@ -314,13 +317,6 @@ impl FleetSweep {
         history
     }
 
-    /// Simulates shard `shard` in memory (its contiguous device block,
-    /// device-major, in order).
-    pub fn shard(&self, shard: u32) -> FleetShard {
-        let devices = self.spec.shard_range(shard).map(|k| self.device_history(k)).collect();
-        FleetShard { shard, devices }
-    }
-
     /// Store key of the `(shard, epoch)` slice — seed, determinism
     /// version, profiling SoC fingerprint, **epoch-invariant** spec
     /// prefix, shard and epoch indices. See the module docs for why each
@@ -358,8 +354,10 @@ impl FleetSweep {
     /// order; warm slices fold straight in (zero simulation, zero
     /// profiling), missing ones — cold, evicted, or unreadable under a
     /// degraded store — are simulated for exactly the devices still alive
-    /// and republished. The fold stops early once every device of the
-    /// shard has failed.
+    /// and republished. A stored slice whose shard, epoch or rows disagree
+    /// with the alive set (a mis-keyed artifact) is treated as corrupt the
+    /// same way. The fold stops early once every device of the shard has
+    /// failed.
     pub fn shard_stored(&self, store: &ArtifactStore, shard: u32) -> FleetShard {
         let range = self.spec.shard_range(shard);
         let start = range.start;
@@ -371,18 +369,18 @@ impl FleetSweep {
             }
             let key = self.slice_key(shard, epoch);
             let slice = match store.get::<FleetSlice>(FLEET_SLICE_KIND, &key) {
-                Some(slice) => slice,
-                None => {
+                Some(slice)
+                    if (slice.shard, slice.epoch) == (shard, epoch)
+                        && slice.rows.iter().map(|r| r.index).eq(alive.iter().copied()) =>
+                {
+                    slice
+                }
+                _ => {
                     let slice = self.simulate_slice(shard, epoch, &alive);
                     let _ = store.put(FLEET_SLICE_KIND, &key, &slice);
                     slice
                 }
             };
-            debug_assert_eq!(
-                slice.rows.iter().map(|r| r.index).collect::<Vec<_>>(),
-                alive,
-                "slice {shard}/{epoch} disagrees with the alive set — keying bug"
-            );
             alive.clear();
             for row in slice.rows {
                 let history = &mut devices[(row.index - start) as usize];
@@ -392,15 +390,6 @@ impl FleetSweep {
             }
         }
         FleetShard { shard, devices }
-    }
-
-    /// Sweeps the whole fleet in memory: shards fan out over the pool,
-    /// the merge concatenates them in shard order.
-    pub fn sweep(&self) -> FleetOutcome {
-        self.profiles();
-        let shards =
-            pool::fan_out((0..self.spec.shards).collect(), |s| self.shard(s));
-        self.merge(shards)
     }
 
     /// The streaming sweep: walks shards in shard order through `store`
@@ -435,18 +424,6 @@ impl FleetSweep {
         }
         FleetOutcome { spec: self.spec, seed: self.seed, devices }
     }
-
-    /// Order-stable merge: concatenation in shard order, with the device
-    /// index sequence asserted contiguous.
-    fn merge(&self, shards: Vec<FleetShard>) -> FleetOutcome {
-        let devices: Vec<DeviceHistory> =
-            shards.into_iter().flat_map(|s| s.devices).collect();
-        assert_eq!(devices.len() as u32, self.spec.devices, "merge lost devices");
-        for (i, d) in devices.iter().enumerate() {
-            assert_eq!(d.index, i as u32, "merge broke device order");
-        }
-        FleetOutcome { spec: self.spec, seed: self.seed, devices }
-    }
 }
 
 /// A profile at reduced utilization: the DRAM traffic rates scale with the
@@ -473,20 +450,47 @@ mod tests {
         spec
     }
 
+    /// A unique scratch store directory per test, removed on drop.
+    struct Scratch(std::path::PathBuf);
+
+    impl Scratch {
+        fn new(tag: &str) -> Self {
+            let dir = std::env::temp_dir()
+                .join(format!("wade-fleet-unit-{}-{tag}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            Self(dir)
+        }
+
+        fn store(&self) -> ArtifactStore {
+            ArtifactStore::open(&self.0)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// `sweep` through a fresh, empty store.
+    fn cold_sweep(sweep: &FleetSweep, tag: &str) -> FleetOutcome {
+        sweep.sweep_stored(&Scratch::new(tag).store())
+    }
+
     #[test]
     fn sweep_is_reproducible_and_ordered() {
-        let a = FleetSweep::new(tiny_spec(), 42).sweep();
-        let b = FleetSweep::new(tiny_spec(), 42).sweep();
+        let a = cold_sweep(&FleetSweep::new(tiny_spec(), 42), "repro-a");
+        let b = cold_sweep(&FleetSweep::new(tiny_spec(), 42), "repro-b");
         assert_eq!(a.devices_json(), b.devices_json());
         assert_eq!(a.devices.len(), 6);
-        let other = FleetSweep::new(tiny_spec(), 43).sweep();
+        let other = cold_sweep(&FleetSweep::new(tiny_spec(), 43), "repro-other");
         assert_ne!(a.devices_json(), other.devices_json(), "seed must matter");
     }
 
     #[test]
     fn device_histories_are_shard_independent() {
         let sweep = FleetSweep::new(tiny_spec(), 7);
-        let full = sweep.sweep();
+        let full = cold_sweep(&sweep, "independent");
         let solo = sweep.device_history(4);
         assert_eq!(solo, full.devices[4]);
     }
@@ -495,10 +499,41 @@ mod tests {
     fn simulations_and_profilings_are_counted() {
         let sweep = FleetSweep::new(tiny_spec(), 7);
         assert_eq!((sweep.simulations(), sweep.profilings()), (0, 0));
-        let outcome = sweep.sweep();
+        let outcome = cold_sweep(&sweep, "counted");
         let epochs: u64 = outcome.devices.iter().map(|d| d.epochs.len() as u64).sum();
         assert_eq!(sweep.simulations(), epochs);
         assert_eq!(sweep.profilings(), 1, "the suite is profiled exactly once");
+    }
+
+    #[test]
+    fn mis_keyed_slice_is_recomputed_and_republished() {
+        let spec = tiny_spec();
+        let reference = FleetSweep::new(spec, 7);
+        let devices: Vec<DeviceHistory> =
+            (0..spec.devices).map(|k| reference.device_history(k)).collect();
+        let scratch = Scratch::new("mis-keyed");
+        let store = scratch.store();
+        let cold = FleetSweep::new(spec, 7);
+        let _ = cold.sweep_stored(&store);
+
+        // Shard 0's epoch-1 slice, planted under shard 1's key.
+        let planted: FleetSlice =
+            store.get(FLEET_SLICE_KIND, &cold.slice_key(0, 1)).expect("cold slice persisted");
+        store.put(FLEET_SLICE_KIND, &cold.slice_key(1, 1), &planted).expect("plant slice");
+        let alive = spec
+            .shard_range(1)
+            .filter(|&k| devices[k as usize].epochs.len() > 1)
+            .count() as u64;
+        assert!(alive > 0, "fixture: shard 1 must reach epoch 1");
+
+        let healed = FleetSweep::new(spec, 7);
+        let outcome = healed.sweep_stored(&store);
+        assert_eq!(outcome.devices, devices, "a mis-keyed slice leaked into the sweep");
+        assert_eq!(healed.simulations(), alive, "only the mis-keyed slice is recomputed");
+
+        let warm = FleetSweep::new(spec, 7);
+        assert_eq!(warm.sweep_stored(&store).devices, devices);
+        assert_eq!(warm.simulations(), 0, "the recomputed slice must be republished");
     }
 
     #[test]

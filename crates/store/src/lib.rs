@@ -58,7 +58,6 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 use std::time::{Duration, SystemTime};
 
 use serde::{Deserialize, Serialize};
@@ -113,27 +112,6 @@ pub fn resolve_dir(explicit: Option<&str>) -> PathBuf {
         Ok(dir) if !dir.trim().is_empty() => PathBuf::from(dir),
         _ => default_dir(),
     }
-}
-
-/// The process-wide store, if one has been installed (figure binaries
-/// install one at startup; libraries and tests that never install one run
-/// purely in-process, exactly as before the store existed).
-pub fn global() -> Option<Arc<ArtifactStore>> {
-    global_slot().get().cloned()
-}
-
-/// Installs `store` as the process-wide store consulted by [`global`].
-/// The first installation wins (the registry is a `OnceLock`); the
-/// installed store is returned either way.
-pub fn install_global(store: Arc<ArtifactStore>) -> Arc<ArtifactStore> {
-    let slot = global_slot();
-    let _ = slot.set(store.clone());
-    slot.get().cloned().unwrap_or(store)
-}
-
-fn global_slot() -> &'static OnceLock<Arc<ArtifactStore>> {
-    static GLOBAL: OnceLock<Arc<ArtifactStore>> = OnceLock::new();
-    &GLOBAL
 }
 
 /// Order-stable 64-bit fingerprint of a canonical key string (FxHash64).

@@ -64,11 +64,6 @@ impl RegionCounter {
         &self.regions
     }
 
-    /// Bytes spanned by each region at the current resolution.
-    pub fn region_bytes(&self) -> u64 {
-        1u64 << self.shift
-    }
-
     /// Normalised access share per region (sums to 1 when any access was
     /// recorded). This is the spatial access distribution handed to the DRAM
     /// simulator.

@@ -93,9 +93,8 @@ fn cold_and_warm_processes_are_byte_identical_and_warm_does_zero_work() {
     let scratch = Scratch::new("cold-warm");
     let suite = suite();
 
-    // Reference: no store anywhere (the historical in-process-only path).
+    // Reference: no store and no profile cache anywhere.
     let ref_data = Campaign::new(SimulatedServer::with_seed(11), CampaignConfig::quick())
-        .without_profile_cache()
         .collect(&suite, 4);
     let ref_grid = EvalGrid::evaluate_targets_with(
         None,

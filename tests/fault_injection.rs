@@ -101,9 +101,8 @@ fn pipeline(store: &Arc<ArtifactStore>, suite: &[BoxedWorkload]) -> (wade_core::
 fn pipeline_is_byte_identical_under_fault_schedules() {
     let suite = suite();
 
-    // Reference: no store anywhere (the historical in-process-only path).
+    // Reference: no store and no profile cache anywhere.
     let ref_data = Campaign::new(SimulatedServer::with_seed(11), CampaignConfig::quick())
-        .without_profile_cache()
         .collect(&suite, 4);
     let ref_grid = evaluate(None, &ref_data);
 

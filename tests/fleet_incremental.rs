@@ -53,6 +53,15 @@ fn on_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
     rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(f)
 }
 
+/// The device-major reference fleet: every device replayed in isolation
+/// through `device_history`, in index order.
+fn reference_json(epochs: u32) -> String {
+    let spec = spec_at(epochs);
+    let sweep = FleetSweep::new(spec, FLEET_SEED);
+    let devices = (0..spec.devices).map(|k| sweep.device_history(k)).collect();
+    FleetOutcome { spec, seed: FLEET_SEED, devices }.devices_json()
+}
+
 /// Device-epochs of `outcome` at or past epoch `from` — the simulation
 /// budget an extension from `from` is allowed.
 fn delta_epochs(outcome: &FleetOutcome, from: u32) -> u64 {
@@ -65,13 +74,10 @@ fn delta_epochs(outcome: &FleetOutcome, from: u32) -> u64 {
 
 #[test]
 fn extension_roundtrips_byte_identically_at_1_and_8_threads() {
+    let reference = reference_json(EXTENDED_EPOCHS);
+    let base_reference = reference_json(BASE_EPOCHS);
     for threads in [1usize, 8] {
         on_pool(threads, || {
-            let reference = FleetSweep::new(spec_at(EXTENDED_EPOCHS), FLEET_SEED)
-                .sweep()
-                .devices_json();
-            let base_reference =
-                FleetSweep::new(spec_at(BASE_EPOCHS), FLEET_SEED).sweep().devices_json();
 
             // Cold store: the extended spec against an empty store is just
             // a cold sweep.
@@ -138,8 +144,7 @@ fn extension_simulates_exactly_the_delta_and_never_the_prefix() {
 
 #[test]
 fn faulty_store_extension_degrades_to_recompute_with_identical_output() {
-    let reference =
-        FleetSweep::new(spec_at(EXTENDED_EPOCHS), FLEET_SEED).sweep().devices_json();
+    let reference = reference_json(EXTENDED_EPOCHS);
     let scratch = Scratch::new("faulty");
 
     // Warm the base prefix through a healthy filesystem first.

@@ -160,7 +160,8 @@ fn simulated() -> &'static (FleetSweep, FleetOutcome) {
         spec.epochs = 4;
         spec.max_workloads = 4;
         let sweep = FleetSweep::new(spec, 21);
-        let outcome = sweep.sweep();
+        let devices = (0..spec.devices).map(|k| sweep.device_history(k)).collect();
+        let outcome = FleetOutcome { spec, seed: 21, devices };
         (sweep, outcome)
     })
 }

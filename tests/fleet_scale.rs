@@ -28,13 +28,16 @@ fn fixture_spec() -> FleetSpec {
     spec
 }
 
-/// One cold reference sweep, shared across this file's tests (the sweep is
-/// deterministic, so sharing cannot couple them).
+/// The device-major reference fleet — every device replayed in isolation
+/// through `device_history`, in index order — shared across this file's
+/// tests (it is deterministic, so sharing cannot couple them).
 fn fixture() -> &'static (FleetSweep, FleetOutcome, String) {
     static FX: OnceLock<(FleetSweep, FleetOutcome, String)> = OnceLock::new();
     FX.get_or_init(|| {
-        let sweep = FleetSweep::new(fixture_spec(), FLEET_SEED);
-        let outcome = sweep.sweep();
+        let spec = fixture_spec();
+        let sweep = FleetSweep::new(spec, FLEET_SEED);
+        let devices = (0..spec.devices).map(|k| sweep.device_history(k)).collect();
+        let outcome = FleetOutcome { spec, seed: FLEET_SEED, devices };
         let json = outcome.devices_json();
         (sweep, outcome, json)
     })
@@ -66,10 +69,17 @@ fn on_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
 #[test]
 fn shard_merge_is_byte_identical_at_1_and_8_threads() {
     let (_, _, reference) = fixture();
-    let one = on_pool(1, || FleetSweep::new(fixture_spec(), FLEET_SEED).sweep().devices_json());
-    let eight = on_pool(8, || FleetSweep::new(fixture_spec(), FLEET_SEED).sweep().devices_json());
+    let cold_sweep = |threads: usize| {
+        let scratch = Scratch::new(&format!("threads-{threads}"));
+        let store = ArtifactStore::open(&scratch.0);
+        on_pool(threads, || {
+            FleetSweep::new(fixture_spec(), FLEET_SEED).sweep_stored(&store).devices_json()
+        })
+    };
+    let one = cold_sweep(1);
+    let eight = cold_sweep(8);
     assert_eq!(one, eight, "1-thread vs 8-thread sweeps diverged");
-    assert_eq!(&one, reference, "pool sweeps diverged from the ambient-pool sweep");
+    assert_eq!(&one, reference, "pool sweeps diverged from the device-major reference");
 }
 
 #[test]
@@ -108,9 +118,11 @@ fn warm_store_sweep_is_byte_identical_and_simulation_free() {
 
 #[test]
 fn single_device_replay_reproduces_its_fleet_slice() {
-    let (_, outcome, _) = fixture();
+    let scratch = Scratch::new("replay");
+    let outcome =
+        FleetSweep::new(fixture_spec(), FLEET_SEED).sweep_stored(&ArtifactStore::open(&scratch.0));
     // A fresh engine re-manufactures single devices in isolation; each
-    // history must equal the full sweep's slice bit for bit.
+    // history must equal the sharded sweep's slice bit for bit.
     let solo = FleetSweep::new(fixture_spec(), FLEET_SEED);
     for index in [0u32, 17, 47] {
         let replay = solo.device_history(index);

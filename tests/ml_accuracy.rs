@@ -5,10 +5,7 @@
 //! model quality fails here, not in review.
 
 use std::sync::OnceLock;
-use wade::core::{
-    build_wer_dataset, evaluate_wer_accuracy, Campaign, CampaignConfig, EvalGrid, MlKind,
-    SimulatedServer,
-};
+use wade::core::{build_wer_dataset, Campaign, CampaignConfig, EvalGrid, MlKind, SimulatedServer};
 use wade::features::FeatureSet;
 use wade::ml::metrics::mean_percentage_error;
 use wade::ml::{ConstantTrainer, Regressor, Trainer};
@@ -24,6 +21,22 @@ fn campaign_data() -> &'static wade::core::CampaignData {
         // (Collected once and shared across this file's tests — the
         // collection is deterministic, so sharing cannot couple them.)
         Campaign::new(server, CampaignConfig::quick()).collect(&paper_suite(Scale::Test), 8)
+    })
+}
+
+/// The full (learner × set × target) accuracy grid over
+/// [`campaign_data`], store-free and shared the same way.
+fn grid() -> &'static EvalGrid {
+    static GRID: OnceLock<EvalGrid> = OnceLock::new();
+    GRID.get_or_init(|| {
+        EvalGrid::evaluate_targets_with(
+            None,
+            campaign_data(),
+            &MlKind::ALL,
+            &FeatureSet::ALL,
+            true,
+            true,
+        )
     })
 }
 
@@ -57,7 +70,7 @@ fn workload_aware_model_beats_the_constant_baseline() {
     // here the constant doesn't even get the op, making the gap starker —
     // but even an op-aware constant cannot follow workload differences.
     let data = campaign_data();
-    let knn = evaluate_wer_accuracy(data, MlKind::Knn, FeatureSet::Set2);
+    let knn = grid().wer_report(MlKind::Knn, FeatureSet::Set2);
     let baseline = baseline_mpe(data, FeatureSet::Set2);
     assert!(knn.average.is_finite());
     assert!(
@@ -73,10 +86,9 @@ fn workload_aware_model_beats_the_constant_baseline() {
 
 #[test]
 fn every_learner_produces_finite_accuracy_for_every_set() {
-    let data = campaign_data();
     for kind in MlKind::ALL {
         for set in FeatureSet::ALL {
-            let report = evaluate_wer_accuracy(data, kind, set);
+            let report = grid().wer_report(kind, set);
             assert!(
                 report.average.is_finite() && report.average >= 0.0,
                 "{kind}/{set}: {}",
@@ -89,8 +101,7 @@ fn every_learner_produces_finite_accuracy_for_every_set() {
 
 #[test]
 fn accuracy_report_covers_the_held_out_workloads() {
-    let data = campaign_data();
-    let report = evaluate_wer_accuracy(data, MlKind::Knn, FeatureSet::Set1);
+    let report = grid().wer_report(MlKind::Knn, FeatureSet::Set1);
     // Every workload with trainable samples appears in the per-application
     // breakdown (Fig. 11d-f's x-axis).
     assert!(report.per_workload.len() >= 6, "only {} workloads", report.per_workload.len());
@@ -137,7 +148,7 @@ fn golden_fig11_fig12_headline_numbers() {
             [2.20686512891870059e1, 2.48218537842487414e1, 3.91845804988662181e1],
         ),
     ];
-    let grid = EvalGrid::evaluate(campaign_data());
+    let grid = grid();
     for (kind, wer_golden, pue_golden) in GOLDEN {
         for (i, set) in FeatureSet::ALL.into_iter().enumerate() {
             let wer = grid.wer_report(kind, set).average;

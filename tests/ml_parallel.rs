@@ -87,8 +87,11 @@ fn small_campaign() -> wade::core::CampaignData {
 #[test]
 fn eval_grid_is_byte_identical_across_thread_counts() {
     let data = small_campaign();
-    let a = on_pool(1, || EvalGrid::evaluate(&data));
-    let b = on_pool(8, || EvalGrid::evaluate(&data));
+    let evaluate = || {
+        EvalGrid::evaluate_targets_with(None, &data, &MlKind::ALL, &FeatureSet::ALL, true, true)
+    };
+    let a = on_pool(1, evaluate);
+    let b = on_pool(8, evaluate);
     for kind in MlKind::ALL {
         for set in FeatureSet::ALL {
             let (ra, rb) = (a.wer_report(kind, set), b.wer_report(kind, set));

@@ -60,7 +60,7 @@ fn suite_profiling_is_identical_across_thread_counts() {
 fn profile_cache_hits_are_bit_identical_and_shared() {
     let cache = Arc::new(ProfileCache::new());
     let campaign = quick_campaign().with_profile_cache(cache.clone());
-    let uncached = quick_campaign().without_profile_cache();
+    let uncached = quick_campaign();
     let suite = tiny_suite();
 
     let cold = campaign.profile_suite(&suite, 7);
@@ -75,7 +75,7 @@ fn profile_cache_hits_are_bit_identical_and_shared() {
 }
 
 #[test]
-fn collect_is_identical_with_and_without_profile_cache() {
+fn collect_is_identical_cached_and_uncached() {
     // The acceptance contract: whole-campaign output is byte-identical
     // across the cached and uncached profiling paths — including a
     // second campaign served entirely from cache.
@@ -83,7 +83,7 @@ fn collect_is_identical_with_and_without_profile_cache() {
     let cache = Arc::new(ProfileCache::new());
     let cached = quick_campaign().with_profile_cache(cache.clone()).collect(&suite, 3);
     let rewarmed = quick_campaign().with_profile_cache(cache.clone()).collect(&suite, 3);
-    let uncached = quick_campaign().without_profile_cache().collect(&suite, 3);
+    let uncached = quick_campaign().collect(&suite, 3);
     assert!(cache.hits() > 0, "second collect must hit the cache");
     assert_eq!(cached.to_json().unwrap(), uncached.to_json().unwrap());
     assert_eq!(rewarmed.to_json().unwrap(), uncached.to_json().unwrap());
