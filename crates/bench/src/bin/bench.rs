@@ -1,29 +1,29 @@
-//! Simulator/campaign performance tracker: times the hot paths this
-//! workspace optimizes and emits a machine-readable `BENCH_sim.json` so
-//! future PRs can compare against the recorded trajectory.
+//! Performance tracker for the current system: times the hot paths this
+//! workspace optimizes against the references the library still ships,
+//! checks every fast path byte-for-byte against its reference (untimed),
+//! and writes the machine-readable `BENCH_sim.json` snapshot that later
+//! changes compare against.
 //!
-//! Three configurations are measured for the flagship `run_2h_1GiB` case:
+//! Every speedup divides by kept code: a 1-thread pool, direct
+//! (unprepared) characterization, the per-access profiling path
+//! `SimulatedServer::profile_workload_unbatched`, the pointer forest, the
+//! exhaustive KNN scan, the tree-building JSON reader, a cold store or a
+//! cold fleet sweep. Ratios once measured against retired pre-optimization
+//! reconstructions are frozen in ARCHITECTURE.md §8 (*Historical
+//! baselines*). End-to-end and per-stage attribution of `repro_all` and
+//! the fleet lives in `perfbench/`.
 //!
-//! * `reference_naive` — a faithful reconstruction of the pre-optimization
-//!   hot loop: serial, a full attribute tuple sampled for *every*
-//!   Poisson-drawn weak cell from a sequential per-rank stream, SipHash
-//!   collision maps, and — crucially — upstream rand 0.8's `StdRng`
-//!   generator (ChaCha12, reimplemented below), which is what the seed
-//!   code used. This is the "before" number: the original implementation
-//!   predates the build system, so it cannot be benchmarked directly.
-//! * `single_thread` — the current thinned/keyed-stream implementation on
-//!   a 1-thread rayon pool (isolates the algorithmic win).
-//! * `parallel` — the same on the default pool (adds the fan-out win).
-//!
-//! The campaign grid (`CampaignConfig::quick()` × the paper suite at test
-//! scale) is measured on 1 thread and on the full pool to record scaling.
-//!
-//! The artifact-store round trip (cold collect+eval vs warm store hits) is
-//! measured in the `artifact_store` section against its own scratch store;
-//! no other section is handed a store, so none can be accidentally warmed
-//! by a previous invocation.
+//! Each `results` section is one function returning a JSON map; shared
+//! fixtures (the quick Test-scale campaign) are built once and passed in,
+//! and the report is emitted through the vendored `serde_json`. The
+//! artifact-store and fleet sections use their own scratch stores; no
+//! other section is handed a store, so none can be accidentally warmed by
+//! a previous invocation.
 //!
 //! Usage: `cargo run --release -p wade-bench --bin bench [output.json]`.
+//! A `WADE_BENCH_MS` budget under 200 selects smoke mode (one sample per
+//! timing and smaller fixtures). An unknown flag, or more positional
+//! arguments than the mode reads, exits 2 with a usage line.
 //!
 //! Store maintenance subcommands (`--store-dir DIR` / `WADE_STORE_DIR`
 //! select the store, default `target/wade-store`):
@@ -59,27 +59,23 @@
 //!   evaluation: lead-time precision/recall, the mitigation-cost curve
 //!   and the cross-vintage transfer matrix
 
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
-use rand_distr::{Distribution, Poisson};
+use serde_json::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use wade_core::{
-    build_pue_dataset, build_wer_dataset, train_error_model, AccuracyReport, Campaign,
-    CampaignConfig, CampaignData, ErrorModel, EvalGrid, MlKind, ProfileCache, SimulatedServer,
+    train_error_model, AccuracyReport, Campaign, CampaignConfig, CampaignData, ErrorModel,
+    EvalGrid, MlKind, ProfileCache, SimulatedServer,
 };
-use wade_dram::{DramDevice, DramUsageProfile, ErrorSim, OperatingPoint, RANK_COUNT};
+use wade_dram::{DramDevice, DramUsageProfile, ErrorSim, OperatingPoint};
 use wade_features::FeatureSet;
-use wade_ml::metrics::{mean_absolute_error_percent, mean_percentage_error};
-use rand::seq::SliceRandom;
-use wade_ml::{ForestTrainer, KnnTrainer, Regressor, SvrTrainer, Trainer};
+use wade_ml::{ForestTrainer, KnnTrainer, Regressor, Trainer};
 use wade_workloads::{full_suite, paper_suite, Scale};
 
 /// Flags that take a value: consumed during positional parsing so flag
-/// values never masquerade as subcommands, and collected for the store
+/// values never masquerade as subcommands, and collected for the
 /// subcommands. `--store-dir`'s validity stays enforced by
-/// `wade_bench::store_dir()`.
+/// `wade_bench::store_dir()`. Any other `--flag` is rejected.
 const VALUE_FLAGS: [&str; 11] = [
     "--store-dir",
     "--seed",
@@ -103,38 +99,58 @@ fn main() {
     let mut flags: HashMap<&'static str, String> = HashMap::new();
     let mut i = 1;
     while i < args.len() {
-        match args[i].as_str() {
-            flag if VALUE_FLAGS.contains(&flag) => {
-                let canonical = VALUE_FLAGS.iter().find(|f| **f == flag).unwrap();
-                match args.get(i + 1) {
-                    Some(v) if !v.starts_with("--") => {
-                        flags.insert(canonical, v.clone());
-                    }
-                    _ => {
-                        eprintln!("error: {flag} requires a value");
-                        std::process::exit(2);
-                    }
+        let arg = args[i].as_str();
+        if let Some(&flag) = VALUE_FLAGS.iter().find(|f| **f == arg) {
+            match args.get(i + 1) {
+                Some(v) if !v.starts_with("--") => {
+                    flags.insert(flag, v.clone());
                 }
-                i += 1;
+                _ => {
+                    eprintln!("error: {flag} requires a value");
+                    std::process::exit(2);
+                }
             }
-            a if a.starts_with("--") => {}
-            a => positional.push(a),
+            i += 2;
+        } else if arg.starts_with("--store-dir=") {
+            // `wade_bench::store_dir()` reads this form itself.
+            i += 1;
+        } else if arg.starts_with("--") {
+            usage_error(&format!("unknown flag {arg}"));
+        } else {
+            positional.push(arg);
+            i += 1;
         }
-        i += 1;
     }
-    if positional.first() == Some(&"store") {
-        store_command(positional.get(1).copied(), &flags);
-        return;
+    // A subcommand reads its name and one action; the perf run reads one
+    // output path.
+    let expected = match positional.first() {
+        Some(&("store" | "serve" | "fleet")) => 2,
+        _ => 1,
+    };
+    if positional.len() > expected {
+        usage_error(&format!("unexpected argument {}", positional[expected]));
     }
-    if positional.first() == Some(&"serve") {
-        serve_command(positional.get(1).copied(), &flags);
-        return;
+    match positional.first().copied() {
+        Some("store") => store_command(positional.get(1).copied(), &flags),
+        Some("serve") => serve_command(positional.get(1).copied(), &flags),
+        Some("fleet") => fleet_command(positional.get(1).copied(), &flags),
+        out_path => perf_snapshot(out_path.unwrap_or("BENCH_sim.json")),
     }
-    if positional.first() == Some(&"fleet") {
-        fleet_command(positional.get(1).copied(), &flags);
-        return;
-    }
-    let out_path = positional.first().unwrap_or(&"BENCH_sim.json").to_string();
+}
+
+/// Prints `msg` and the top-level usage line, then exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!(
+        "error: {msg}\nusage: bench [OUT.json] | bench store <ls|gc|clear|torture> | \
+         bench serve load | bench fleet <sweep|extend|eval>   (flags: {})",
+        VALUE_FLAGS.join(" ")
+    );
+    std::process::exit(2);
+}
+
+/// The perf run: every section in order, written to `out_path` as
+/// `{schema, threads, host, results}` and echoed to stdout.
+fn perf_snapshot(out_path: &str) {
     // Honour the same budget knob as the vendored criterion harness: a
     // budget under 200 ms means "smoke mode" — one sample per
     // configuration instead of the median of several (CI runners).
@@ -144,157 +160,204 @@ fn main() {
         .is_some_and(|ms| ms < 200);
     let (ref_samples, cur_samples) = if smoke { (1, 1) } else { (3, 5) };
     let threads = rayon::current_num_threads();
+    let quick = quick_campaign();
+
+    let mut results = run_2h_1gib(cur_samples);
+    results.extend(
+        [
+            ("campaign_pue_repeats", campaign_pue_repeats(ref_samples, cur_samples)),
+            ("workload_profiling", workload_profiling(ref_samples, cur_samples)),
+            ("campaign_quick_grid", campaign_quick_grid(ref_samples, threads)),
+            ("ml_training", ml_training(&quick, cur_samples)),
+            ("artifact_store", artifact_store(&quick, ref_samples, cur_samples)),
+            ("store_fault", store_fault(smoke)),
+            ("serving", serving(&quick, smoke)),
+            ("prediction_hot_path", prediction_hot_path(&quick, ref_samples, cur_samples)),
+            ("fleet", fleet(smoke, cur_samples)),
+            ("fleet_incremental", fleet_incremental(smoke)),
+        ]
+        .map(|(name, section)| (name.to_string(), section)),
+    );
+
+    let logical_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let wade_scale = std::env::var("WADE_SCALE").unwrap_or_else(|_| "unset".to_string());
+    let report = map([
+        ("schema", Value::Str("wade-bench-sim/2".to_string())),
+        ("threads", count(threads)),
+        (
+            "host",
+            map([
+                ("logical_cores", count(logical_cores)),
+                ("rayon_threads", count(threads)),
+                ("wade_scale", Value::Str(wade_scale)),
+            ]),
+        ),
+        ("results", Value::Map(results)),
+    ]);
+    let json = serde_json::to_string_pretty(&report).expect("serialize the snapshot") + "\n";
+    std::fs::write(out_path, &json).expect("write BENCH_sim.json");
+    println!("{json}");
+    eprintln!("[bench] wrote {out_path}");
+}
+
+/// The quick Test-scale campaign that `ml_training`, `artifact_store`,
+/// `serving` and `prediction_hot_path` share. Store-free: the bench must
+/// not warm or depend on the real store.
+fn quick_campaign() -> CampaignData {
+    Campaign::new(SimulatedServer::with_seed(5), CampaignConfig::quick())
+        .collect(&paper_suite(Scale::Test), 8)
+}
+
+/// `run_2h_1GiB_*`: one 2-hour run over a 1 GiB footprint, on a 1-thread
+/// pool and on the default pool. The three bench-suite points at the
+/// maximum refresh period, plus one short-TREFP grid point where the
+/// quantile thinning dominates (the campaign spends most of its grid
+/// there).
+fn run_2h_1gib(samples: usize) -> Vec<(String, Value)> {
     let device = DramDevice::with_seed(42);
     let sim = ErrorSim::new(&device);
     let profile = DramUsageProfile::uniform_synthetic(1 << 27); // 1 GiB
-
-    let mut sections = Vec::new();
-    // The three bench-suite points at the maximum refresh period, plus one
-    // short-TREFP grid point where the quantile thinning dominates (the
-    // campaign spends most of its grid there).
+    let one = pool(1);
     let cases = [
         ("50C", OperatingPoint::relaxed(2.283, 50.0)),
         ("60C", OperatingPoint::relaxed(2.283, 60.0)),
         ("70C", OperatingPoint::relaxed(2.283, 70.0)),
         ("60C_trefp0.618", OperatingPoint::relaxed(0.618, 60.0)),
     ];
-    for (label, op) in cases {
-        eprintln!("[bench] dram_sim/run_2h_1GiB/{label} …");
-        let reference_ms = median_ms(ref_samples, || {
-            reference_naive_run(&device, &profile, op, 7200.0, 1);
-        });
-        let one = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        let single_ms = median_ms(cur_samples, || {
-            one.install(|| sim.run(&profile, op, 7200.0, 1));
-        });
-        let parallel_ms = median_ms(cur_samples, || {
-            sim.run(&profile, op, 7200.0, 1);
-        });
-        sections.push(format!(
-            "    \"run_2h_1GiB_{label}\": {{\n      \"reference_naive_ms\": {reference_ms:.3},\n      \"single_thread_ms\": {single_ms:.3},\n      \"parallel_ms\": {parallel_ms:.3},\n      \"speedup_single_vs_reference\": {:.2},\n      \"speedup_parallel_vs_reference\": {:.2}\n    }}",
-            reference_ms / single_ms.max(1e-9),
-            reference_ms / parallel_ms.max(1e-9),
-        ));
-    }
+    cases
+        .into_iter()
+        .map(|(label, op)| {
+            eprintln!("[bench] dram_sim/run_2h_1GiB/{label} …");
+            let single_ms = median_ms(samples, || {
+                one.install(|| sim.run(&profile, op, 7200.0, 1));
+            });
+            let parallel_ms = median_ms(samples, || {
+                sim.run(&profile, op, 7200.0, 1);
+            });
+            let section =
+                map([("single_thread_ms", ms(single_ms)), ("parallel_ms", ms(parallel_ms))]);
+            (format!("run_2h_1GiB_{label}"), section)
+        })
+        .collect()
+}
 
-    // The ROADMAP-predicted biggest win: PUE repeats and TREFP set-points
-    // share one weak-cell population, so the prepared path realizes it
-    // once per workload and replays run randomness only. `direct` times
-    // Campaign::characterize (ErrorSim::run per run); `prepared` times
-    // Campaign::prepare + characterize_prepared over the same grid and
-    // seeds. Byte-identity of the two paths is asserted (untimed).
+/// `campaign_pue_repeats`: PUE repeats and TREFP set-points share one
+/// weak-cell population, so the prepared path realizes it once per
+/// workload and replays run randomness only. `direct` times
+/// `Campaign::characterize` (`ErrorSim::run` per run); `prepared` times
+/// `Campaign::prepare` + `characterize_prepared` over the same grid and
+/// seeds.
+fn campaign_pue_repeats(ref_samples: usize, cur_samples: usize) -> Value {
     eprintln!("[bench] campaign PUE repeats, prepared vs direct …");
-    let pue_repeats = 10u32;
-    let pue_ops: Vec<OperatingPoint> = OperatingPoint::PUE_TREFP_SWEEP
-        .iter()
-        .map(|&t| OperatingPoint::relaxed(t, 70.0))
-        .collect();
-    let pue_campaign = Campaign::new(
+    let repeats = 10u32;
+    let ops: Vec<OperatingPoint> =
+        OperatingPoint::PUE_TREFP_SWEEP.iter().map(|&t| OperatingPoint::relaxed(t, 70.0)).collect();
+    let campaign = Campaign::new(
         SimulatedServer::with_seed(5),
         CampaignConfig {
             run_duration_s: 7200.0,
-            pue_repeats,
+            pue_repeats: repeats,
             wer_ops: Vec::new(),
-            pue_ops: pue_ops.clone(),
+            pue_ops: ops.clone(),
         },
     );
-    let pue_suite = paper_suite(Scale::Test);
-    let pue_profiled: Vec<_> =
-        pue_suite.iter().take(3).map(|w| pue_campaign.profile(w.as_ref(), 1)).collect();
+    let suite = paper_suite(Scale::Test);
+    let profiled: Vec<_> = suite.iter().take(3).map(|w| campaign.profile(w.as_ref(), 1)).collect();
     let direct_ms = median_ms(ref_samples, || {
-        for (i, p) in pue_profiled.iter().enumerate() {
-            for &op in &pue_ops {
-                pue_campaign.characterize(p, op, pue_repeats, 1000 + i as u64);
+        for (i, p) in profiled.iter().enumerate() {
+            for &op in &ops {
+                campaign.characterize(p, op, repeats, 1000 + i as u64);
             }
         }
     });
     let prepared_ms = median_ms(cur_samples, || {
-        for (i, p) in pue_profiled.iter().enumerate() {
-            let prep = pue_campaign.prepare(p, &pue_ops);
-            for &op in &pue_ops {
-                pue_campaign.characterize_prepared(&prep, op, pue_repeats, 1000 + i as u64);
+        for (i, p) in profiled.iter().enumerate() {
+            let prep = campaign.prepare(p, &ops);
+            for &op in &ops {
+                campaign.characterize_prepared(&prep, op, repeats, 1000 + i as u64);
             }
         }
     });
     let identical = {
-        let p = &pue_profiled[0];
-        let prep = pue_campaign.prepare(p, &pue_ops);
-        pue_ops.iter().all(|&op| {
-            pue_campaign.characterize(p, op, pue_repeats, 77)
-                == pue_campaign.characterize_prepared(&prep, op, pue_repeats, 77)
+        let p = &profiled[0];
+        let prep = campaign.prepare(p, &ops);
+        ops.iter().all(|&op| {
+            campaign.characterize(p, op, repeats, 77)
+                == campaign.characterize_prepared(&prep, op, repeats, 77)
         })
     };
-    sections.push(format!(
-        "    \"campaign_pue_repeats\": {{\n      \"workloads\": {},\n      \"ops\": {},\n      \"repeats\": {pue_repeats},\n      \"direct_ms\": {direct_ms:.3},\n      \"prepared_ms\": {prepared_ms:.3},\n      \"speedup_prepared_vs_direct\": {:.2},\n      \"byte_identical\": {identical}\n    }}",
-        pue_profiled.len(),
-        pue_ops.len(),
-        direct_ms / prepared_ms.max(1e-9),
-    ));
+    map([
+        ("workloads", count(profiled.len())),
+        ("ops", count(ops.len())),
+        ("repeats", Value::U64(repeats.into())),
+        ("direct_ms", ms(direct_ms)),
+        ("prepared_ms", ms(prepared_ms)),
+        ("speedup_prepared_vs_direct", speedup(direct_ms, prepared_ms)),
+        ("byte_identical", Value::Bool(identical)),
+    ])
+}
 
-    // The profiling front-end: the whole suite through the serial
-    // per-access reference — a reconstruction of the pre-overhaul tracer
-    // (std SipHash reuse/entropy maps, insert-then-insert first touch) fed
-    // one virtual call per access next to the real SoC model — versus the
-    // overhauled path: FxHash trackers + staged slice delivery + the shared
-    // rayon pool + the profile cache. `cold` is a first campaign's cost
-    // (cache misses, batched+parallel); `warm` is every later
-    // campaign/figure-binary in the process (all hits, the number
-    // `repro_all` pays per extra figure). Byte-identity of the current
-    // batched/cached paths against the current per-access path is asserted
-    // (untimed).
+/// `workload_profiling`: the whole suite through the per-access reference
+/// (`profile_workload_unbatched`, one virtual call per access) versus the
+/// batched front-end, serial, then batched + parallel through a profile
+/// cache. `cold` is a first campaign's cost (cache misses); `warm` is
+/// every later campaign in the process (all hits).
+fn workload_profiling(ref_samples: usize, cur_samples: usize) -> Value {
     eprintln!("[bench] workload profiling: per-access serial vs batched+parallel+cached …");
-    let prof_suite = full_suite(Scale::Test);
-    let prof_server = SimulatedServer::with_seed(5);
-    let prof_seed = 1u64;
+    let suite = full_suite(Scale::Test);
+    let server = SimulatedServer::with_seed(5);
+    let seed = 1u64;
     let reference_ms = median_ms(ref_samples, || {
-        for w in &prof_suite {
-            let mut fan = wade_trace::FanoutSink::new(
-                ReferenceTracer::default(),
-                wade_memsys::Soc::new(SimulatedServer::profiling_soc_config()),
-            );
-            w.run(&mut fan, prof_seed);
-            let (tracer, soc) = fan.into_inner();
-            std::hint::black_box((tracer.summary(), soc.report()));
+        for w in &suite {
+            std::hint::black_box(server.profile_workload_unbatched(w.as_ref(), seed));
         }
     });
     let batched_serial_ms = median_ms(cur_samples, || {
-        for w in &prof_suite {
-            prof_server.profile_workload(w.as_ref(), prof_seed);
+        for w in &suite {
+            std::hint::black_box(server.profile_workload(w.as_ref(), seed));
         }
     });
-    let prof_campaign = |cache: Arc<ProfileCache>| {
+    let campaign = |cache: Arc<ProfileCache>| {
         Campaign::new(SimulatedServer::with_seed(5), CampaignConfig::quick())
             .with_profile_cache(cache)
     };
     let cold_ms = median_ms(cur_samples, || {
         // A fresh cache per sample: this is the first-campaign cost.
-        prof_campaign(Arc::new(ProfileCache::new())).profile_suite(&prof_suite, prof_seed);
+        campaign(Arc::new(ProfileCache::new())).profile_suite(&suite, seed);
     });
     let warm_cache = Arc::new(ProfileCache::new());
-    prof_campaign(warm_cache.clone()).profile_suite(&prof_suite, prof_seed);
+    campaign(warm_cache.clone()).profile_suite(&suite, seed);
     let warm_ms = median_ms(cur_samples, || {
-        prof_campaign(warm_cache.clone()).profile_suite(&prof_suite, prof_seed);
+        campaign(warm_cache.clone()).profile_suite(&suite, seed);
     });
-    let prof_identical = {
-        let warm = prof_campaign(warm_cache.clone()).profile_suite(&prof_suite, prof_seed);
-        prof_suite
+    let identical = {
+        let warm = campaign(warm_cache.clone()).profile_suite(&suite, seed);
+        suite
             .iter()
             .zip(warm.iter())
-            .all(|(w, p)| **p == prof_server.profile_workload_unbatched(w.as_ref(), prof_seed))
+            .all(|(w, p)| **p == server.profile_workload_unbatched(w.as_ref(), seed))
     };
-    sections.push(format!(
-        "    \"workload_profiling\": {{\n      \"workloads\": {},\n      \"reference_per_access_serial_ms\": {reference_ms:.3},\n      \"batched_serial_ms\": {batched_serial_ms:.3},\n      \"batched_parallel_cold_cache_ms\": {cold_ms:.3},\n      \"batched_parallel_warm_cache_ms\": {warm_ms:.3},\n      \"speedup_batched_vs_reference\": {:.2},\n      \"speedup_cold_vs_reference\": {:.2},\n      \"speedup_cached_vs_reference\": {:.2},\n      \"byte_identical\": {prof_identical}\n    }}",
-        prof_suite.len(),
-        reference_ms / batched_serial_ms.max(1e-9),
-        reference_ms / cold_ms.max(1e-9),
-        reference_ms / warm_ms.max(1e-9),
-    ));
+    map([
+        ("workloads", count(suite.len())),
+        ("reference_per_access_serial_ms", ms(reference_ms)),
+        ("batched_serial_ms", ms(batched_serial_ms)),
+        ("batched_parallel_cold_cache_ms", ms(cold_ms)),
+        ("batched_parallel_warm_cache_ms", ms(warm_ms)),
+        ("speedup_batched_vs_reference", speedup(reference_ms, batched_serial_ms)),
+        ("speedup_cold_vs_reference", speedup(reference_ms, cold_ms)),
+        ("speedup_cached_vs_reference", speedup(reference_ms, warm_ms)),
+        ("byte_identical", Value::Bool(identical)),
+    ])
+}
 
+/// `campaign_quick_grid`: the quick campaign's parallel scaling, 1 thread
+/// versus the full pool.
+fn campaign_quick_grid(samples: usize, threads: usize) -> Value {
     eprintln!("[bench] campaign quick grid …");
     let suite = paper_suite(Scale::Test);
     let collect = |threads: usize| {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        median_ms(ref_samples, || {
+        let pool = pool(threads);
+        median_ms(samples, || {
             pool.install(|| {
                 // No profile cache: this section tracks the grid's
                 // *parallel scaling*, so every sample must pay the same
@@ -304,33 +367,24 @@ fn main() {
             });
         })
     };
-    let grid_single_ms = collect(1);
-    let grid_parallel_ms = collect(threads);
-    sections.push(format!(
-        "    \"campaign_quick_grid\": {{\n      \"workloads\": {},\n      \"single_thread_ms\": {grid_single_ms:.3},\n      \"parallel_ms\": {grid_parallel_ms:.3},\n      \"parallel_speedup\": {:.2}\n    }}",
-        suite.len(),
-        grid_single_ms / grid_parallel_ms.max(1e-9),
-    ));
+    let single_ms = collect(1);
+    let parallel_ms = collect(threads);
+    map([
+        ("workloads", count(suite.len())),
+        ("single_thread_ms", ms(single_ms)),
+        ("parallel_ms", ms(parallel_ms)),
+        ("parallel_speedup", speedup(single_ms, parallel_ms)),
+    ])
+}
 
-    // The ML training/evaluation engine: the full (model × feature set ×
-    // target) accuracy grid over a Test-scale campaign. `reference` is a
-    // reconstruction of the pre-engine serial path exactly as the old
-    // consumers drove it — fig11 evaluated its WER cells (one single-cell
-    // evaluation per (model, set), each rebuilding and re-splitting the
-    // per-rank datasets) and fig12 its PUE cells, with a
-    // sequential RNG stream across all forest trees and per-row serial
-    // predictions. The current engine evaluates one shared `EvalGrid` in a
-    // single pool dispatch (datasets built once, each fold split once and
-    // shared across trainers) and serves every consumer — fig11, fig12,
-    // and table3's new accuracy summary — from it for free. Byte-identity
-    // of the grid across thread counts is asserted (untimed).
+/// `ml_training`: the full (model × feature set × target) accuracy grid
+/// over the quick campaign, evaluated as one shared `EvalGrid` and read by
+/// every consumer (fig11, fig12, table3), at 1 thread and on the full
+/// pool. The grid must be byte-identical at 1 and 8 threads.
+fn ml_training(data: &CampaignData, samples: usize) -> Value {
     eprintln!("[bench] ml training/evaluation grid …");
-    let ml_data = Campaign::new(SimulatedServer::with_seed(5), CampaignConfig::quick())
-        .collect(&paper_suite(Scale::Test), 8);
-    let ml_reference_ms = median_ms(ref_samples, || {
-        serial_reference_wer(&ml_data); // fig11
-        serial_reference_pue(&ml_data); // fig12
-    });
+    let evaluate =
+        || EvalGrid::evaluate_targets_with(None, data, &MlKind::ALL, &FeatureSet::ALL, true, true);
     let consume_grid = |grid: &EvalGrid| {
         // The consumers' reads (memoized reports — cheap by design).
         let mut acc = 0.0;
@@ -343,51 +397,38 @@ fn main() {
         }
         std::hint::black_box(acc);
     };
-    let evaluate = || {
-        EvalGrid::evaluate_targets_with(
-            None,
-            &ml_data,
-            &MlKind::ALL,
-            &FeatureSet::ALL,
-            true,
-            true,
-        )
-    };
-    let one = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-    let ml_single_ms = median_ms(cur_samples, || {
+    let one = pool(1);
+    let single_ms = median_ms(samples, || {
         one.install(|| consume_grid(&evaluate()));
     });
-    let ml_parallel_ms = median_ms(cur_samples, || {
+    let parallel_ms = median_ms(samples, || {
         consume_grid(&evaluate());
     });
-    let ml_identical = {
-        let eight = rayon::ThreadPoolBuilder::new().num_threads(8).build().unwrap();
-        let a = one.install(evaluate);
-        let b = eight.install(evaluate);
-        grids_equal(&a, &b)
-    };
-    sections.push(format!(
-        "    \"ml_training\": {{\n      \"models\": {},\n      \"feature_sets\": {},\n      \"reference_serial_ms\": {ml_reference_ms:.3},\n      \"grid_single_thread_ms\": {ml_single_ms:.3},\n      \"grid_parallel_ms\": {ml_parallel_ms:.3},\n      \"speedup_single_vs_reference\": {:.2},\n      \"speedup_parallel_vs_reference\": {:.2},\n      \"byte_identical\": {ml_identical}\n    }}",
-        MlKind::ALL.len(),
-        FeatureSet::ALL.len(),
-        ml_reference_ms / ml_single_ms.max(1e-9),
-        ml_reference_ms / ml_parallel_ms.max(1e-9),
-    ));
+    let identical = grids_equal(&one.install(evaluate), &pool(8).install(evaluate));
+    map([
+        ("models", count(MlKind::ALL.len())),
+        ("feature_sets", count(FeatureSet::ALL.len())),
+        ("grid_single_thread_ms", ms(single_ms)),
+        ("grid_parallel_ms", ms(parallel_ms)),
+        ("byte_identical", Value::Bool(identical)),
+    ])
+}
 
-    // The artifact store: one cold pass (collect the campaign + evaluate
-    // the grid, publishing profiles/campaign/models into a scratch store)
-    // versus a warm pass (fresh in-memory caches, same store: profiling,
-    // collection and training all served from disk). Byte-identity of the
-    // warm outputs against a store-free reference is asserted (untimed).
+/// `artifact_store`: one cold pass (collect the quick campaign and
+/// evaluate the grid, publishing profiles, campaign data and models into
+/// a scratch store) versus a warm pass (fresh in-memory caches, same
+/// store: profiling, collection and training all served from disk). The
+/// warm outputs must be byte-identical to the store-free `data` and its
+/// grid.
+fn artifact_store(data: &CampaignData, ref_samples: usize, cur_samples: usize) -> Value {
     eprintln!("[bench] artifact store: cold vs warm campaign+eval …");
-    let store_root =
-        std::env::temp_dir().join(format!("wade-bench-store-{}", std::process::id()));
-    let store_suite = paper_suite(Scale::Test);
+    let root = std::env::temp_dir().join(format!("wade-bench-store-{}", std::process::id()));
+    let suite = paper_suite(Scale::Test);
     let run_with = |root: &std::path::Path| {
         let store = Arc::new(wade_store::ArtifactStore::open(root));
         let data = Campaign::new(SimulatedServer::with_seed(5), CampaignConfig::quick())
             .with_profile_cache(Arc::new(ProfileCache::with_store(store.clone())))
-            .collect_stored(&store, &store_suite, 8);
+            .collect_stored(&store, &suite, 8);
         let grid = EvalGrid::evaluate_targets_with(
             Some(store),
             &data,
@@ -398,42 +439,38 @@ fn main() {
         );
         (data, grid)
     };
-    let store_cold_ms = median_ms(ref_samples, || {
-        let _ = std::fs::remove_dir_all(&store_root);
-        std::hint::black_box(run_with(&store_root));
+    let cold_ms = median_ms(ref_samples, || {
+        let _ = std::fs::remove_dir_all(&root);
+        std::hint::black_box(run_with(&root));
     });
-    let store_warm_ms = median_ms(cur_samples, || {
-        std::hint::black_box(run_with(&store_root));
+    let warm_ms = median_ms(cur_samples, || {
+        std::hint::black_box(run_with(&root));
     });
-    let store_identical = {
-        let (warm_data, warm_grid) = run_with(&store_root);
-        let ref_data = Campaign::new(SimulatedServer::with_seed(5), CampaignConfig::quick())
-            .collect(&store_suite, 8);
-        let ref_grid = EvalGrid::evaluate_targets_with(
-            None,
-            &ref_data,
-            &MlKind::ALL,
-            &FeatureSet::ALL,
-            true,
-            true,
-        );
-        warm_data.to_json().unwrap() == ref_data.to_json().unwrap()
+    let identical = {
+        let (warm_data, warm_grid) = run_with(&root);
+        let ref_grid =
+            EvalGrid::evaluate_targets_with(None, data, &MlKind::ALL, &FeatureSet::ALL, true, true);
+        warm_data.to_json().unwrap() == data.to_json().unwrap()
             && grids_equal(&warm_grid, &ref_grid)
     };
-    let _ = std::fs::remove_dir_all(&store_root);
-    sections.push(format!(
-        "    \"artifact_store\": {{\n      \"workloads\": {},\n      \"cold_ms\": {store_cold_ms:.3},\n      \"warm_ms\": {store_warm_ms:.3},\n      \"speedup_warm_vs_cold\": {:.2},\n      \"byte_identical\": {store_identical}\n    }}",
-        store_suite.len(),
-        store_cold_ms / store_warm_ms.max(1e-9),
-    ));
+    let _ = std::fs::remove_dir_all(&root);
+    map([
+        ("workloads", count(suite.len())),
+        ("cold_ms", ms(cold_ms)),
+        ("warm_ms", ms(warm_ms)),
+        ("speedup_warm_vs_cold", speedup(cold_ms, warm_ms)),
+        ("byte_identical", Value::Bool(identical)),
+    ])
+}
 
-    // Fault-injection overhead: the store torture harness (a fixed
-    // deterministic op mix over a scratch store) run healthy versus at a
-    // 10 % per-op fault rate. The faulty run pays retries, backoff sleeps
-    // and recomputes; the interesting numbers are the overhead ratio and
-    // that the no-corruption invariant held in both runs.
+/// `store_fault`: the store torture harness (a fixed deterministic op mix
+/// over a scratch store) run healthy versus at a 10 % per-op fault rate.
+/// The faulty run pays retries, backoff sleeps and recomputes; the
+/// interesting numbers are the overhead ratio and that the no-corruption
+/// invariant held in both runs.
+fn store_fault(smoke: bool) -> Value {
     eprintln!("[bench] store fault injection: healthy vs 10% fault rate …");
-    let torture_ops: u64 = if ref_samples == 1 { 400 } else { 4_000 };
+    let ops: u64 = if smoke { 400 } else { 4_000 };
     let torture_run = |fault_rate: f64| {
         let root = std::env::temp_dir().join(format!(
             "wade-bench-fault-{}-{}",
@@ -441,105 +478,105 @@ fn main() {
             (fault_rate * 100.0) as u32
         ));
         let _ = std::fs::remove_dir_all(&root);
-        let config = wade_store::torture::TortureConfig {
-            seed: 42,
-            ops: torture_ops,
-            threads: 4,
-            fault_rate,
-        };
+        let config = wade_store::torture::TortureConfig { seed: 42, ops, threads: 4, fault_rate };
         let start = Instant::now();
         let report = wade_store::torture::run(&root, &config);
         let ms = start.elapsed().as_secs_f64() * 1e3;
         let _ = std::fs::remove_dir_all(&root);
         (ms, report)
     };
-    let (fault_healthy_ms, fault_healthy) = torture_run(0.0);
-    let (fault_faulty_ms, fault_faulty) = torture_run(0.10);
-    sections.push(format!(
-        "    \"store_fault\": {{\n      \"ops\": {torture_ops},\n      \"threads\": 4,\n      \"fault_rate\": 0.1,\n      \"healthy_ms\": {fault_healthy_ms:.3},\n      \"faulty_ms\": {fault_faulty_ms:.3},\n      \"overhead_faulty_vs_healthy\": {:.2},\n      \"faults_injected\": {},\n      \"retries\": {},\n      \"io_errors\": {},\n      \"degraded_ops\": {},\n      \"no_wrong_reads\": {}\n    }}",
-        fault_faulty_ms / fault_healthy_ms.max(1e-9),
-        fault_faulty.faults.total(),
-        fault_faulty.retries,
-        fault_faulty.io_errors,
-        fault_faulty.degraded_ops,
-        fault_healthy.ok() && fault_faulty.ok(),
-    ));
+    let (healthy_ms, healthy) = torture_run(0.0);
+    let (faulty_ms, faulty) = torture_run(0.10);
+    map([
+        ("ops", Value::U64(ops)),
+        ("threads", Value::U64(4)),
+        ("fault_rate", Value::F64(0.1)),
+        ("healthy_ms", ms(healthy_ms)),
+        ("faulty_ms", ms(faulty_ms)),
+        ("overhead_faulty_vs_healthy", speedup(faulty_ms, healthy_ms)),
+        ("faults_injected", Value::U64(faulty.faults.total())),
+        ("retries", Value::U64(faulty.retries)),
+        ("io_errors", Value::U64(faulty.io_errors)),
+        ("degraded_ops", Value::U64(faulty.degraded_ops)),
+        ("no_wrong_reads", Value::Bool(healthy.ok() && faulty.ok())),
+    ])
+}
 
-    // The serving layer: a deterministic load mix (pure in the seed)
-    // against a live wade-serve instance on a loopback socket, with every
-    // 200 body compared byte-for-byte against serializing the registry's
-    // own `predict_rows` on the same rows.
+/// `serving`: a deterministic load mix (pure in the seed) against a live
+/// wade-serve instance on a loopback socket, with every 200 body compared
+/// byte-for-byte against serializing the registry's own `predict_rows` on
+/// the same rows.
+fn serving(data: &CampaignData, smoke: bool) -> Value {
     eprintln!("[bench] serving: seeded load over live HTTP vs direct predict_batch …");
-    let (serve_threads, serve_requests) = if smoke { (4usize, 64u64) } else { (8, 256) };
-    let serve_seed = 11u64;
-    let (serve_report, serve_hist) = serve_load(serve_threads, serve_requests, serve_seed);
-    sections.push(format!(
-        "    \"serving\": {{\n      \"threads\": {serve_threads},\n      \"requests\": {serve_requests},\n      \"seed\": {serve_seed},\n      \"rows\": {},\n      \"p50_latency_ms\": {:.3},\n      \"p99_latency_ms\": {:.3},\n      \"throughput_rps\": {:.1},\n      \"batch_size_hist\": [{}],\n      \"no_errors\": {},\n      \"byte_identical\": {}\n    }}",
-        serve_report.rows,
-        serve_report.p50_ms,
-        serve_report.p99_ms,
-        serve_report.throughput_rps,
-        serve_hist.iter().map(u64::to_string).collect::<Vec<_>>().join(","),
-        serve_report.errors == 0,
-        serve_report.mismatches == 0,
-    ));
+    let (threads, requests) = if smoke { (4usize, 64u64) } else { (8, 256) };
+    let seed = 11u64;
+    let (report, hist) = serve_load(data, threads, requests, seed);
+    map([
+        ("threads", count(threads)),
+        ("requests", Value::U64(requests)),
+        ("seed", Value::U64(seed)),
+        ("rows", Value::U64(report.rows)),
+        ("p50_latency_ms", ms(report.p50_ms)),
+        ("p99_latency_ms", ms(report.p99_ms)),
+        ("throughput_rps", round(report.throughput_rps, 1)),
+        ("batch_size_hist", Value::Seq(hist.into_iter().map(Value::U64).collect())),
+        ("no_errors", Value::Bool(report.errors == 0)),
+        ("byte_identical", Value::Bool(report.mismatches == 0)),
+    ])
+}
 
-    // The prediction hot path (ARCHITECTURE.md §14): the flat-arena forest
-    // against the pointer-tree ensemble it was flattened from, the
-    // axis-pruned KNN search against the exhaustive reference scan, and
-    // the streaming warm read against the tree-building deserializer —
-    // with byte-identity of every pair asserted (untimed). Serving p50/p99
-    // is carried over from the serving section's run, so the before/after
-    // trail of the hot-path work lives in this file's git history.
-    //
-    // The forest pair runs on a seeded synthetic dataset sized like a
-    // production serving model (hundreds of rows → ~50k arena nodes): a
-    // Test-scale campaign dataset grows a forest so small that the whole
-    // ensemble is L1-resident and the layout under test is invisible. KNN
-    // keeps the campaign dataset: the paper's anisotropic feature space is
-    // exactly what the widest-axis prune is built for (on isotropic random
-    // data a single-axis bound prunes nothing).
+/// `prediction_hot_path` (ARCHITECTURE.md §14): the flat-arena forest
+/// against the pointer-tree ensemble it was flattened from, the
+/// axis-pruned KNN search against the exhaustive reference scan, and the
+/// streaming warm read against the tree-building deserializer — with
+/// byte-identity of every pair asserted (untimed).
+///
+/// The forest pair runs on a seeded synthetic dataset sized like a
+/// production serving model (hundreds of rows → ~50k arena nodes): a
+/// Test-scale campaign dataset grows a forest so small that the whole
+/// ensemble is L1-resident and the layout under test is invisible.
+fn prediction_hot_path(data: &CampaignData, ref_samples: usize, cur_samples: usize) -> Value {
     eprintln!("[bench] prediction hot path: arena forest, pruned KNN, streaming reads …");
-    let mut hot_rng = 0xC0FFEE_u64;
-    let mut hot_next = move || {
+    let mut rng = 0xC0FFEE_u64;
+    let mut next = move || {
         // SplitMix64 → uniform f64 in [0, 1): seeded, dependency-free.
-        hot_rng = hot_rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = hot_rng;
+        rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = rng;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
     };
-    let forest_dim = 7;
-    let forest_x: Vec<Vec<f64>> = (0..1000)
-        .map(|_| (0..forest_dim).map(|_| hot_next() * 10.0).collect())
-        .collect();
+    let dim = 7;
+    let forest_x: Vec<Vec<f64>> =
+        (0..1000).map(|_| (0..dim).map(|_| next() * 10.0).collect()).collect();
     let forest_y: Vec<f64> = forest_x
         .iter()
-        .map(|r| r[0].sin() * 3.0 + r[1] * 0.5 + (r[2] * r[3]).sqrt() + hot_next())
+        .map(|r| r[0].sin() * 3.0 + r[1] * 0.5 + (r[2] * r[3]).sqrt() + next())
         .collect();
-    let hot_queries: Vec<Vec<f64>> =
-        (0..2000).map(|_| (0..forest_dim).map(|_| hot_next() * 10.0).collect()).collect();
-    let forest_trainer = ForestTrainer::paper_default();
-    let pointer_forest = forest_trainer.train_pointer(&forest_x, &forest_y);
-    let arena_forest = forest_trainer.train(&forest_x, &forest_y);
+    let queries: Vec<Vec<f64>> =
+        (0..2000).map(|_| (0..dim).map(|_| next() * 10.0).collect()).collect();
+    let trainer = ForestTrainer::paper_default();
+    let pointer_forest = trainer.train_pointer(&forest_x, &forest_y);
+    let arena_forest = trainer.train(&forest_x, &forest_y);
     let pointer_ms = median_ms(ref_samples, || {
-        let out: Vec<f64> = hot_queries.iter().map(|q| pointer_forest.predict(q)).collect();
+        let out: Vec<f64> = queries.iter().map(|q| pointer_forest.predict(q)).collect();
         std::hint::black_box(out);
     });
     let arena_ms = median_ms(cur_samples, || {
-        std::hint::black_box(arena_forest.predict_batch(&hot_queries));
+        std::hint::black_box(arena_forest.predict_batch(&queries));
     });
     // KNN gets correlated features (low intrinsic dimension): campaign
     // features all ride the same temperature/voltage operating point, and
     // that correlation — preserved by z-scoring — is what makes a single
-    // axis distance a useful lower bound on the full distance. The
+    // axis distance a useful lower bound on the full distance (on
+    // isotropic random data a single-axis bound prunes nothing). The
     // Test-scale campaign dataset itself is too small to measure a scan
     // (34 rows), so the bench mirrors its correlation structure at
     // serving scale.
     let knn_x: Vec<Vec<f64>> = (0..600)
         .map(|_| {
-            let t = hot_next() * 10.0;
-            (0..forest_dim).map(|j| t * (1.0 + 0.1 * j as f64) + hot_next() * 0.3).collect()
+            let t = next() * 10.0;
+            (0..dim).map(|j| t * (1.0 + 0.1 * j as f64) + next() * 0.3).collect()
         })
         .collect();
     let knn_y: Vec<f64> = knn_x.iter().map(|r| r[0] * 2.0 + r[3]).collect();
@@ -559,165 +596,182 @@ fn main() {
     let knn_pruned_ms = median_ms(cur_samples, || {
         std::hint::black_box(knn_model.predict_batch(&knn_queries));
     });
-    let model_payload =
-        train_error_model(&ml_data, MlKind::Rdf, FeatureSet::Set1).to_json().unwrap();
+    let payload = train_error_model(data, MlKind::Rdf, FeatureSet::Set1).to_json().unwrap();
     let warm_tree_ms = median_ms(ref_samples, || {
-        std::hint::black_box(serde_json::from_str_value::<ErrorModel>(&model_payload).unwrap());
+        std::hint::black_box(serde_json::from_str_value::<ErrorModel>(&payload).unwrap());
     });
     let warm_streaming_ms = median_ms(cur_samples, || {
-        std::hint::black_box(serde_json::from_str::<ErrorModel>(&model_payload).unwrap());
+        std::hint::black_box(serde_json::from_str::<ErrorModel>(&payload).unwrap());
     });
-    let hot_identical = {
-        let arena: Vec<u64> =
-            arena_forest.predict_batch(&hot_queries).iter().map(|p| p.to_bits()).collect();
-        let pointer: Vec<u64> =
-            hot_queries.iter().map(|q| pointer_forest.predict(q).to_bits()).collect();
-        let pruned: Vec<u64> =
-            knn_model.predict_batch(&knn_queries).iter().map(|p| p.to_bits()).collect();
-        let exhaustive: Vec<u64> =
-            knn_queries.iter().map(|q| knn_model.predict_exhaustive(q).to_bits()).collect();
-        let streamed = serde_json::from_str::<ErrorModel>(&model_payload).unwrap();
-        let treed = serde_json::from_str_value::<ErrorModel>(&model_payload).unwrap();
+    let identical = {
+        let bits = |preds: Vec<f64>| preds.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let arena = bits(arena_forest.predict_batch(&queries));
+        let pointer = bits(queries.iter().map(|q| pointer_forest.predict(q)).collect());
+        let pruned = bits(knn_model.predict_batch(&knn_queries));
+        let exhaustive =
+            bits(knn_queries.iter().map(|q| knn_model.predict_exhaustive(q)).collect());
+        let streamed = serde_json::from_str::<ErrorModel>(&payload).unwrap();
+        let treed = serde_json::from_str_value::<ErrorModel>(&payload).unwrap();
         arena == pointer
             && pruned == exhaustive
             && streamed.to_json().unwrap() == treed.to_json().unwrap()
     };
-    sections.push(format!(
-        "    \"prediction_hot_path\": {{\n      \"rows\": {},\n      \"forest_nodes\": {},\n      \"pointer_forest_ms\": {pointer_ms:.3},\n      \"arena_forest_ms\": {arena_ms:.3},\n      \"speedup_arena_vs_pointer\": {:.2},\n      \"knn_train_rows\": {},\n      \"knn_exhaustive_ms\": {knn_exhaustive_ms:.3},\n      \"knn_pruned_ms\": {knn_pruned_ms:.3},\n      \"speedup_pruned_vs_exhaustive\": {:.2},\n      \"model_payload_bytes\": {},\n      \"warm_read_tree_ms\": {warm_tree_ms:.3},\n      \"warm_read_streaming_ms\": {warm_streaming_ms:.3},\n      \"speedup_streaming_vs_tree\": {:.2},\n      \"serving_p50_ms\": {:.3},\n      \"serving_p99_ms\": {:.3},\n      \"byte_identical\": {hot_identical}\n    }}",
-        hot_queries.len(),
-        arena_forest.node_count(),
-        pointer_ms / arena_ms.max(1e-9),
-        knn_x.len(),
-        knn_exhaustive_ms / knn_pruned_ms.max(1e-9),
-        model_payload.len(),
-        warm_tree_ms / warm_streaming_ms.max(1e-9),
-        serve_report.p50_ms,
-        serve_report.p99_ms,
-    ));
+    map([
+        ("rows", count(queries.len())),
+        ("forest_nodes", count(arena_forest.node_count())),
+        ("pointer_forest_ms", ms(pointer_ms)),
+        ("arena_forest_ms", ms(arena_ms)),
+        ("speedup_arena_vs_pointer", speedup(pointer_ms, arena_ms)),
+        ("knn_train_rows", count(knn_x.len())),
+        ("knn_exhaustive_ms", ms(knn_exhaustive_ms)),
+        ("knn_pruned_ms", ms(knn_pruned_ms)),
+        ("speedup_pruned_vs_exhaustive", speedup(knn_exhaustive_ms, knn_pruned_ms)),
+        ("model_payload_bytes", count(payload.len())),
+        ("warm_read_tree_ms", ms(warm_tree_ms)),
+        ("warm_read_streaming_ms", ms(warm_streaming_ms)),
+        ("speedup_streaming_vs_tree", speedup(warm_tree_ms, warm_streaming_ms)),
+        ("byte_identical", Value::Bool(identical)),
+    ])
+}
 
-    // The fleet sweep (ARCHITECTURE.md §15): a heterogeneous device
-    // population swept cold (simulate + persist per-(shard, epoch) slice
-    // artifacts into a scratch store) versus warm (pure store reads). The
-    // warm engine's simulation counter must stay at zero, and the merged
-    // fleet must be byte-identical cold-vs-warm and to the serial
-    // device-major replay of every device.
+/// `fleet` (ARCHITECTURE.md §15): a heterogeneous device population swept
+/// cold (simulate + persist per-(shard, epoch) slice artifacts into a
+/// scratch store) versus warm (pure store reads). The warm engine's
+/// simulation counter must stay at zero, and the merged fleet must be
+/// byte-identical cold-vs-warm and to the serial device-major replay of
+/// every device.
+fn fleet(smoke: bool, samples: usize) -> Value {
     eprintln!("[bench] fleet sweep: cold simulate-and-persist vs warm store reads …");
-    let mut fleet_spec = wade_fleet::FleetSpec::test_default();
-    if smoke {
-        fleet_spec.devices = 32;
-        fleet_spec.shards = 4;
-        fleet_spec.epochs = 3;
-        fleet_spec.max_workloads = 3;
-    } else {
-        fleet_spec.devices = 64;
-        fleet_spec.shards = 8;
-        fleet_spec.epochs = 4;
-        fleet_spec.max_workloads = 4;
-    }
-    let fleet_seed = 7u64;
-    let fleet_root = std::env::temp_dir().join(format!("wade-bench-fleet-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&fleet_root);
-    let fleet_store = wade_store::ArtifactStore::open(&fleet_root);
-    let cold_engine = wade_fleet::FleetSweep::new(fleet_spec, fleet_seed);
-    let fleet_start = Instant::now();
-    let fleet_cold = cold_engine.sweep_stored(&fleet_store);
-    let fleet_cold_ms = fleet_start.elapsed().as_secs_f64() * 1e3;
-    let warm_engine = wade_fleet::FleetSweep::new(fleet_spec, fleet_seed);
-    let fleet_warm = warm_engine.sweep_stored(&fleet_store);
-    let fleet_warm_sims = warm_engine.simulations();
-    let fleet_warm_ms = median_ms(cur_samples, || {
-        wade_fleet::FleetSweep::new(fleet_spec, fleet_seed).sweep_stored(&fleet_store);
+    let mut spec = wade_fleet::FleetSpec::test_default();
+    (spec.devices, spec.shards, spec.epochs, spec.max_workloads) =
+        if smoke { (32, 4, 3, 3) } else { (64, 8, 4, 4) };
+    let seed = 7u64;
+    let root = std::env::temp_dir().join(format!("wade-bench-fleet-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = wade_store::ArtifactStore::open(&root);
+    let cold_engine = wade_fleet::FleetSweep::new(spec, seed);
+    let start = Instant::now();
+    let cold = cold_engine.sweep_stored(&store);
+    let cold_ms = start.elapsed().as_secs_f64() * 1e3;
+    let warm_engine = wade_fleet::FleetSweep::new(spec, seed);
+    let warm = warm_engine.sweep_stored(&store);
+    let warm_ms = median_ms(samples, || {
+        wade_fleet::FleetSweep::new(spec, seed).sweep_stored(&store);
     });
-    let fleet_serial_json = {
-        let engine = wade_fleet::FleetSweep::new(fleet_spec, fleet_seed);
-        let devices = (0..fleet_spec.devices).map(|k| engine.device_history(k)).collect();
-        wade_fleet::FleetOutcome { spec: fleet_spec, seed: fleet_seed, devices }.devices_json()
+    let serial_json = {
+        let engine = wade_fleet::FleetSweep::new(spec, seed);
+        let devices = (0..spec.devices).map(|k| engine.device_history(k)).collect();
+        wade_fleet::FleetOutcome { spec, seed, devices }.devices_json()
     };
-    let fleet_identical = fleet_cold.devices_json() == fleet_warm.devices_json()
-        && fleet_cold.devices_json() == fleet_serial_json;
-    let _ = std::fs::remove_dir_all(&fleet_root);
-    sections.push(format!(
-        "    \"fleet\": {{\n      \"devices\": {},\n      \"shards\": {},\n      \"epochs\": {},\n      \"failures\": {},\n      \"cold_simulations\": {},\n      \"cold_ms\": {fleet_cold_ms:.3},\n      \"warm_ms\": {fleet_warm_ms:.3},\n      \"speedup_warm_vs_cold\": {:.2},\n      \"warm_simulations\": {fleet_warm_sims},\n      \"byte_identical\": {fleet_identical}\n    }}",
-        fleet_spec.devices,
-        fleet_spec.shards,
-        fleet_spec.epochs,
-        fleet_cold.failures().len(),
-        cold_engine.simulations(),
-        fleet_cold_ms / fleet_warm_ms.max(1e-9),
-    ));
+    let identical =
+        cold.devices_json() == warm.devices_json() && cold.devices_json() == serial_json;
+    let _ = std::fs::remove_dir_all(&root);
+    map([
+        ("devices", Value::U64(spec.devices.into())),
+        ("shards", Value::U64(spec.shards.into())),
+        ("epochs", Value::U64(spec.epochs.into())),
+        ("failures", count(cold.failures().len())),
+        ("cold_simulations", Value::U64(cold_engine.simulations())),
+        ("cold_ms", ms(cold_ms)),
+        ("warm_ms", ms(warm_ms)),
+        ("speedup_warm_vs_cold", speedup(cold_ms, warm_ms)),
+        ("warm_simulations", Value::U64(warm_engine.simulations())),
+        ("byte_identical", Value::Bool(identical)),
+    ])
+}
 
-    // Incremental epoch extension (the ISSUE 10 tentpole): warm a fleet at
-    // E epochs, extend the same spec to E′ against the same store — the
-    // persisted epoch slices are keyed by an epoch-invariant spec prefix,
-    // so the extension must simulate *only* the new epochs' alive
-    // device-epochs (prefix simulations counter-asserted at zero) and be
-    // byte-identical to a cold full sweep at E′.
+/// `fleet_incremental`: warm a fleet at E epochs, extend the same spec to
+/// E′ against the same store — the persisted epoch slices are keyed by an
+/// epoch-invariant spec prefix, so the extension must simulate *only* the
+/// new epochs' alive device-epochs (prefix simulations counter-asserted
+/// at zero) and be byte-identical to a cold full sweep at E′.
+fn fleet_incremental(smoke: bool) -> Value {
     eprintln!("[bench] fleet incremental: epoch extension vs cold full sweep …");
-    let mut inc_spec = wade_fleet::FleetSpec::test_default();
-    let (inc_base_epochs, inc_ext_epochs) = if smoke {
-        inc_spec.devices = 48;
-        inc_spec.shards = 6;
-        inc_spec.max_workloads = 3;
-        (10u32, 14u32)
-    } else {
-        inc_spec.devices = 1000;
-        inc_spec.shards = 16;
-        inc_spec.max_workloads = 4;
-        (20u32, 24u32)
+    let seed = 7u64;
+    let mut spec = wade_fleet::FleetSpec::test_default();
+    let (base_epochs, ext_epochs);
+    (spec.devices, spec.shards, spec.max_workloads, base_epochs, ext_epochs) =
+        if smoke { (48, 6, 3, 10u32, 14u32) } else { (1000, 16, 4, 20, 24) };
+    let mut base_spec = spec;
+    base_spec.epochs = base_epochs;
+    let mut ext_spec = spec;
+    ext_spec.epochs = ext_epochs;
+    let scratch = |name: &str| {
+        let root =
+            std::env::temp_dir().join(format!("wade-bench-fleet-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        root
     };
-    let mut inc_base_spec = inc_spec;
-    inc_base_spec.epochs = inc_base_epochs;
-    let mut inc_ext_spec = inc_spec;
-    inc_ext_spec.epochs = inc_ext_epochs;
-    let inc_root =
-        std::env::temp_dir().join(format!("wade-bench-fleet-inc-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&inc_root);
-    let inc_store = wade_store::ArtifactStore::open(&inc_root);
-    let inc_base_engine = wade_fleet::FleetSweep::new(inc_base_spec, fleet_seed);
-    let inc_start = Instant::now();
-    let _ = inc_base_engine.sweep_stored(&inc_store);
-    let inc_base_ms = inc_start.elapsed().as_secs_f64() * 1e3;
-    let inc_ext_engine = wade_fleet::FleetSweep::new(inc_ext_spec, fleet_seed);
-    let inc_start = Instant::now();
-    let inc_ext = inc_ext_engine.sweep_stored(&inc_store);
-    let inc_ext_ms = inc_start.elapsed().as_secs_f64() * 1e3;
-    let inc_delta: u64 = inc_ext
+    let root = scratch("inc");
+    let store = wade_store::ArtifactStore::open(&root);
+    let start = Instant::now();
+    let _ = wade_fleet::FleetSweep::new(base_spec, seed).sweep_stored(&store);
+    let base_ms = start.elapsed().as_secs_f64() * 1e3;
+    let ext_engine = wade_fleet::FleetSweep::new(ext_spec, seed);
+    let start = Instant::now();
+    let ext = ext_engine.sweep_stored(&store);
+    let ext_ms = start.elapsed().as_secs_f64() * 1e3;
+    let delta: u64 = ext
         .devices
         .iter()
-        .map(|d| d.epochs.iter().filter(|e| e.epoch >= inc_base_epochs).count() as u64)
+        .map(|d| d.epochs.iter().filter(|e| e.epoch >= base_epochs).count() as u64)
         .sum();
-    let inc_prefix_sims = inc_ext_engine.simulations().saturating_sub(inc_delta);
     // Cold full reference at E′ in its own scratch store: the speedup
     // denominator and the byte-identity reference.
-    let inc_cold_root =
-        std::env::temp_dir().join(format!("wade-bench-fleet-inc-cold-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&inc_cold_root);
-    let inc_cold_store = wade_store::ArtifactStore::open(&inc_cold_root);
-    let inc_cold_engine = wade_fleet::FleetSweep::new(inc_ext_spec, fleet_seed);
-    let inc_start = Instant::now();
-    let inc_cold = inc_cold_engine.sweep_stored(&inc_cold_store);
-    let inc_cold_ms = inc_start.elapsed().as_secs_f64() * 1e3;
-    let inc_identical = inc_ext.devices_json() == inc_cold.devices_json();
-    let _ = std::fs::remove_dir_all(&inc_root);
-    let _ = std::fs::remove_dir_all(&inc_cold_root);
-    sections.push(format!(
-        "    \"fleet_incremental\": {{\n      \"devices\": {},\n      \"shards\": {},\n      \"base_epochs\": {inc_base_epochs},\n      \"extended_epochs\": {inc_ext_epochs},\n      \"base_ms\": {inc_base_ms:.3},\n      \"extension_ms\": {inc_ext_ms:.3},\n      \"cold_full_ms\": {inc_cold_ms:.3},\n      \"extension_simulations\": {},\n      \"expected_delta\": {inc_delta},\n      \"prefix_simulations\": {inc_prefix_sims},\n      \"extension_profilings\": {},\n      \"speedup_extension_vs_cold\": {:.2},\n      \"byte_identical\": {inc_identical}\n    }}",
-        inc_spec.devices,
-        inc_spec.shards,
-        inc_ext_engine.simulations(),
-        inc_ext_engine.profilings(),
-        inc_cold_ms / inc_ext_ms.max(1e-9),
-    ));
+    let cold_root = scratch("inc-cold");
+    let cold_store = wade_store::ArtifactStore::open(&cold_root);
+    let start = Instant::now();
+    let cold = wade_fleet::FleetSweep::new(ext_spec, seed).sweep_stored(&cold_store);
+    let cold_ms = start.elapsed().as_secs_f64() * 1e3;
+    let identical = ext.devices_json() == cold.devices_json();
+    let _ = std::fs::remove_dir_all(&root);
+    let _ = std::fs::remove_dir_all(&cold_root);
+    map([
+        ("devices", Value::U64(spec.devices.into())),
+        ("shards", Value::U64(spec.shards.into())),
+        ("base_epochs", Value::U64(base_epochs.into())),
+        ("extended_epochs", Value::U64(ext_epochs.into())),
+        ("base_ms", ms(base_ms)),
+        ("extension_ms", ms(ext_ms)),
+        ("cold_full_ms", ms(cold_ms)),
+        ("extension_simulations", Value::U64(ext_engine.simulations())),
+        ("expected_delta", Value::U64(delta)),
+        ("prefix_simulations", Value::U64(ext_engine.simulations().saturating_sub(delta))),
+        ("extension_profilings", Value::U64(ext_engine.profilings())),
+        ("speedup_extension_vs_cold", speedup(cold_ms, ext_ms)),
+        ("byte_identical", Value::Bool(identical)),
+    ])
+}
 
-    let logical_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let wade_scale = std::env::var("WADE_SCALE").unwrap_or_else(|_| "unset".to_string());
-    let json = format!(
-        "{{\n  \"schema\": \"wade-bench-sim/1\",\n  \"threads\": {threads},\n  \"host\": {{\n    \"logical_cores\": {logical_cores},\n    \"rayon_threads\": {threads},\n    \"wade_scale\": \"{wade_scale}\"\n  }},\n  \"results\": {{\n{}\n  }}\n}}\n",
-        sections.join(",\n")
-    );
-    std::fs::write(&out_path, &json).expect("write BENCH_sim.json");
-    println!("{json}");
-    eprintln!("[bench] wrote {out_path}");
+/// A JSON object with its keys in the given order.
+fn map<const N: usize>(entries: [(&str, Value); N]) -> Value {
+    Value::Map(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// `x` rounded to `decimals` places, the precision the snapshot records.
+fn round(x: f64, decimals: i32) -> Value {
+    let scale = 10f64.powi(decimals);
+    Value::F64((x * scale).round() / scale)
+}
+
+/// A wall time in milliseconds, to the microsecond.
+fn ms(x: f64) -> Value {
+    round(x, 3)
+}
+
+/// The ratio `before / after`, to two decimals.
+fn speedup(before: f64, after: f64) -> Value {
+    round(before / after.max(1e-9), 2)
+}
+
+/// A count or size as a JSON integer.
+fn count(n: usize) -> Value {
+    Value::U64(n as u64)
+}
+
+/// A rayon pool of exactly `threads` workers.
+fn pool(threads: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("build a rayon pool")
 }
 
 /// Parses a numeric flag value, exiting with status 2 on malformed input
@@ -759,12 +813,9 @@ fn store_command(action: Option<&str>, flags: &HashMap<&'static str, String>) {
         }
         Some("gc") => {
             let store = wade_store::ArtifactStore::open(wade_bench::store_dir());
-            let max_bytes: Option<u64> = flags.get("--max-bytes").map(|v| {
-                v.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("error: --max-bytes expects a byte count, got {v:?}");
-                    std::process::exit(2);
-                })
-            });
+            // Absent means no cap.
+            let max_bytes =
+                flags.contains_key("--max-bytes").then(|| flag_num(flags, "--max-bytes", 0u64));
             let report = store.gc_capped(max_bytes);
             println!(
                 "store: {} — kept {}, removed {} corrupt, evicted {} over cap, {} B live",
@@ -847,20 +898,22 @@ fn store_command(action: Option<&str>, flags: &HashMap<&'static str, String>) {
     }
 }
 
-/// Boots an in-process wade-serve instance over a fresh Test-scale
-/// campaign (store-free: the bench must not warm or depend on the real
-/// store) and drives the seeded load generator against it with golden
-/// verification on. Returns the load report and the server's batch-size
-/// histogram.
-fn serve_load(threads: usize, requests: u64, seed: u64) -> (wade_serve::LoadReport, Vec<u64>) {
-    let data = Campaign::new(SimulatedServer::with_seed(5), CampaignConfig::quick())
-        .collect(&paper_suite(Scale::Test), 8);
+/// Boots an in-process wade-serve instance over `data` (store-free: the
+/// bench must not warm or depend on the real store) and drives the seeded
+/// load generator against it with golden verification on. Returns the load
+/// report and the server's batch-size histogram.
+fn serve_load(
+    data: &CampaignData,
+    threads: usize,
+    requests: u64,
+    seed: u64,
+) -> (wade_serve::LoadReport, Vec<u64>) {
     let mut server =
         wade_serve::Server::start(wade_serve::ServeConfig::default(), data.clone(), None)
             .expect("bind loopback serving socket");
     let report = wade_serve::run_load(
         server.addr(),
-        &data,
+        data,
         Some(server.registry().as_ref()),
         wade_serve::LoadConfig { threads, requests, seed },
     )
@@ -880,10 +933,8 @@ fn serve_command(action: Option<&str>, flags: &HashMap<&'static str, String>) {
             let threads = flag_num(flags, "--threads", 4usize);
             let requests = flag_num(flags, "--requests", 256u64);
             let seed = flag_num(flags, "--seed", 11u64);
-            eprintln!(
-                "[serve] load: {threads} threads × {requests} total requests, seed {seed}"
-            );
-            let (report, hist) = serve_load(threads, requests, seed);
+            eprintln!("[serve] load: {threads} threads × {requests} total requests, seed {seed}");
+            let (report, hist) = serve_load(&quick_campaign(), threads, requests, seed);
             println!(
                 "serve load: {} requests ({} rows) in {:.1} ms — p50 {:.3} ms, \
                  p99 {:.3} ms, {:.0} req/s",
@@ -912,303 +963,6 @@ fn serve_command(action: Option<&str>, flags: &HashMap<&'static str, String>) {
         }
     }
 }
-
-/// Pre-overhaul profiling tracer, reconstructed for an honest "before"
-/// number (the original predates the batched front-end): per-access virtual
-/// dispatch only, the std SipHash hasher behind the word reuse map and the
-/// 32-bit write-value counts, and the first-touch double insert. Work per
-/// access mirrors the seed `Tracer` exactly; the summary forces the same
-/// end-of-run folds. (The current `wade_trace::Tracer` is the behavioural
-/// source of truth; this exists only as a baseline.)
-#[derive(Default)]
-struct ReferenceTracer {
-    last_touch: HashMap<u64, (u64, bool)>,
-    counts: HashMap<u32, u64>,
-    regions: wade_trace::RegionCounter,
-    histogram: wade_trace::ReuseHistogram,
-    instructions: u64,
-    mem_accesses: u64,
-    reads: u64,
-    writes: u64,
-    one_bits: u64,
-    samples: u64,
-    sum_distance: f64,
-    reuse_count: u64,
-    reused_words: u64,
-}
-
-impl ReferenceTracer {
-    fn summary(&self) -> (u64, u64, f64, f64, f64) {
-        let mut counts: Vec<u64> = self.counts.values().copied().collect();
-        counts.sort_unstable();
-        let n = self.samples.max(1) as f64;
-        let entropy: f64 = counts
-            .iter()
-            .map(|&c| {
-                let p = c as f64 / n;
-                -p * p.log2()
-            })
-            .sum();
-        (
-            self.last_touch.len() as u64,
-            self.reads,
-            self.sum_distance / self.reuse_count.max(1) as f64,
-            entropy,
-            self.regions.spatial_entropy(),
-        )
-    }
-}
-
-impl wade_trace::AccessSink for ReferenceTracer {
-    fn on_access(&mut self, access: wade_trace::MemAccess) {
-        self.instructions += 1;
-        self.mem_accesses += 1;
-        if access.is_write() {
-            self.writes += 1;
-            let value = access.value;
-            *self.counts.entry(value as u32).or_insert(0) += 1;
-            *self.counts.entry((value >> 32) as u32).or_insert(0) += 1;
-            self.samples += 2;
-            self.one_bits += value.count_ones() as u64;
-        } else {
-            self.reads += 1;
-        }
-        // The seed ReuseTracker::touch: insert, then a second insert on
-        // first touch.
-        match self.last_touch.insert(access.word_index(), (self.instructions, true)) {
-            Some((prev, was_reused)) => {
-                if !was_reused {
-                    self.reused_words += 1;
-                }
-                let d = self.instructions.saturating_sub(prev);
-                self.histogram.record(d);
-                self.sum_distance += d as f64;
-                self.reuse_count += 1;
-            }
-            None => {
-                self.last_touch.insert(access.word_index(), (self.instructions, false));
-            }
-        }
-        self.regions.record(access.addr, access.is_write());
-    }
-
-    fn on_instructions(&mut self, count: u64) {
-        self.instructions += count;
-    }
-}
-
-/// The seed `ForestTrainer::train`, reconstructed for an honest "before"
-/// number: every tree's bootstrap and growth draws come from **one**
-/// sequential generator, so trees cannot be built independently — the
-/// parallel engine replaced this with per-tree derived seed streams. The
-/// tree-growth loop below is likewise the *historical* one, frozen
-/// verbatim (per-candidate materialized partition vectors, `x[i][feat]`
-/// re-read on every scan) — the live `DecisionTree::grow` replaced that
-/// scan with a fused allocation-free pass whose output is bit-identical
-/// (the accuracy goldens pin this), so the baseline must keep its own
-/// copy, exactly as `reference_naive` keeps the SipHash/ChaCha12 era
-/// alive for the simulator. (The current `wade_ml::ForestTrainer` is the
-/// behavioural source of truth; this exists only as a baseline.)
-struct SerialForest {
-    trees: Vec<SerialNode>,
-}
-
-/// Pointer-tree node of the frozen pre-engine CART (the arena re-layout
-/// also postdates this baseline).
-enum SerialNode {
-    Leaf { value: f64 },
-    Split { feature: usize, threshold: f64, left: Box<SerialNode>, right: Box<SerialNode> },
-}
-
-impl SerialForest {
-    fn train(x: &[Vec<f64>], y: &[f64]) -> Self {
-        let mut rng = StdRng::seed_from_u64(0x00F0_FE57);
-        let n = x.len();
-        let dim = x[0].len();
-        let mtry = ((dim as f64).sqrt().ceil() as usize).max(1);
-        let trees = (0..100)
-            .map(|_| {
-                let idx: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-                serial_grow(x, y, &idx, mtry, &mut rng, 0)
-            })
-            .collect();
-        Self { trees }
-    }
-}
-
-fn serial_mean(y: &[f64], idx: &[usize]) -> f64 {
-    idx.iter().map(|&i| y[i]).sum::<f64>() / idx.len() as f64
-}
-
-fn serial_sse(y: &[f64], idx: &[usize]) -> f64 {
-    let m = serial_mean(y, idx);
-    idx.iter().map(|&i| (y[i] - m).powi(2)).sum()
-}
-
-/// The historical `build` (seed `TreeParams`: `max_depth` 12,
-/// `min_split` 4), verbatim.
-fn serial_grow(
-    x: &[Vec<f64>],
-    y: &[f64],
-    idx: &[usize],
-    mtry: usize,
-    rng: &mut StdRng,
-    depth: usize,
-) -> SerialNode {
-    if depth >= 12 || idx.len() < 4 {
-        return SerialNode::Leaf { value: serial_mean(y, idx) };
-    }
-    let parent_sse = serial_sse(y, idx);
-    if parent_sse <= 1e-18 {
-        return SerialNode::Leaf { value: serial_mean(y, idx) };
-    }
-
-    let dim = x[0].len();
-    let mut features: Vec<usize> = (0..dim).collect();
-    features.shuffle(rng);
-    features.truncate(mtry.min(dim));
-
-    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
-    for &feat in &features {
-        let mut vals: Vec<f64> = idx.iter().map(|&i| x[i][feat]).collect();
-        vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        vals.dedup();
-        if vals.len() < 2 {
-            continue;
-        }
-        for w in vals.windows(2) {
-            let threshold = (w[0] + w[1]) / 2.0;
-            let (mut left, mut right) = (Vec::new(), Vec::new());
-            for &i in idx {
-                if x[i][feat] <= threshold {
-                    left.push(i);
-                } else {
-                    right.push(i);
-                }
-            }
-            if left.is_empty() || right.is_empty() {
-                continue;
-            }
-            let gain = parent_sse - serial_sse(y, &left) - serial_sse(y, &right);
-            let better = match best {
-                None => true,
-                Some((bf, bt, bg)) => {
-                    gain > bg || (gain == bg && (feat < bf || (feat == bf && threshold < bt)))
-                }
-            };
-            if better {
-                best = Some((feat, threshold, gain));
-            }
-        }
-    }
-
-    match best {
-        Some((feature, threshold, gain)) if gain > 1e-12 => {
-            let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
-            for &i in idx {
-                if x[i][feature] <= threshold {
-                    left_idx.push(i);
-                } else {
-                    right_idx.push(i);
-                }
-            }
-            SerialNode::Split {
-                feature,
-                threshold,
-                left: Box::new(serial_grow(x, y, &left_idx, mtry, rng, depth + 1)),
-                right: Box::new(serial_grow(x, y, &right_idx, mtry, rng, depth + 1)),
-            }
-        }
-        _ => SerialNode::Leaf { value: serial_mean(y, idx) },
-    }
-}
-
-impl Regressor for SerialForest {
-    fn predict(&self, features: &[f64]) -> f64 {
-        let sum: f64 = self
-            .trees
-            .iter()
-            .map(|t| {
-                let mut node = t;
-                loop {
-                    match node {
-                        SerialNode::Leaf { value } => return *value,
-                        SerialNode::Split { feature, threshold, left, right } => {
-                            node = if features[*feature] <= *threshold { left } else { right };
-                        }
-                    }
-                }
-            })
-            .sum();
-        sum / self.trees.len() as f64
-    }
-}
-
-/// Serial fold-model training of the reference path: the real (serial)
-/// KNN/SVR trainers, plus the sequential-stream forest above.
-fn serial_train(kind: MlKind, x: &[Vec<f64>], y: &[f64]) -> Box<dyn Regressor> {
-    match kind {
-        MlKind::Svm => Box::new(SvrTrainer::paper_default().train(x, y)),
-        MlKind::Knn => Box::new(KnnTrainer::paper_default().train(x, y)),
-        MlKind::Rdf => Box::new(SerialForest::train(x, y)),
-    }
-}
-
-/// The pre-engine WER evaluation: rank-at-a-time, fold-at-a-time, one
-/// model per (kind, set, rank, fold) with per-row serial prediction — the
-/// historical single-cell WER loop, for all models × sets.
-fn serial_reference_wer(data: &CampaignData) {
-    for kind in MlKind::ALL {
-        for set in FeatureSet::ALL {
-            let mut acc = 0.0;
-            for rank in 0..RANK_COUNT {
-                let ds = build_wer_dataset(data, set, rank);
-                if ds.len() < 6 || ds.groups().len() < 3 {
-                    continue;
-                }
-                for group in ds.groups() {
-                    let (train, test) = ds.split_leave_group_out(&group);
-                    if train.len() < 4 || test.is_empty() {
-                        continue;
-                    }
-                    let model = serial_train(kind, &train.features(), &train.targets());
-                    let preds: Vec<f64> =
-                        test.features().iter().map(|r| 10f64.powf(model.predict(r))).collect();
-                    let actuals: Vec<f64> =
-                        test.targets().iter().map(|t| 10f64.powf(*t)).collect();
-                    acc += mean_percentage_error(&preds, &actuals);
-                }
-            }
-            std::hint::black_box(acc);
-        }
-    }
-}
-
-/// The pre-engine PUE evaluation (the historical single-cell PUE loop),
-/// for all models × sets.
-fn serial_reference_pue(data: &CampaignData) {
-    for kind in MlKind::ALL {
-        for set in FeatureSet::ALL {
-            let ds = build_pue_dataset(data, set);
-            if ds.len() < 6 || ds.groups().len() < 3 {
-                continue;
-            }
-            let mut acc = 0.0;
-            for group in ds.groups() {
-                let (train, test) = ds.split_leave_group_out(&group);
-                if train.len() < 4 || test.is_empty() {
-                    continue;
-                }
-                let model = serial_train(kind, &train.features(), &train.targets());
-                let preds: Vec<f64> =
-                    test.features().iter().map(|r| model.predict(r).clamp(0.0, 1.0)).collect();
-                acc += mean_absolute_error_percent(&preds, &test.targets());
-            }
-            std::hint::black_box(acc);
-        }
-    }
-}
-
 /// Bitwise equality of two evaluated grids (NaN-safe: compares the bit
 /// patterns, which is the byte-identity the engine promises).
 fn grids_equal(a: &EvalGrid, b: &EvalGrid) -> bool {
@@ -1416,210 +1170,4 @@ fn median_ms(samples: usize, mut f: impl FnMut()) -> f64 {
         .collect();
     times.sort_by(|a, b| a.partial_cmp(b).unwrap());
     times[times.len() / 2]
-}
-
-/// ChaCha12 — upstream rand 0.8's `StdRng`, reimplemented so the "before"
-/// configuration pays the same generator cost the seed code did. Seeded
-/// SplitMix64-style like `SeedableRng::seed_from_u64`.
-struct ChaCha12Rng {
-    state: [u32; 16],
-    buffer: [u32; 16],
-    cursor: usize,
-}
-
-impl ChaCha12Rng {
-    fn seed_from_u64(seed: u64) -> Self {
-        let mut sm = seed;
-        let mut next = || {
-            sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let mut state = [0u32; 16];
-        state[..4].copy_from_slice(&[0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574]);
-        for i in 0..4 {
-            let k = next();
-            state[4 + 2 * i] = k as u32;
-            state[5 + 2 * i] = (k >> 32) as u32;
-        }
-        Self { state, buffer: [0; 16], cursor: 16 }
-    }
-
-    fn refill(&mut self) {
-        const fn qr(mut x: [u32; 16], a: usize, b: usize, c: usize, d: usize) -> [u32; 16] {
-            x[a] = x[a].wrapping_add(x[b]);
-            x[d] = (x[d] ^ x[a]).rotate_left(16);
-            x[c] = x[c].wrapping_add(x[d]);
-            x[b] = (x[b] ^ x[c]).rotate_left(12);
-            x[a] = x[a].wrapping_add(x[b]);
-            x[d] = (x[d] ^ x[a]).rotate_left(8);
-            x[c] = x[c].wrapping_add(x[d]);
-            x[b] = (x[b] ^ x[c]).rotate_left(7);
-            x
-        }
-        let mut x = self.state;
-        for _ in 0..6 {
-            // Double round: columns, then diagonals.
-            x = qr(x, 0, 4, 8, 12);
-            x = qr(x, 1, 5, 9, 13);
-            x = qr(x, 2, 6, 10, 14);
-            x = qr(x, 3, 7, 11, 15);
-            x = qr(x, 0, 5, 10, 15);
-            x = qr(x, 1, 6, 11, 12);
-            x = qr(x, 2, 7, 8, 13);
-            x = qr(x, 3, 4, 9, 14);
-        }
-        for (out, (&word, &st)) in self.buffer.iter_mut().zip(x.iter().zip(self.state.iter())) {
-            *out = word.wrapping_add(st);
-        }
-        // 64-bit block counter in words 12/13.
-        let counter = (u64::from(self.state[13]) << 32 | u64::from(self.state[12])).wrapping_add(1);
-        self.state[12] = counter as u32;
-        self.state[13] = (counter >> 32) as u32;
-        self.cursor = 0;
-    }
-}
-
-impl RngCore for ChaCha12Rng {
-    fn next_u64(&mut self) -> u64 {
-        if self.cursor + 2 > 16 {
-            self.refill();
-        }
-        let lo = self.buffer[self.cursor];
-        let hi = self.buffer[self.cursor + 1];
-        self.cursor += 2;
-        u64::from(hi) << 32 | u64::from(lo)
-    }
-}
-
-/// The pre-optimization simulator hot loop, reconstructed for an honest
-/// "before" number: per rank, every Poisson-drawn weak cell samples its
-/// full attribute tuple from a sequential ChaCha12 stream, collision maps
-/// use the std SipHash hasher, companion probabilities cost an `exp()` per
-/// manifesting cell, and events are sorted at the end — matching the old
-/// code's cost structure. (The new implementation is the behavioural
-/// source of truth; this exists only as a baseline.)
-fn reference_naive_run(
-    device: &DramDevice,
-    profile: &DramUsageProfile,
-    op: OperatingPoint,
-    duration_s: f64,
-    run_seed: u64,
-) -> (usize, bool) {
-    let physics = device.physics();
-    let law = device.retention_law();
-    let ranks = device.geometry().total_ranks();
-    let region_words = (profile.footprint_words / 64).max(1);
-    let coupling = 1.0 - physics.entropy_coupling * (profile.entropy_bits / 32.0).clamp(0.0, 1.0);
-    let companion_scale = 71.0 * physics.multi_bit_correlation;
-    let mut events: Vec<(f64, u64, u8)> = Vec::new();
-    let mut crashed = false;
-
-    for rank in 0..ranks {
-        let mut rng_pop = ChaCha12Rng::seed_from_u64(device.seed() ^ (rank as u64) << 17);
-        let mut rng_run =
-            ChaCha12Rng::seed_from_u64(device.seed() ^ run_seed ^ ((rank as u64) << 33) | 1);
-        let expected =
-            device.expected_weak_cells(rank, profile.footprint_words, op.temp_c, op.vdd_v);
-        let population = sample_poisson(expected, &mut rng_pop);
-        let mut manifested: HashMap<u64, f64> = HashMap::new();
-        let p_companion_unit = physics.weak_density(op.temp_c, op.vdd_v)
-            * device.variation().factor(rank)
-            * companion_scale;
-
-        for _ in 0..population {
-            let retention = law.sample(&mut rng_pop);
-            let word = rng_pop.gen_range(0..profile.footprint_words);
-            let lane = rng_pop.gen_range(0..72u8);
-            let u_never: f64 = rng_pop.gen();
-            let u_reuse: f64 = rng_pop.gen();
-            let is_true_cell = rng_pop.gen_bool(physics.true_cell_fraction);
-            let u_bit: f64 = rng_pop.gen();
-
-            let t_reuse = if u_never < profile.never_reused_fraction {
-                f64::INFINITY
-            } else {
-                profile.reuse.sample_at(u_reuse) / profile.dram_filter.max(0.05)
-            };
-            let t_eff = op.trefp_s.min(t_reuse);
-            let stored_one = u_bit < profile.one_density.clamp(0.0, 1.0);
-            if !(is_true_cell == stored_one && retention * coupling < t_eff) {
-                continue;
-            }
-            let region = ((word as u128 * 64) / profile.footprint_words as u128) as usize;
-            let share = profile.region_shares.get(region).copied().unwrap_or(0.0);
-            let read_rate = profile.dram_read_rate_hz * share / region_words as f64
-                + physics.scrub_rate_hz;
-            if let Some(t) = discovery(physics, read_rate, duration_s, &mut rng_run) {
-                let p_companion = (p_companion_unit
-                    * law.fraction_below(t_eff / coupling.max(1e-9)))
-                .clamp(0.0, 1.0);
-                if rng_run.gen_bool(p_companion) {
-                    crashed = true;
-                    continue;
-                }
-                if manifested.insert(word, t).is_some() {
-                    crashed = true;
-                } else {
-                    events.push((t, word, lane));
-                }
-            }
-        }
-
-        // OS-resident scan, as in the old implementation: full per-cell
-        // sampling of the kernel-page population.
-        let os_words_rank = physics.os_resident_words / ranks as u64;
-        let os_expected = physics.weak_density(op.temp_c, op.vdd_v)
-            * device.variation().factor(rank)
-            * os_words_rank as f64
-            * 72.0;
-        let os_population = sample_poisson(os_expected, &mut rng_pop);
-        let mut os_manifested: HashMap<u64, f64> = HashMap::new();
-        for _ in 0..os_population {
-            let retention = law.sample(&mut rng_pop);
-            let word = rng_pop.gen_range(0..os_words_rank.max(1));
-            let is_true_cell = rng_pop.gen_bool(physics.true_cell_fraction);
-            let stored_one = rng_pop.gen_bool(0.5);
-            if !(is_true_cell == stored_one && retention < op.trefp_s) {
-                continue;
-            }
-            if let Some(t) = discovery(physics, physics.scrub_rate_hz, duration_s, &mut rng_run) {
-                if os_manifested.insert(word, t).is_some() {
-                    crashed = true;
-                }
-            }
-        }
-    }
-    events.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-    (events.len(), crashed)
-}
-
-fn discovery<R: RngCore>(
-    physics: &wade_dram::ErrorPhysics,
-    read_rate_hz: f64,
-    duration_s: f64,
-    rng: &mut R,
-) -> Option<f64> {
-    let mut t = sample_exp(physics.onset_rate_hz, rng) + sample_exp(read_rate_hz, rng);
-    if !rng.gen_bool(physics.vrt_active_fraction) {
-        t += sample_exp(physics.vrt_toggle_rate_hz, rng);
-    }
-    (t <= duration_s).then_some(t)
-}
-
-fn sample_poisson<R: RngCore>(mean: f64, rng: &mut R) -> u64 {
-    if mean <= 0.0 {
-        return 0;
-    }
-    Poisson::new(mean.min(5.0e7)).map(|d| d.sample(rng) as u64).unwrap_or(0)
-}
-
-fn sample_exp<R: RngCore>(rate_hz: f64, rng: &mut R) -> f64 {
-    if rate_hz <= 0.0 {
-        return f64::INFINITY;
-    }
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    -u.ln() / rate_hz
 }
