@@ -59,17 +59,19 @@
 //!   evaluation: lead-time precision/recall, the mitigation-cost curve
 //!   and the cross-vintage transfer matrix
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde_json::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use wade_core::{
-    train_error_model, AccuracyReport, Campaign, CampaignConfig, CampaignData, ErrorModel,
-    EvalGrid, MlKind, ProfileCache, SimulatedServer,
+    build_wer_dataset, train_error_model, AccuracyReport, Campaign, CampaignConfig, CampaignData,
+    ErrorModel, EvalGrid, MlKind, ProfileCache, SimulatedServer,
 };
-use wade_dram::{DramDevice, DramUsageProfile, ErrorSim, OperatingPoint};
+use wade_dram::{DramDevice, DramUsageProfile, ErrorSim, OperatingPoint, RANK_COUNT};
 use wade_features::FeatureSet;
-use wade_ml::{ForestTrainer, KnnTrainer, Regressor, Trainer};
+use wade_ml::{DecisionTree, ForestTrainer, KnnTrainer, Regressor, Trainer, TreeParams};
 use wade_workloads::{full_suite, paper_suite, Scale};
 
 /// Flags that take a value: consumed during positional parsing so flag
@@ -380,7 +382,11 @@ fn campaign_quick_grid(samples: usize, threads: usize) -> Value {
 /// `ml_training`: the full (model × feature set × target) accuracy grid
 /// over the quick campaign, evaluated as one shared `EvalGrid` and read by
 /// every consumer (fig11, fig12, table3), at 1 thread and on the full
-/// pool. The grid must be byte-identical at 1 and 8 threads.
+/// pool. The grid must be byte-identical at 1 and 8 threads. Then the
+/// forest trainer's split search: 100 seeded trees grown on the calling
+/// thread by the pruned search and by the exhaustive reference scan, on
+/// the quick campaign's largest Set-3 WER dataset with the forest's
+/// bootstrap and `mtry`; the two forests must serialize byte-identically.
 fn ml_training(data: &CampaignData, samples: usize) -> Value {
     eprintln!("[bench] ml training/evaluation grid …");
     let evaluate =
@@ -405,14 +411,49 @@ fn ml_training(data: &CampaignData, samples: usize) -> Value {
         consume_grid(&evaluate());
     });
     let identical = grids_equal(&one.install(evaluate), &pool(8).install(evaluate));
+
+    let ds = (0..RANK_COUNT)
+        .map(|rank| build_wer_dataset(data, FeatureSet::Set3, rank))
+        .max_by_key(|ds| ds.len())
+        .expect("at least one rank");
+    let (x, y) = (ds.features(), ds.targets());
+    let n = x.len();
+    let mtry = ((x[0].len() as f64).sqrt().ceil() as usize).max(1);
+    let params = TreeParams { mtry, ..TreeParams::default() };
+    let grow_forest = |grow: TreeGrower| -> Vec<DecisionTree> {
+        (0..100)
+            .map(|seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let idx: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+                grow(&x, &y, &idx, params, &mut rng)
+            })
+            .collect()
+    };
+    let exhaustive_ms = median_ms(samples, || {
+        std::hint::black_box(grow_forest(DecisionTree::grow_exhaustive));
+    });
+    let pruned_ms = median_ms(samples, || {
+        std::hint::black_box(grow_forest(DecisionTree::grow));
+    });
+    let json = |trees: Vec<DecisionTree>| serde_json::to_string(&trees).expect("serialize trees");
+    let forest_identical =
+        json(grow_forest(DecisionTree::grow)) == json(grow_forest(DecisionTree::grow_exhaustive));
     map([
         ("models", count(MlKind::ALL.len())),
         ("feature_sets", count(FeatureSet::ALL.len())),
         ("grid_single_thread_ms", ms(single_ms)),
         ("grid_parallel_ms", ms(parallel_ms)),
         ("byte_identical", Value::Bool(identical)),
+        ("forest_exhaustive_ms", ms(exhaustive_ms)),
+        ("forest_pruned_ms", ms(pruned_ms)),
+        ("speedup_pruned_vs_exhaustive", speedup(exhaustive_ms, pruned_ms)),
+        ("forest_byte_identical", Value::Bool(forest_identical)),
     ])
 }
+
+/// The signature shared by `DecisionTree::grow` and its exhaustive
+/// reference.
+type TreeGrower = fn(&[Vec<f64>], &[f64], &[usize], TreeParams, &mut StdRng) -> DecisionTree;
 
 /// `artifact_store`: one cold pass (collect the quick campaign and
 /// evaluate the grid, publishing profiles, campaign data and models into

@@ -42,10 +42,42 @@ pub struct DecisionTree {
 
 impl DecisionTree {
     /// Grows a tree on the index subset `idx` of `(x, y)` using `rng` for
-    /// feature subsampling.
+    /// feature subsampling. Each node's split comes from the pruned split
+    /// search (ARCHITECTURE.md §14), which evaluates exactly only the
+    /// candidates an error bound cannot rule out and so picks exactly the
+    /// split [`DecisionTree::grow_exhaustive`] picks.
     pub fn grow(x: &[Vec<f64>], y: &[f64], idx: &[usize], params: TreeParams, rng: &mut StdRng) -> Self {
+        Self::grow_with(x, y, idx, params, rng, Search::Pruned)
+    }
+
+    /// The bit-compare reference for [`DecisionTree::grow`]: the same tree
+    /// grown by the historical exhaustive scan, which evaluates every
+    /// candidate threshold of every considered feature exactly. It draws
+    /// the same rng values in the same order, so for the same `rng` state
+    /// the two trees serialize byte-identically (`tests/ml_hot_path.rs`
+    /// pins this); the pruned search also falls back to this scan for any
+    /// node whose error bound is not finite.
+    pub fn grow_exhaustive(
+        x: &[Vec<f64>],
+        y: &[f64],
+        idx: &[usize],
+        params: TreeParams,
+        rng: &mut StdRng,
+    ) -> Self {
+        Self::grow_with(x, y, idx, params, rng, Search::Exhaustive)
+    }
+
+    fn grow_with(
+        x: &[Vec<f64>],
+        y: &[f64],
+        idx: &[usize],
+        params: TreeParams,
+        rng: &mut StdRng,
+        search: Search,
+    ) -> Self {
         assert!(!idx.is_empty(), "cannot grow a tree on no samples");
-        let root = build(x, y, idx, params, rng, 0);
+        let mut scratch = Scratch::default();
+        let root = build(x, y, idx, params, rng, 0, search, &mut scratch);
         Self { root }
     }
 
@@ -141,11 +173,40 @@ fn mean(y: &[f64], idx: &[usize]) -> f64 {
     idx.iter().map(|&i| y[i]).sum::<f64>() / idx.len() as f64
 }
 
-fn sse(y: &[f64], idx: &[usize]) -> f64 {
-    let m = mean(y, idx);
-    idx.iter().map(|&i| (y[i] - m).powi(2)).sum()
+/// Which split search a tree grows with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Search {
+    Pruned,
+    Exhaustive,
 }
 
+/// Per-tree buffers reused at every node: the shuffled feature subset
+/// and, for the pruned search, the node's centred targets in `idx`
+/// order, one feature's `(value, centred target)` pairs for sorting, its
+/// runs of equal values, and the node's candidates as `(feature,
+/// threshold, approximate gain)`.
+#[derive(Default)]
+struct Scratch {
+    features: Vec<usize>,
+    centred: Vec<f64>,
+    pairs: Vec<(f64, f64)>,
+    runs: Vec<Run>,
+    candidates: Vec<(usize, f64, Option<f64>)>,
+}
+
+/// A run of equal feature values in a node: `(value, rows, Σc, Σc²)` over
+/// the run's centred targets `c`.
+type Run = (f64, usize, f64, f64);
+
+/// Up to this many distinct values, a feature's runs are collected by
+/// linear search instead of by sorting its pairs: most features of the
+/// campaign datasets take a handful of values per node (one per workload).
+const FEW_VALUES: usize = 8;
+
+/// A candidate split: `(feature, threshold, gain)`.
+type Split = (usize, f64, f64);
+
+#[allow(clippy::too_many_arguments)]
 fn build(
     x: &[Vec<f64>],
     y: &[f64],
@@ -153,84 +214,35 @@ fn build(
     params: TreeParams,
     rng: &mut StdRng,
     depth: usize,
+    search: Search,
+    scratch: &mut Scratch,
 ) -> Node {
+    let node_mean = mean(y, idx);
     if depth >= params.max_depth || idx.len() < params.min_split {
-        return Node::Leaf { value: mean(y, idx) };
+        return Node::Leaf { value: node_mean };
     }
-    let parent_sse = sse(y, idx);
+    let parent_sse: f64 = idx.iter().map(|&i| (y[i] - node_mean).powi(2)).sum();
     if parent_sse <= 1e-18 {
-        return Node::Leaf { value: mean(y, idx) };
+        return Node::Leaf { value: node_mean };
     }
 
     let dim = x[0].len();
-    let mut features: Vec<usize> = (0..dim).collect();
     let consider = if params.mtry == 0 { dim } else { params.mtry.min(dim) };
+    let features = &mut scratch.features;
+    features.clear();
+    features.extend(0..dim);
     features.shuffle(rng);
     features.truncate(consider);
 
-    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
-    for &feat in &features {
-        // The node's (feature value, target) pairs, cached once per
-        // feature: the candidate loop below scans them ~|idx| times, and
-        // reading `x[i][feat]` through two indirections each time is what
-        // the scan's cost was made of.
-        let pairs: Vec<(f64, f64)> = idx.iter().map(|&i| (x[i][feat], y[i])).collect();
-        // Candidate thresholds: midpoints of sorted unique values.
-        let mut vals: Vec<f64> = pairs.iter().map(|&(v, _)| v).collect();
-        vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        vals.dedup();
-        if vals.len() < 2 {
-            continue;
-        }
-        for w in vals.windows(2) {
-            let threshold = (w[0] + w[1]) / 2.0;
-            // Fused allocation-free partition: each side's sums accumulate
-            // in the same (idx-filtered) order the materialized left/right
-            // index vectors produced, so every mean, SSE and gain below is
-            // bit-identical to the historical two-vector scan.
-            let (mut sum_l, mut n_l, mut sum_r, mut n_r) = (0.0f64, 0usize, 0.0f64, 0usize);
-            for &(v, t) in &pairs {
-                if v <= threshold {
-                    sum_l += t;
-                    n_l += 1;
-                } else {
-                    sum_r += t;
-                    n_r += 1;
-                }
-            }
-            if n_l == 0 || n_r == 0 {
-                continue;
-            }
-            let (m_l, m_r) = (sum_l / n_l as f64, sum_r / n_r as f64);
-            let (mut sse_l, mut sse_r) = (0.0f64, 0.0f64);
-            for &(v, t) in &pairs {
-                if v <= threshold {
-                    sse_l += (t - m_l).powi(2);
-                } else {
-                    sse_r += (t - m_r).powi(2);
-                }
-            }
-            let gain = parent_sse - sse_l - sse_r;
-            // Duplicate gains break ties on the lowest (feature, threshold)
-            // pair, so the chosen split never depends on the order the
-            // shuffled feature subset was visited in — the grown tree is a
-            // pure function of (data, params, rng draws), which the parallel
-            // forest's determinism contract relies on.
-            let better = match best {
-                None => true,
-                Some((bf, bt, bg)) => {
-                    gain > bg || (gain == bg && (feat < bf || (feat == bf && threshold < bt)))
-                }
-            };
-            if better {
-                best = Some((feat, threshold, gain));
-            }
-        }
-    }
+    let best = match search {
+        Search::Pruned => scan_pruned(x, y, idx, node_mean, parent_sse, scratch),
+        Search::Exhaustive => scan_exhaustive(x, y, idx, &scratch.features, parent_sse),
+    };
 
     match best {
         Some((feature, threshold, gain)) if gain > 1e-12 => {
-            let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
+            let (mut left_idx, mut right_idx) =
+                (Vec::with_capacity(idx.len()), Vec::with_capacity(idx.len()));
             for &i in idx {
                 if x[i][feature] <= threshold {
                     left_idx.push(i);
@@ -241,11 +253,269 @@ fn build(
             Node::Split {
                 feature,
                 threshold,
-                left: Box::new(build(x, y, &left_idx, params, rng, depth + 1)),
-                right: Box::new(build(x, y, &right_idx, params, rng, depth + 1)),
+                left: Box::new(build(x, y, &left_idx, params, rng, depth + 1, search, scratch)),
+                right: Box::new(build(x, y, &right_idx, params, rng, depth + 1, search, scratch)),
             }
         }
-        _ => Node::Leaf { value: mean(y, idx) },
+        _ => Node::Leaf { value: node_mean },
+    }
+}
+
+/// Offers a candidate to the running best. Duplicate gains break ties on
+/// the lowest (feature, threshold) pair, so the chosen split never depends
+/// on the order the shuffled feature subset was visited in — the grown
+/// tree is a pure function of (data, params, rng draws), which the
+/// parallel forest's determinism contract relies on. Both searches pick
+/// their split through this one rule.
+fn offer(best: &mut Option<Split>, feat: usize, threshold: f64, gain: f64) {
+    let better = match *best {
+        None => true,
+        Some((bf, bt, bg)) => {
+            gain > bg || (gain == bg && (feat < bf || (feat == bf && threshold < bt)))
+        }
+    };
+    if better {
+        *best = Some((feat, threshold, gain));
+    }
+}
+
+/// The exact gain of splitting the node at `threshold`, from its `(feature
+/// value, target)` pairs in `idx` order, or `None` if a side is empty.
+/// This is the historical arithmetic: each side's sums accumulate in
+/// `idx` order, exactly as the materialized left/right index vectors
+/// once did, so every gain either search compares is bit-identical to
+/// the original two-vector scan.
+fn exact_gain(
+    pairs: impl Iterator<Item = (f64, f64)> + Clone,
+    threshold: f64,
+    parent_sse: f64,
+) -> Option<f64> {
+    let (mut sum_l, mut n_l, mut sum_r, mut n_r) = (0.0f64, 0usize, 0.0f64, 0usize);
+    for (v, t) in pairs.clone() {
+        if v <= threshold {
+            sum_l += t;
+            n_l += 1;
+        } else {
+            sum_r += t;
+            n_r += 1;
+        }
+    }
+    if n_l == 0 || n_r == 0 {
+        return None;
+    }
+    let (m_l, m_r) = (sum_l / n_l as f64, sum_r / n_r as f64);
+    let (mut sse_l, mut sse_r) = (0.0f64, 0.0f64);
+    for (v, t) in pairs {
+        if v <= threshold {
+            sse_l += (t - m_l).powi(2);
+        } else {
+            sse_r += (t - m_r).powi(2);
+        }
+    }
+    Some(parent_sse - sse_l - sse_r)
+}
+
+/// The exhaustive scan: every midpoint of sorted unique values of every
+/// considered feature, each evaluated exactly.
+fn scan_exhaustive(
+    x: &[Vec<f64>],
+    y: &[f64],
+    idx: &[usize],
+    features: &[usize],
+    parent_sse: f64,
+) -> Option<Split> {
+    let mut best = None;
+    for &feat in features {
+        let pairs: Vec<(f64, f64)> = idx.iter().map(|&i| (x[i][feat], y[i])).collect();
+        // Candidate thresholds: midpoints of sorted unique values.
+        let mut vals: Vec<f64> = pairs.iter().map(|&(v, _)| v).collect();
+        vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        vals.dedup();
+        if vals.len() < 2 {
+            continue;
+        }
+        for w in vals.windows(2) {
+            let threshold = (w[0] + w[1]) / 2.0;
+            if let Some(gain) = exact_gain(pairs.iter().copied(), threshold, parent_sse) {
+                offer(&mut best, feat, threshold, gain);
+            }
+        }
+    }
+    best
+}
+
+/// The pruned split search: the exhaustive scan's winner, found by exactly
+/// evaluating only the candidates that can still win.
+///
+/// **Candidates.** Per feature, [`collect_runs`] groups the node's rows
+/// into runs of equal values in ascending order, each run carrying its
+/// row count and the sums of its centred targets `c = t − t̄` and `c²`.
+/// One pass over the runs forms every candidate threshold
+/// `τ = (w₀ + w₁)/2` between consecutive values — the exhaustive scan's
+/// candidates, in its order — and an approximate gain `ĝ` from prefix
+/// sums: with `S`, `Q` the sums of `c`, `c²` over the `k` rows left of
+/// the cut, `S₊`, `Q₊` their node totals and `P` the parent SSE,
+/// `ĝ = P − (Q − S²/k) − ((Q₊ − Q) − (S₊ − S)²/(m − k))`. When
+/// `w₀ ≤ τ < w₁` those `k` rows are exactly the exact path's left side
+/// `{v ≤ τ}`. When not — adjacent floats whose midpoint rounds onto
+/// `w₁`, or `w₀ + w₁` overflowing to ±∞ near ±`f64::MAX` — the
+/// partitions differ, so such a candidate gets no `ĝ` and is always
+/// evaluated exactly.
+///
+/// **The bound.** Let `m = idx.len()`, `n = m + 2`, `M = maxᵢ |tᵢ|`,
+/// `u = f64::EPSILON / 2` and `γₖ = ku/(1 − ku)`; `G` is a candidate's
+/// gain in real arithmetic, `g` the exact path's value, `ĝ` the
+/// approximate one. A computed sum of `k` terms is off by at most
+/// `γₖ₋₁Σ|terms|` whatever the order of summation, so adding `c` run by
+/// run changes nothing below. Every sum of squared deviations involved —
+/// parent, sides, prefixes of `c²` — is at most `mM²(1 + O(nu))`;
+/// `|S| ≤ 2kM`, `|S₊ − S| ≤ 2(m − k)M`, and the rounding error of any
+/// sum of `c` is `≤ γₘΣ|c| ≤ γₘmM`. First order in `u`:
+/// * exact path: a side's mean is off by `≤ γₖM`; its SSE then carries
+///   `γₖ₊₂` relative error, so parent plus sides stay within
+///   `2mγₙM²`, and the two final subtractions add `≤ 4muM²`:
+///   `|g − G| ≤ 16n²uM²` with room to spare;
+/// * approximate path: the same parent SSE (`≤ mγₙM²`); rounding the
+///   centred targets moves the two side SSEs by `≤ 4muM²`; `Q` and
+///   `Q₊ − Q` by `≤ 3mγₙ₊₁M²`; `S²/k` by `≤ 4mγₘM²` and
+///   `(S₊ − S)²/(m − k)` by `≤ 8mγₘ₊₁M²` (the right side's sum carries
+///   two errors); the remaining roundings by `≤ 12muM²`:
+///   `|ĝ − G| ≤ 48n²uM²`, again with room to spare.
+///
+/// So `|ĝ − g| ≤ 64n²uM² = 32n²·EPS·M²`, and the window half-width
+/// `E = 256·n²·EPS·M²` is eight times that. Underflow does not break
+/// the relative-error model: a node that reaches the search has
+/// `P > 1e-18`, so `M² > 1e-18/m`, and the absolute error of gradual
+/// underflow (≤ 2⁻¹⁰⁷⁴ per operation) is negligible against `E`.
+///
+/// **The window rule.** `L` is the maximum of `ĝ − E` over all the
+/// node's candidates, every feature's formed before any is evaluated.
+/// A candidate is evaluated exactly iff it has no `ĝ` or `ĝ + E ≥ L`.
+/// The exhaustive winner `w` always is: for every candidate `j`,
+/// `ĝ_w + E ≥ g_w + 7E/8 ≥ g_j + 7E/8 > ĝ_j − E`, and rounding is
+/// monotone. The same holds for every candidate whose exact gain ties
+/// `g_w`, so [`offer`], seeing the evaluated candidates in the
+/// exhaustive visiting order, returns the exhaustive scan's split bit
+/// for bit. (A running `L` over the candidates seen so far would be
+/// valid too, since it never exceeds the final one; it only evaluates
+/// more.)
+///
+/// **Fallback.** Every intermediate of both paths is at most `4n²M²`, so
+/// if `8n²M²` overflows — targets beyond about `1e150` — or any `ĝ` is
+/// not finite (a NaN target), the node runs [`scan_exhaustive`] instead.
+/// So does a NaN feature value, on which the exhaustive scan panics.
+fn scan_pruned(
+    x: &[Vec<f64>],
+    y: &[f64],
+    idx: &[usize],
+    centre: f64,
+    parent_sse: f64,
+    scratch: &mut Scratch,
+) -> Option<Split> {
+    let Scratch { features, centred, pairs, runs, candidates } = scratch;
+    let m = idx.len();
+    centred.clear();
+    centred.extend(idx.iter().map(|&i| y[i] - centre));
+    let max_abs = idx.iter().fold(0.0f64, |acc, &i| acc.max(y[i].abs()));
+    let s_all: f64 = centred.iter().sum();
+    let q_all: f64 = centred.iter().map(|c| c * c).sum();
+    let n_m = (m + 2) as f64 * max_abs;
+    let scale = n_m * n_m;
+    if !(8.0 * scale).is_finite() {
+        return scan_exhaustive(x, y, idx, features, parent_sse);
+    }
+    let bound = 256.0 * f64::EPSILON * scale;
+
+    let mut floor = f64::NEG_INFINITY;
+    candidates.clear();
+    for &feat in features.iter() {
+        collect_runs(x, idx, feat, centred, pairs, runs);
+        // Sorting with `total_cmp` puts NaNs at the ends; the exhaustive
+        // scan panics on them, and so must this search.
+        let nan_at = |run: Option<&Run>| run.is_some_and(|r| r.0.is_nan());
+        if nan_at(runs.first()) || nan_at(runs.last()) {
+            return scan_exhaustive(x, y, idx, features, parent_sse);
+        }
+        let (mut k, mut s, mut q) = (0usize, 0.0f64, 0.0f64);
+        for w in runs.windows(2) {
+            let ((lower, rows, run_s, run_q), upper) = (w[0], w[1].0);
+            k += rows;
+            s += run_s;
+            q += run_q;
+            let threshold = (lower + upper) / 2.0;
+            let approx = if lower <= threshold && threshold < upper {
+                let s_r = s_all - s;
+                let g = parent_sse
+                    - (q - s * s / k as f64)
+                    - ((q_all - q) - s_r * s_r / (m - k) as f64);
+                if !g.is_finite() {
+                    return scan_exhaustive(x, y, idx, features, parent_sse);
+                }
+                floor = floor.max(g - bound);
+                Some(g)
+            } else {
+                None
+            };
+            candidates.push((feat, threshold, approx));
+        }
+    }
+
+    let mut best = None;
+    for &(feat, threshold, approx) in candidates.iter() {
+        if approx.is_none_or(|g| g + bound >= floor) {
+            let pairs = idx.iter().map(|&i| (x[i][feat], y[i]));
+            if let Some(gain) = exact_gain(pairs, threshold, parent_sse) {
+                offer(&mut best, feat, threshold, gain);
+            }
+        }
+    }
+    best
+}
+
+/// Collects feature `feat`'s runs of equal values over the node, in
+/// ascending value order (`-0.0` and `0.0` share a run: they are equal,
+/// and a zero's sign never changes a midpoint with a non-zero value).
+/// A feature with at most [`FEW_VALUES`] distinct values is grouped by
+/// linear search; any other is sorted first.
+fn collect_runs(
+    x: &[Vec<f64>],
+    idx: &[usize],
+    feat: usize,
+    centred: &[f64],
+    pairs: &mut Vec<(f64, f64)>,
+    runs: &mut Vec<Run>,
+) {
+    runs.clear();
+    let few = idx.iter().zip(centred).all(|(&i, &c)| {
+        let v = x[i][feat];
+        if let Some(run) = runs.iter_mut().find(|run| run.0 == v) {
+            run.1 += 1;
+            run.2 += c;
+            run.3 += c * c;
+        } else if runs.len() < FEW_VALUES {
+            runs.push((v, 1, c, c * c));
+        } else {
+            return false;
+        }
+        true
+    });
+    if few {
+        runs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        return;
+    }
+    pairs.clear();
+    pairs.extend(idx.iter().zip(centred).map(|(&i, &c)| (x[i][feat], c)));
+    pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    runs.clear();
+    for &(v, c) in pairs.iter() {
+        match runs.last_mut() {
+            Some(run) if run.0 == v => {
+                run.1 += 1;
+                run.2 += c;
+                run.3 += c * c;
+            }
+            _ => runs.push((v, 1, c, c * c)),
+        }
     }
 }
 
@@ -327,6 +597,124 @@ mod tests {
                 None => panic!("seed {seed} grew a leaf-only tree"),
             }
         }
+    }
+
+    /// Bit-for-bit node equality: same shape, same features, and the same
+    /// threshold and leaf bits (so `-0.0` and `0.0` differ).
+    fn same_node(a: &Node, b: &Node) -> bool {
+        match (a, b) {
+            (Node::Leaf { value: va }, Node::Leaf { value: vb }) => va.to_bits() == vb.to_bits(),
+            (
+                Node::Split { feature: fa, threshold: ta, left: la, right: ra },
+                Node::Split { feature: fb, threshold: tb, left: lb, right: rb },
+            ) => fa == fb && ta.to_bits() == tb.to_bits() && same_node(la, lb) && same_node(ra, rb),
+            _ => false,
+        }
+    }
+
+    /// Grows `(x, y)` both ways from the same seeds and asserts the trees
+    /// are bit-identical; returns the number of split nodes grown.
+    fn assert_matches_exhaustive(x: &[Vec<f64>], y: &[f64], params: TreeParams) -> usize {
+        let idx: Vec<usize> = (0..x.len()).collect();
+        let mut splits = 0;
+        for seed in 0..8 {
+            let pruned = DecisionTree::grow(x, y, &idx, params, &mut StdRng::seed_from_u64(seed));
+            let exhaustive =
+                DecisionTree::grow_exhaustive(x, y, &idx, params, &mut StdRng::seed_from_u64(seed));
+            assert!(
+                same_node(&pruned.root, &exhaustive.root),
+                "seed {seed}: pruned {pruned:?} != exhaustive {exhaustive:?}"
+            );
+            splits += pruned.depth().min(1);
+        }
+        splits
+    }
+
+    /// A column of the values `vals` cycled over `n` rows, beside a second
+    /// column that is `vals` reversed, with targets that reward a cut
+    /// between every pair of values.
+    fn two_columns(vals: &[f64], n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let d = vals.len();
+        let x: Vec<Vec<f64>> = (0..n).map(|i| vec![vals[i % d], vals[d - 1 - i % d]]).collect();
+        let y: Vec<f64> = (0..n).map(|i| ((i % d) * 3 + i % 2) as f64).collect();
+        (x, y)
+    }
+
+    #[test]
+    fn midpoint_rounding_onto_the_upper_value_matches_exhaustive() {
+        // An odd-mantissa value and its successor: the midpoint of the two
+        // is a tie that rounds to even, i.e. onto the upper value, so the
+        // prefix partition in sorted order is not the `v <= τ` partition.
+        let lo = f64::from_bits(1.0f64.to_bits() + 1);
+        let hi = f64::from_bits(lo.to_bits() + 1);
+        assert_eq!((lo + hi) / 2.0, hi, "precondition: the midpoint rounds onto the upper value");
+        let tiny = f64::from_bits(1);
+        for vals in [vec![lo, hi, 2.0], vec![0.5, lo, hi], vec![-tiny, 0.0, tiny, 2.0 * tiny]] {
+            let (x, y) = two_columns(&vals, 24);
+            let params = TreeParams { max_depth: 6, min_split: 2, mtry: 0 };
+            assert!(assert_matches_exhaustive(&x, &y, params) > 0, "{vals:?} grew no split");
+        }
+    }
+
+    #[test]
+    fn midpoint_overflow_near_f64_max_matches_exhaustive() {
+        // `w0 + w1` overflows to ±inf for the outermost pairs, so their
+        // thresholds put every row on one side.
+        let vals = [-f64::MAX, (-f64::MAX).next_up(), -1.0, 1.0, f64::MAX.next_down(), f64::MAX];
+        assert!(((vals[4] + vals[5]) / 2.0).is_infinite(), "precondition: the midpoint overflows");
+        let (x, y) = two_columns(&vals, 30);
+        let params = TreeParams { max_depth: 6, min_split: 2, mtry: 0 };
+        assert!(assert_matches_exhaustive(&x, &y, params) > 0);
+    }
+
+    #[test]
+    fn targets_near_1e200_take_the_exhaustive_fallback() {
+        // `M²` overflows, so the error bound is not finite and every node
+        // runs the exhaustive scan; the huge targets also overflow the
+        // exact gains themselves, which both paths must treat alike.
+        for sign in [1.0, -1.0] {
+            let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64, (i % 3) as f64]).collect();
+            let y: Vec<f64> =
+                (0..20).map(|i| sign * 1e200 * (1.0 + (i % 5) as f64 * 0.25)).collect();
+            assert_matches_exhaustive(&x, &y, TreeParams::default());
+        }
+        // Large but finite-bound targets next to them take the pruned path.
+        let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64, (i % 3) as f64]).collect();
+        let y: Vec<f64> = (0..20).map(|i| 1e100 * (i % 5) as f64).collect();
+        assert!(assert_matches_exhaustive(&x, &y, TreeParams::default()) > 0);
+    }
+
+    #[test]
+    fn targets_at_the_overflow_edge_match_exhaustive() {
+        // Targets around 1e150–1e158: squares of prefix sums overflow
+        // while the exact gains stay finite, so a node that skipped the
+        // fallback would prune on infinite approximate gains.
+        let mut state = 1u64;
+        let mut unit = || {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let params = TreeParams { max_depth: 3, min_split: 2, mtry: 0 };
+        for trial in 0..2_000 {
+            let m = 6 + (unit() * 30.0) as usize;
+            let scale = 10f64.powf(150.0 + unit() * 8.0);
+            let x: Vec<Vec<f64>> =
+                (0..m).map(|_| vec![(unit() * 6.0).floor(), (unit() * 4.0).floor()]).collect();
+            let y: Vec<f64> = (0..m).map(|_| (unit() * 2.0 - 1.0) * scale).collect();
+            let idx: Vec<usize> = (0..m).collect();
+            let pruned = DecisionTree::grow(&x, &y, &idx, params, &mut rng());
+            let exhaustive = DecisionTree::grow_exhaustive(&x, &y, &idx, params, &mut rng());
+            assert!(same_node(&pruned.root, &exhaustive.root), "trial {trial} diverged");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn nan_feature_values_panic_as_in_the_exhaustive_scan() {
+        let x: Vec<Vec<f64>> = (0..12).map(|i| vec![if i == 5 { f64::NAN } else { i as f64 }]).collect();
+        let y: Vec<f64> = (0..12).map(|i| i as f64).collect();
+        let idx: Vec<usize> = (0..12).collect();
+        DecisionTree::grow(&x, &y, &idx, TreeParams::default(), &mut rng());
     }
 
     #[test]

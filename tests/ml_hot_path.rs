@@ -2,10 +2,13 @@
 //! flat-arena forest must predict bit-identically to the pointer trees it
 //! was flattened from, the axis-pruned KNN search must match the
 //! exhaustive reference scan, both across seeded random datasets and the
-//! `Scale::Test` campaign grid at 1 and 8 threads — and the
+//! `Scale::Test` campaign grid at 1 and 8 threads; the pruned split search
+//! must grow the trees the exhaustive scan grows, byte for byte — and the
 //! `TRAINER_CONFIG_VERSION` bump must make legacy pointer-tree `model`
 //! artifacts read as misses so they are re-published in arena form.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::fs;
 use std::path::PathBuf;
@@ -16,7 +19,10 @@ use wade::core::{
     SimulatedServer, MODEL_KIND,
 };
 use wade::features::FeatureSet;
-use wade::ml::{Dataset, ForestTrainer, KnnTrainer, PointerForest, Regressor, Trainer};
+use wade::ml::{
+    Dataset, DecisionTree, ForestTrainer, KnnTrainer, PointerForest, Regressor, Trainer,
+    TreeParams,
+};
 use wade::store::ArtifactStore;
 use wade::workloads::{Scale, WorkloadId};
 
@@ -96,6 +102,82 @@ fn pruned_knn_is_byte_identical_to_exhaustive() {
             }
         }
     }
+}
+
+/// Grows one tree per seed both ways — the same seeded rng, the same
+/// bootstrap of `bootstrap` rows — asserts the serialized trees are
+/// byte-identical, and returns the number of nodes compared.
+fn grow_both_ways(
+    x: &[Vec<f64>],
+    y: &[f64],
+    bootstrap: usize,
+    params: TreeParams,
+    seeds: std::ops::Range<u64>,
+) -> usize {
+    let mut nodes = 0;
+    for seed in seeds {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let idx: Vec<usize> = (0..bootstrap).map(|_| rng.gen_range(0..x.len())).collect();
+        let pruned = DecisionTree::grow(x, y, &idx, params, &mut rng.clone());
+        let exhaustive = DecisionTree::grow_exhaustive(x, y, &idx, params, &mut rng);
+        let a = serde_json::to_string(&pruned).unwrap();
+        let b = serde_json::to_string(&exhaustive).unwrap();
+        assert_eq!(a, b, "seed {seed}: pruned split search diverged from the exhaustive scan");
+        nodes += a.matches("\"Split\"").count() + a.matches("\"Leaf\"").count();
+    }
+    nodes
+}
+
+#[test]
+fn pruned_split_search_is_byte_identical_to_exhaustive() {
+    let params = TreeParams { mtry: 3, ..TreeParams::default() };
+    let mut nodes = 0;
+
+    // Plain seeded data, and the same with two duplicated columns: every
+    // candidate on a twin ties its original's gain exactly.
+    let (x, y) = seeded_matrix(41, 80, 6);
+    nodes += grow_both_ways(&x, &y, 80, params, 0..20);
+    let twins: Vec<Vec<f64>> = x.iter().map(|r| [r.as_slice(), &r[..2]].concat()).collect();
+    nodes += grow_both_ways(&twins, &y, 80, TreeParams { mtry: 0, ..params }, 0..20);
+
+    // Heavily repeated values, a constant column, and a ±0.0 mix.
+    let mut s = 7u64;
+    let lumpy: Vec<Vec<f64>> = (0..90)
+        .map(|_| {
+            let zero = if splitmix(&mut s).is_multiple_of(2) { 0.0 } else { -0.0 };
+            let signed = [-1.0, zero, 1.0][(splitmix(&mut s) % 3) as usize];
+            vec![(splitmix(&mut s) % 3) as f64, 4.5, signed, (splitmix(&mut s) % 40) as f64 / 8.0]
+        })
+        .collect();
+    let lumpy_y: Vec<f64> = lumpy.iter().map(|r| r[0] * 2.0 - r[2] + r[3] % 1.0).collect();
+    nodes += grow_both_ways(&lumpy, &lumpy_y, 90, TreeParams { mtry: 0, ..params }, 0..20);
+    let zero_y: Vec<f64> = lumpy.iter().map(|r| if r[2] == 0.0 { 1.0 } else { 0.0 }).collect();
+    nodes += grow_both_ways(&lumpy, &zero_y, 90, TreeParams { mtry: 0, ..params }, 0..10);
+
+    // Targets with a large common offset, so the error bound is wide
+    // against the gains. At 1e6 + 1e-9·k and −7 ± 1e-12 the node SSE or
+    // every gain falls under the split thresholds; at 1e6 + 1e-3·y every
+    // candidate lies inside the window; at 1e3 + y the window prunes some
+    // candidates and must keep the winner.
+    let offsets: [Vec<f64>; 4] = [
+        (0..80).map(|k| 1e6 + 1e-9 * (k % 17) as f64).collect(),
+        (0..80).map(|k| -7.0 + if (k * 7) % 3 == 0 { 1e-12 } else { -1e-12 }).collect(),
+        y.iter().map(|t| 1e6 + 1e-3 * t).collect(),
+        y.iter().map(|t| 1e3 + t).collect(),
+    ];
+    for targets in &offsets {
+        nodes += grow_both_ways(&x, targets, 80, params, 0..20);
+    }
+
+    // Nodes of exactly `min_split` rows.
+    let small = TreeParams { min_split: 4, ..params };
+    nodes += grow_both_ways(&x, &y, small.min_split, small, 0..200);
+
+    // Set 3's shape: 252 features, 16 per split.
+    let (wide, wide_y) = seeded_matrix(43, 60, 252);
+    nodes += grow_both_ways(&wide, &wide_y, 60, TreeParams { mtry: 16, ..params }, 0..20);
+
+    assert!(nodes >= 2_000, "only {nodes} nodes compared");
 }
 
 fn small_campaign() -> CampaignData {
