@@ -70,9 +70,10 @@ fn bench_store_round_trip(c: &mut Criterion) {
             black_box(store.get::<wade_core::ErrorModel>("model", "bench-model").expect("hit"))
         })
     });
-    // The deserialization halves of a warm read, head to head: the
-    // streaming slice-cursor path `get` actually runs vs the tree-building
-    // reference (parse to a `Value`, then convert) it replaced.
+    // Decimal deserialization head to head: the streaming slice-cursor
+    // path vs the tree-building reference (parse to a `Value`, then
+    // convert). `get` runs the same cursor on the exact codec; `bench`'s
+    // `prediction_hot_path` compares the two codecs.
     let payload = serde_json::to_string(&model).unwrap();
     group.bench_function("model/deserialize_streaming", |b| {
         b.iter(|| {

@@ -568,16 +568,17 @@ fn serving(data: &CampaignData, smoke: bool) -> Value {
 
 /// `prediction_hot_path` (ARCHITECTURE.md §14): the flat-arena forest
 /// against the pointer-tree ensemble it was flattened from, the
-/// axis-pruned KNN search against the exhaustive reference scan, and the
-/// streaming warm read against the tree-building deserializer — with
-/// byte-identity of every pair asserted (untimed).
+/// axis-pruned KNN search against the exhaustive reference scan, the
+/// streaming warm read against the tree-building deserializer, and the
+/// store's exact-codec read of the same model against the streaming
+/// decimal read — with byte-identity of every pair asserted (untimed).
 ///
 /// The forest pair runs on a seeded synthetic dataset sized like a
 /// production serving model (hundreds of rows → ~50k arena nodes): a
 /// Test-scale campaign dataset grows a forest so small that the whole
 /// ensemble is L1-resident and the layout under test is invisible.
 fn prediction_hot_path(data: &CampaignData, ref_samples: usize, cur_samples: usize) -> Value {
-    eprintln!("[bench] prediction hot path: arena forest, pruned KNN, streaming reads …");
+    eprintln!("[bench] prediction hot path: arena forest, pruned KNN, streaming/exact reads …");
     let mut rng = 0xC0FFEE_u64;
     let mut next = move || {
         // SplitMix64 → uniform f64 in [0, 1): seeded, dependency-free.
@@ -644,6 +645,12 @@ fn prediction_hot_path(data: &CampaignData, ref_samples: usize, cur_samples: usi
     let warm_streaming_ms = median_ms(cur_samples, || {
         std::hint::black_box(serde_json::from_str::<ErrorModel>(&payload).unwrap());
     });
+    // The same model in the store's exact payload codec.
+    let streamed = serde_json::from_str::<ErrorModel>(&payload).unwrap();
+    let exact_payload = serde_json::to_string_exact(&streamed).unwrap();
+    let warm_exact_ms = median_ms(cur_samples, || {
+        std::hint::black_box(serde_json::from_str_exact::<ErrorModel>(&exact_payload).unwrap());
+    });
     let identical = {
         let bits = |preds: Vec<f64>| preds.into_iter().map(f64::to_bits).collect::<Vec<_>>();
         let arena = bits(arena_forest.predict_batch(&queries));
@@ -651,11 +658,12 @@ fn prediction_hot_path(data: &CampaignData, ref_samples: usize, cur_samples: usi
         let pruned = bits(knn_model.predict_batch(&knn_queries));
         let exhaustive =
             bits(knn_queries.iter().map(|q| knn_model.predict_exhaustive(q)).collect());
-        let streamed = serde_json::from_str::<ErrorModel>(&payload).unwrap();
         let treed = serde_json::from_str_value::<ErrorModel>(&payload).unwrap();
+        let exact = serde_json::from_str_exact::<ErrorModel>(&exact_payload).unwrap();
         arena == pointer
             && pruned == exhaustive
             && streamed.to_json().unwrap() == treed.to_json().unwrap()
+            && exact.to_json().unwrap() == streamed.to_json().unwrap()
     };
     map([
         ("rows", count(queries.len())),
@@ -671,6 +679,9 @@ fn prediction_hot_path(data: &CampaignData, ref_samples: usize, cur_samples: usi
         ("warm_read_tree_ms", ms(warm_tree_ms)),
         ("warm_read_streaming_ms", ms(warm_streaming_ms)),
         ("speedup_streaming_vs_tree", speedup(warm_tree_ms, warm_streaming_ms)),
+        ("exact_payload_bytes", count(exact_payload.len())),
+        ("warm_read_exact_ms", ms(warm_exact_ms)),
+        ("speedup_exact_vs_streaming", speedup(warm_streaming_ms, warm_exact_ms)),
         ("byte_identical", Value::Bool(identical)),
     ])
 }

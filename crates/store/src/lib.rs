@@ -11,8 +11,8 @@
 //! documents the layout, §12 the failure semantics):
 //!
 //! * **Content is pure.** Every artifact is a pure function of its key; a
-//!   warm read is *byte-identical* to recomputing (the vendored
-//!   `serde_json` round-trips `f64` exactly), so the store is invisible to
+//!   warm read is *byte-identical* to recomputing (payloads store every
+//!   `f64` by its bit pattern, see below), so the store is invisible to
 //!   every consumer, including seeded golden tests.
 //! * **Keys carry the determinism fingerprint.** Anything that would
 //!   re-manufacture the artifact — seeds, grids, scales, SoC/device
@@ -40,7 +40,7 @@
 //! One artifact per file, `<root>/<kind>/<fingerprint as hex>.json`:
 //!
 //! ```text
-//! {"schema":1,"kind":"profile","key":"…","fingerprint":…,"payload_len":…,"payload_hash":…}
+//! {"schema":2,"kind":"profile","key":"…","fingerprint":…,"payload_len":…,"payload_hash":…}
 //! <payload JSON, exactly payload_len bytes>
 //! ```
 //!
@@ -49,6 +49,20 @@
 //! `payload_hash` (FxHash64) catches in-place garbling, and the embedded
 //! `key` string guards against fingerprint collisions mapping two keys to
 //! one file (the colliding entry reads as a miss and is overwritten).
+//!
+//! The header is decimal JSON. The payload is written by
+//! `serde_json::to_string_exact` and read by `serde_json::from_str_exact`:
+//! each `f64` is a string of the 16 hex digits of its bit pattern, and each
+//! non-empty float-only sequence (a feature row, a weight vector, a
+//! threshold array) is one string of such groups back to back, e.g.
+//! `[1.0, -0.0]` is `"3ff00000000000008000000000000000"`. Every bit
+//! pattern round-trips, ±inf and NaN payloads included, and a float array
+//! decodes as one token. Integers, strings and keys stay decimal JSON
+//! text. A payload the exact reader rejects (bad digit, ragged group, a
+//! float token where another type belongs) is [`CorruptReason::Payload`].
+//! Schema 1 entries (decimal floats, non-finite values as `null`) fail the
+//! version check, so they read as misses, are rewritten by the next
+//! [`ArtifactStore::put`] and are removed by [`ArtifactStore::gc`].
 
 #![deny(missing_docs)]
 
@@ -69,7 +83,7 @@ pub use wade_fault::{
 
 /// On-disk schema version. Bump when the entry format changes; entries with
 /// any other version read as misses (and `gc` removes them).
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Environment variable overriding the default store directory.
 pub const STORE_DIR_ENV: &str = "WADE_STORE_DIR";
@@ -330,7 +344,7 @@ impl ArtifactStore {
             }
         };
         match verify_entry(&bytes, kind, key) {
-            Ok(payload) => match serde_json::from_str::<T>(payload) {
+            Ok(payload) => match serde_json::from_str_exact::<T>(payload) {
                 Ok(value) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     Ok(Some(value))
@@ -362,7 +376,7 @@ impl ArtifactStore {
     /// store is degraded and skipped the disk. Callers treating the store
     /// as a best-effort cache may ignore it — the next read recomputes.
     pub fn put<T: Serialize>(&self, kind: &str, key: &str, value: &T) -> Result<PathBuf, StoreError> {
-        let payload = serde_json::to_string(value)
+        let payload = serde_json::to_string_exact(value)
             .map_err(|e| StoreError::Encode { what: e.to_string() })?;
         let entry = encode_entry(kind, key, &payload)?;
         if !self.disk_allowed() {
@@ -882,7 +896,8 @@ mod tests {
     #[test]
     fn roundtrip_is_exact() {
         let s = Scratch::new("roundtrip");
-        let value: Vec<f64> = vec![0.1, 1.0 / 3.0, 2.283e-7, -0.0, f64::MIN_POSITIVE];
+        let value: Vec<f64> =
+            vec![0.1, 1.0 / 3.0, 2.283e-7, -0.0, f64::MIN_POSITIVE, f64::NEG_INFINITY, f64::NAN];
         s.0.put("vec", "k1", &value).unwrap();
         let back: Vec<f64> = s.0.get("vec", "k1").expect("hit");
         assert_eq!(value.len(), back.len());

@@ -193,7 +193,8 @@ fn poisoned_profile_entries_are_recomputed_and_rewritten() {
         &|b: Vec<u8>| b[..b.len() / 2].to_vec(),
         &|_| b"total garbage".to_vec(),
         &|b: Vec<u8>| {
-            String::from_utf8(b).unwrap().replacen("\"schema\":1", "\"schema\":999", 1).into_bytes()
+            let current = format!("\"schema\":{}", wade_store::SCHEMA_VERSION);
+            String::from_utf8(b).unwrap().replacen(&current, "\"schema\":999", 1).into_bytes()
         },
     ];
     for (i, poisoner) in poisons.iter().enumerate() {
@@ -257,4 +258,153 @@ fn poisoned_model_entry_is_retrained_byte_identically() {
     // The retraining rewrote the entry: a third pass trains nothing.
     let healed = evaluate(&store, &data);
     assert_eq!(healed.trainings(), 0);
+}
+
+/// An entry as schema 1 wrote it: decimal floats under a `"schema":1`
+/// header that is otherwise valid for `(kind, key)`.
+fn schema1_entry(kind: &str, key: &str, decimal_payload: &str) -> String {
+    use wade_store::fingerprint64;
+    format!(
+        "{{\"schema\":1,\"kind\":{},\"key\":{},\"fingerprint\":{},\
+         \"payload_len\":{},\"payload_hash\":{}}}\n{decimal_payload}",
+        serde_json::to_string(&kind).unwrap(),
+        serde_json::to_string(&key).unwrap(),
+        fingerprint64(key),
+        decimal_payload.len(),
+        fingerprint64(decimal_payload),
+    )
+}
+
+#[test]
+fn schema1_decimal_entries_miss_are_rewritten_and_collected() {
+    let scratch = Scratch::new("schema1");
+    let server = SimulatedServer::with_seed(11);
+    let wl = WorkloadId::Backprop.instantiate(1, Scale::Test);
+    let store = scratch.store();
+    let fresh = ProfileCache::with_store(store.clone()).profile(&server, wl.as_ref(), 4);
+    let meta = store.ls().into_iter().find(|m| m.kind == "profile").expect("profile entry");
+    let key = meta.key.expect("valid entry has a key");
+    let old = schema1_entry("profile", &key, &serde_json::to_string(&*fresh).unwrap());
+
+    // Read as a miss through the foreign-version path, recomputed, and
+    // rewritten in the current schema.
+    fs::write(&meta.path, &old).unwrap();
+    let listed = store.ls().into_iter().find(|m| m.path == meta.path).expect("listed");
+    assert_eq!(listed.key.as_deref(), Some(key.as_str()), "the schema-1 header must parse");
+    assert!(!listed.ok, "a schema-1 entry must not verify");
+    match store.try_get::<wade_core::ProfiledWorkload>("profile", &key) {
+        Err(wade_store::StoreError::Corrupt {
+            reason: wade_store::CorruptReason::Integrity, ..
+        }) => {}
+        other => panic!("a schema-1 entry must fail the version check, got {other:?}"),
+    }
+    let cache = ProfileCache::with_store(store.clone());
+    assert_eq!(*cache.profile(&server, wl.as_ref(), 4), *fresh);
+    assert_eq!(cache.misses(), 1, "the schema-1 entry must force a re-profile");
+    assert_ne!(fs::read_to_string(&meta.path).unwrap(), old, "the entry was not rewritten");
+    let rechecked = ProfileCache::with_store(store.clone());
+    assert_eq!(*rechecked.profile(&server, wl.as_ref(), 4), *fresh);
+    assert_eq!(rechecked.disk_hits(), 1, "the rewritten entry must serve from disk");
+
+    // Left in place, `gc` reclaims it.
+    fs::write(&meta.path, &old).unwrap();
+    let gc = store.gc();
+    assert_eq!((gc.kept, gc.removed), (0, 1));
+    assert!(!meta.path.exists());
+}
+
+#[test]
+fn non_finite_payloads_roundtrip_bit_exactly() {
+    let scratch = Scratch::new("non-finite");
+    let store = scratch.store();
+    let values = vec![
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        f64::from_bits(0x7FF0_0000_0000_0001), // signalling NaN
+        f64::from_bits(0xFFF8_0000_0000_BEEF), // negative quiet NaN, payload
+        -0.0,
+        5e-324,
+    ];
+    let payload = (values.clone(), values[0], Some(values[2]), [values[1], values[3]]);
+    store.put("non_finite", "k", &payload).unwrap();
+    let back: (Vec<f64>, f64, Option<f64>, [f64; 2]) =
+        store.get("non_finite", "k").expect("hit");
+    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&back.0), bits(&values));
+    assert_eq!(back.1.to_bits(), values[0].to_bits());
+    assert_eq!(back.2.map(f64::to_bits), Some(values[2].to_bits()));
+    assert_eq!(bits(&back.3), bits(&payload.3));
+    assert_eq!(store.corrupt(), 0);
+}
+
+#[test]
+fn every_stored_kind_hits_warm_without_corruption() {
+    use wade_core::{serving_model_keys, train_error_model_stored, MODEL_KIND};
+    use wade_fleet::{transfer_matrix, FleetSpec, FleetSweep};
+
+    let scratch = Scratch::new("every-kind");
+    let suite = suite();
+    let server = SimulatedServer::with_seed(11);
+    let mut spec = FleetSpec::test_default();
+    (spec.devices, spec.shards, spec.epochs, spec.max_workloads) = (12, 2, 2, 2);
+    let profile_all = |store: &Arc<ArtifactStore>| {
+        let cache = ProfileCache::with_store(store.clone());
+        let profiles: Vec<_> =
+            suite.iter().map(|w| cache.profile(&server, w.as_ref(), 4)).collect();
+        (profiles, cache.disk_hits())
+    };
+    let serve_all = |store: &ArtifactStore, data| {
+        MlKind::ALL.map(|kind| {
+            train_error_model_stored(Some(store), data, kind, FeatureSet::Set1).to_json().unwrap()
+        })
+    };
+    let fleet_all = |store: &ArtifactStore| {
+        let sweep = FleetSweep::new(spec, 3);
+        let outcome = sweep.sweep_stored(store);
+        let matrix = transfer_matrix(&sweep, &outcome, MlKind::Rdf, FeatureSet::Set1, Some(store));
+        let mpe: Vec<u64> = matrix.cells.iter().map(|c| c.mpe.to_bits()).collect();
+        (outcome.devices_json(), mpe, sweep.simulations())
+    };
+
+    // Cold: every kind is computed and published.
+    let store = scratch.store();
+    let (cold_profiles, _) = profile_all(&store);
+    let (c, _) = campaign(&store);
+    let cold_data = c.collect_stored(&store, &suite, 4);
+    let cold_grid = evaluate(&store, &cold_data);
+    let cold_serving = serve_all(&store, &cold_data);
+    let cold_fleet = fleet_all(&store);
+    let kinds: std::collections::BTreeSet<String> =
+        store.ls().into_iter().map(|m| m.kind).collect();
+    for kind in ["profile", wade_core::CAMPAIGN_KIND, MODEL_KIND, "fleet_slice", "fleet_model"] {
+        assert!(kinds.contains(kind), "cold run stored no {kind} entry");
+    }
+    let serving_keys: usize = MlKind::ALL
+        .iter()
+        .map(|&kind| serving_model_keys(&cold_data, kind, FeatureSet::Set1).len())
+        .sum();
+    assert!(serving_keys > 0, "the fixture must train serving models");
+    assert_eq!(store.corrupt(), 0);
+
+    // Warm, through a fresh handle: every read hits, none is corrupt.
+    let warm = scratch.store();
+    let (warm_profiles, profile_hits) = profile_all(&warm);
+    assert_eq!(profile_hits, suite.len() as u64, "profiles must hit");
+    assert_eq!(warm_profiles, cold_profiles);
+    let (c, warm_cache) = campaign(&warm);
+    let warm_data = c.collect_stored(&warm, &suite, 4);
+    assert_eq!(warm_cache.misses(), 0, "the campaign must hit");
+    assert_eq!(warm_data.to_json().unwrap(), cold_data.to_json().unwrap());
+    let warm_grid = evaluate(&warm, &warm_data);
+    assert_eq!(warm_grid.trainings(), 0, "fold models must hit");
+    assert_grids_identical(&warm_grid, &cold_grid);
+    let hits = warm.hits();
+    assert_eq!(serve_all(&warm, &warm_data), cold_serving);
+    assert_eq!(warm.hits() - hits, serving_keys as u64, "serving models must hit");
+    let warm_fleet = fleet_all(&warm);
+    assert_eq!(warm_fleet.2, 0, "fleet slices must hit");
+    assert_eq!((&warm_fleet.0, &warm_fleet.1), (&cold_fleet.0, &cold_fleet.1));
+    assert_eq!(warm.writes(), 0, "a warm run must publish nothing");
+    assert_eq!(warm.corrupt(), 0, "a packed shape some reader rejects reads as corrupt");
 }
