@@ -24,9 +24,9 @@
 //! implementation kept for verification), so collected campaigns are
 //! byte-identical whichever path produced them, at any thread count.
 
-use crate::pool;
 use crate::profile_cache::ProfileCache;
 use crate::server::{ProfiledWorkload, SimulatedServer};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use wade_dram::{ErrorSim, OperatingPoint, PreparedRun, RunResult, RANK_COUNT};
@@ -226,7 +226,7 @@ impl Campaign {
         suite: &[BoxedWorkload],
         seed: u64,
     ) -> Vec<Arc<ProfiledWorkload>> {
-        pool::fan_out(suite.iter().collect(), |w| self.profile_shared(w.as_ref(), seed))
+        suite.par_iter().map(|w| self.profile_shared(w.as_ref(), seed)).collect()
     }
 
     /// Characterizes one profiled workload at one op for `repeats` runs via
@@ -287,7 +287,8 @@ impl Campaign {
         repeats: u32,
         run_one: impl Fn(u32) -> RunResult + Sync,
     ) -> Vec<CharacterizationOutcome> {
-        pool::fan_out((0..repeats).collect(), |r| CharacterizationOutcome::from_run(&run_one(r)))
+        let repeats: Vec<u32> = (0..repeats).collect();
+        repeats.into_par_iter().map(|r| CharacterizationOutcome::from_run(&run_one(r))).collect()
     }
 
     /// Runs the full data-collection process of Fig. 3 over a suite:
@@ -387,19 +388,28 @@ impl Campaign {
                 let groups: Vec<(usize, u64)> = (0..profiled.len())
                     .flat_map(|w| vdds.iter().map(move |&v| (w, v)))
                     .collect();
-                pool::fan_out(groups, |(w, vdd_bits)| {
-                    let ops: Vec<OperatingPoint> = block_ops
-                        .iter()
-                        .filter(|(op, _)| op.vdd_v.to_bits() == vdd_bits)
-                        .map(|&(op, _)| op)
-                        .collect();
-                    let replays: u32 = block_ops
-                        .iter()
-                        .filter(|(op, _)| op.vdd_v.to_bits() == vdd_bits)
-                        .map(|&(_, is_pue)| if is_pue { campaign.config.pue_repeats } else { 1 })
-                        .sum();
-                    (replays > 1).then(|| campaign.prepare(&profiled_ref[w], &ops))
-                })
+                groups
+                    .into_par_iter()
+                    .map(|(w, vdd_bits)| {
+                        let ops: Vec<OperatingPoint> = block_ops
+                            .iter()
+                            .filter(|(op, _)| op.vdd_v.to_bits() == vdd_bits)
+                            .map(|&(op, _)| op)
+                            .collect();
+                        let replays: u32 = block_ops
+                            .iter()
+                            .filter(|(op, _)| op.vdd_v.to_bits() == vdd_bits)
+                            .map(|&(_, is_pue)| {
+                                if is_pue {
+                                    campaign.config.pue_repeats
+                                } else {
+                                    1
+                                }
+                            })
+                            .sum();
+                        (replays > 1).then(|| campaign.prepare(&profiled_ref[w], &ops))
+                    })
+                    .collect()
             } else {
                 Vec::new()
             };
@@ -410,8 +420,9 @@ impl Campaign {
                     (0..profiled.len()).map(move |w| (op, is_pue, w))
                 })
                 .collect();
-            let block_rows: Vec<CampaignRow> =
-                pool::fan_out(grid, |(op, is_pue, w)| {
+            let block_rows: Vec<CampaignRow> = grid
+                .into_par_iter()
+                .map(|(op, is_pue, w)| {
                     let p = &profiled_ref[w];
                     let row_seed = seed ^ hash_name(&p.name) ^ ((op.trefp_s * 1e4) as u64);
                     let repeats = if is_pue { campaign.config.pue_repeats } else { 1 };
@@ -438,7 +449,8 @@ impl Campaign {
                         wer_run,
                         pue_runs,
                     }
-                });
+                })
+                .collect();
             for row in &block_rows {
                 let runs = if row.wer_run.is_some() { 1 } else { row.pue_runs.len() };
                 simulated += self.config.run_duration_s * runs as f64;

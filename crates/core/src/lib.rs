@@ -36,7 +36,6 @@ mod campaign;
 mod collect;
 mod error;
 mod model;
-pub mod pool;
 mod predictor;
 mod profile_cache;
 mod server;
@@ -57,4 +56,7 @@ pub use profile_cache::ProfileCache;
 pub use server::{ProfiledWorkload, SimulatedServer, PROFILING_CONTRACT_VERSION};
 pub use thermal::{PidController, ThermalTestbed};
 
+/// The parallel-map runtime behind every fan-out here, re-exported so
+/// dependants fan out on the same pool without a dependency of their own.
+pub use rayon;
 pub use wade_dram::{DramUsageProfile, LiveCellIndex, OperatingPoint, PreparedRun};

@@ -576,11 +576,12 @@ impl<'a> RunContext<'a> {
         let run_seed = self.rank_run_seed(rank_index);
         let p_companion_unit = self.p_companion_unit(rank_index);
 
-        // Roughly half the realized cells survive the data-dependence gate;
-        // pre-size for the common case to avoid growth reallocations.
-        let mut out = Vec::with_capacity(
-            (expected.min(5.0e7) / SEGMENTS as f64 * SEGMENTS_PER_CHUNK as f64 * 0.6) as usize + 4,
-        );
+        // Not pre-sized: the thinning cap usually ends the walk within the
+        // chunk's first segments and most chunks realize no cell, so an
+        // estimate from the whole chunk over-reserves by orders of
+        // magnitude — and each large buffer freed raises glibc's mmap
+        // threshold, leaving the worker arenas holding the memory.
+        let mut out = Vec::new();
         self.for_each_realized_cell(rank_index, chunk, expected, |_q, cell_key, retention, rng| {
             if let Some(attrs) = self.sample_cell_attrs(rank_index, retention, rng) {
                 let cell = GatedCell {

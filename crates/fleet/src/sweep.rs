@@ -44,7 +44,8 @@ use std::sync::OnceLock;
 
 use crate::spec::{FleetSpec, FLEET_SLICE_KIND, PROFILE_SALT, RUN_SALT};
 use serde::{Deserialize, Serialize};
-use wade_core::{pool, ProfiledWorkload, SimulatedServer};
+use wade_core::rayon::prelude::*;
+use wade_core::{ProfiledWorkload, SimulatedServer};
 use wade_dram::{DramDevice, DramUsageProfile, ErrorSim, OperatingPoint, RANK_COUNT};
 use wade_fault::mix64;
 use wade_store::ArtifactStore;
@@ -233,9 +234,12 @@ impl FleetSweep {
                 .enumerate()
                 .collect();
             let profile_seed = mix64(self.seed, PROFILE_SALT);
-            pool::fan_out(suite, |(i, w)| {
-                self.server.profile_workload(w.as_ref(), mix64(profile_seed, i as u64))
-            })
+            suite
+                .into_par_iter()
+                .map(|(i, w)| {
+                    self.server.profile_workload(w.as_ref(), mix64(profile_seed, i as u64))
+                })
+                .collect()
         })
     }
 
@@ -343,10 +347,13 @@ impl FleetSweep {
     /// (epoch-major: devices fan out over the pool, order-stable).
     fn simulate_slice(&self, shard: u32, epoch: u32, alive: &[u32]) -> FleetSlice {
         let profiles = self.profiles();
-        let rows = pool::fan_out(alive.to_vec(), |index| {
-            let device = self.spec.manufacture(self.seed, index);
-            SliceRow { index, outcome: self.simulate_epoch(&device, index, epoch, profiles) }
-        });
+        let rows = alive
+            .par_iter()
+            .map(|&index| {
+                let device = self.spec.manufacture(self.seed, index);
+                SliceRow { index, outcome: self.simulate_epoch(&device, index, epoch, profiles) }
+            })
+            .collect();
         FleetSlice { shard, epoch, rows }
     }
 

@@ -236,12 +236,8 @@ impl Regressor for KnnRegressor {
 
     /// Query rows are independent, so the batch fans out on the shared
     /// rayon pool (order-stable merge — byte-identical to the serial loop
-    /// at any thread count). Single-row batches, and pools whose effective
-    /// parallelism is 1, stay inline: the dispatch cannot buy concurrency.
+    /// at any thread count).
     fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        if rows.len() < 2 || rayon::effective_parallelism() == 1 {
-            return rows.iter().map(|r| self.predict(r)).collect();
-        }
         rows.par_iter().map(|r| self.predict(r)).collect()
     }
 }
