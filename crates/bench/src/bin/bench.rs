@@ -153,9 +153,9 @@ fn usage_error(msg: &str) -> ! {
 /// The perf run: every section in order, written to `out_path` as
 /// `{schema, threads, host, results}` and echoed to stdout.
 fn perf_snapshot(out_path: &str) {
-    // Honour the same budget knob as the vendored criterion harness: a
-    // budget under 200 ms means "smoke mode" — one sample per
-    // configuration instead of the median of several (CI runners).
+    // A `WADE_BENCH_MS` value under 200 selects "smoke mode" — one sample
+    // per configuration instead of the median of several (CI runners);
+    // unset or larger values take the full sample counts.
     let smoke = std::env::var("WADE_BENCH_MS")
         .ok()
         .and_then(|v| v.trim().parse::<u64>().ok())

@@ -1,11 +1,11 @@
 //! # wade-bench — experiment harness
 //!
 //! One binary per table/figure of the paper (see ARCHITECTURE.md §4 for the
-//! index) plus Criterion benchmarks. This library holds the shared
+//! index) plus the `bench` perf tracker. This library holds the shared
 //! plumbing: the reference server/campaign construction, the artifact-store
 //! wiring every figure binary shares (profiles, campaign data and trained
-//! fold models persist across *processes* — ARCHITECTURE.md §11), and small
-//! table-printing helpers. Nothing here is process-global: each binary
+//! fold models persist across *processes* — ARCHITECTURE.md §11), and the
+//! paper's WER formatting. Nothing here is process-global: each binary
 //! opens its store and profile cache once with [`init_store`] and passes
 //! both handles to every stage that persists.
 //!
@@ -113,16 +113,6 @@ pub fn full_campaign_data(store: &ArtifactStore, cache: &Arc<ProfileCache>) -> C
 /// [`scale`].
 pub fn experiment_suite() -> Vec<Box<dyn Workload>> {
     full_suite(scale())
-}
-
-/// Prints a fixed-width table row.
-pub fn print_row(cells: &[String], widths: &[usize]) {
-    let line: Vec<String> = cells
-        .iter()
-        .zip(widths.iter())
-        .map(|(c, w)| format!("{c:>w$}", w = w))
-        .collect();
-    println!("{}", line.join("  "));
 }
 
 /// Formats a WER in the paper's scientific style.

@@ -35,7 +35,8 @@
 //! `q_cap` are skipped *without sampling anything*. Because the tail law is
 //! exponential, `q_cap` is tiny at all but the longest refresh periods
 //! (e.g. `≈ 5×10⁻⁴` at `TREFP = 0.618 s`), which removes essentially the
-//! whole population scan that used to dominate `bench_ablation_scale`.
+//! whole population scan that used to dominate a run (`BENCH_sim.json`'s
+//! `run_2h_1GiB_*` sections time it).
 //! Cells inside the boundary segment are rejected with a single uniform
 //! draw before any attribute work happens.
 //!
@@ -700,9 +701,8 @@ impl<'a> RunContext<'a> {
         if expected <= 0.0 || self.q_cap <= 0.0 {
             return Vec::new();
         }
-        let mut out = Vec::with_capacity(
-            (expected.min(5.0e7) / SEGMENTS as f64 * SEGMENTS_PER_CHUNK as f64 * 0.3) as usize + 4,
-        );
+        // Not pre-sized, for the reasons given in `population_chunk`.
+        let mut out = Vec::new();
         self.for_each_realized_cell(rank_index, chunk, expected, |q, cell_key, retention, rng| {
             if let Some(attrs) = self.sample_cell_attrs(rank_index, retention, rng) {
                 out.push(crate::prepared::PreparedCell {
