@@ -2,7 +2,7 @@
 
 use crate::campaign::CampaignData;
 use crate::collect::{build_pue_dataset, build_wer_dataset, op_augmented_row};
-use crate::predictor::{dataset_id, model_store_key, pue_key, wer_key, MODEL_KIND};
+use crate::predictor::{dataset_id, fold_model, model_store_key, pue_key, wer_key};
 use wade_dram::{OperatingPoint, RANK_COUNT};
 use wade_features::{FeatureSet, FeatureVector};
 use serde::{Deserialize, Serialize};
@@ -46,26 +46,6 @@ impl MlKind {
             MlKind::Svm => "SVM",
             MlKind::Knn => "KNN",
             MlKind::Rdf => "RDF",
-        }
-    }
-
-    /// Trains a shared (`Arc`) regressor of this kind — the form the
-    /// parallel evaluation grid memoizes and hands out across threads.
-    pub fn train_shared(&self, x: &[Vec<f64>], y: &[f64]) -> wade_ml::SharedModel {
-        match self.train_any(x, y) {
-            AnyModel::Knn(m) => std::sync::Arc::new(m),
-            AnyModel::Svr(m) => std::sync::Arc::new(m),
-            AnyModel::Rdf(m) => std::sync::Arc::new(m),
-        }
-    }
-
-    /// The stable trainer key of this kind inside evaluation-grid memo
-    /// tables (presentation-order index).
-    pub(crate) fn grid_key(&self) -> u64 {
-        match self {
-            MlKind::Svm => 0,
-            MlKind::Knn => 1,
-            MlKind::Rdf => 2,
         }
     }
 
@@ -294,17 +274,9 @@ pub fn train_error_model_stored(
     set: FeatureSet,
 ) -> ErrorModel {
     let train_via_store = |slot: u64, ds: &Dataset| -> AnyModel {
-        let train = || kind.train_any(&ds.features(), &ds.targets());
-        // Checked before `dataset_id`, which serializes the whole dataset.
-        let Some(store) = store else { return train() };
-        let Some(id) = dataset_id(slot, ds) else { return train() };
-        let key = model_store_key(kind, &id, "");
-        if let Some(model) = store.get::<AnyModel>(MODEL_KIND, &key) {
-            return model;
-        }
-        let model = train();
-        let _ = store.put(MODEL_KIND, &key, &model);
-        model
+        // `dataset_id` serializes the whole dataset: only paid with a store.
+        let key = store.and_then(|_| dataset_id(slot, ds)).map(|id| model_store_key(kind, &id, ""));
+        fold_model(store.zip(key.as_deref()), || kind.train_any(&ds.features(), &ds.targets())).0
     };
     let mut wer_models = Vec::with_capacity(RANK_COUNT);
     for rank in 0..RANK_COUNT {

@@ -3,25 +3,25 @@
 //! The paper's accuracy results are a *grid*: every model family × input
 //! feature set × target (per-rank WER, server PUE), each cell
 //! cross-validated leave-one-workload-out. [`EvalGrid`] evaluates that
-//! whole grid in **one dispatch** on the shared rayon pool (fold units fan
-//! out through `wade_ml::EvalGrid`, trained models are memoized per
-//! `(model, target dataset, held-out workload)` key) and serves every
-//! consumer — `fig11_wer_accuracy`, `fig12_pue_accuracy`,
-//! `table3_feature_sets`, `repro_all` — from the same evaluation instead
-//! of three independent re-trainings. Results are byte-identical at any
-//! thread count (`tests/ml_parallel.rs`), and a single-cell sub-grid
-//! reproduces the full grid's cell bit for bit.
+//! whole grid in **one dispatch** on the shared rayon pool, one unit per
+//! (target dataset, held-out workload): the unit trains every requested
+//! learner on that fold and drops each model once its held-out rows are
+//! predicted. The one evaluation serves every consumer
+//! (`fig11_wer_accuracy`, `fig12_pue_accuracy`, `table3_feature_sets`,
+//! `repro_all`) instead of three independent re-trainings. Results are
+//! byte-identical at any thread count (`tests/ml_parallel.rs`), and a
+//! single-cell sub-grid reproduces the full grid's cell bit for bit.
 
 use crate::campaign::CampaignData;
 use crate::collect::{build_pue_dataset, build_wer_dataset};
 use crate::model::{AnyModel, MlKind};
+use rayon::prelude::*;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use wade_dram::RANK_COUNT;
 use wade_features::FeatureSet;
 use wade_ml::metrics::{mean_absolute_error_percent, mean_percentage_error};
-use wade_ml::{Dataset, GroupCvOutcome, SharedModel};
+use wade_ml::{Dataset, GroupCvOutcome, Regressor};
 use wade_store::ArtifactStore;
 
 /// The artifact kind of persisted trained fold models in a
@@ -85,7 +85,6 @@ pub struct EvalGrid {
     wer: HashMap<(MlKind, FeatureSet), AccuracyReport>,
     pue: HashMap<(MlKind, FeatureSet), f64>,
     trainings: usize,
-    cache_hits: usize,
     store_hits: usize,
 }
 
@@ -111,8 +110,9 @@ impl EvalGrid {
     /// `store` (`None` = purely in-process). Trained fold models are
     /// keyed by (trainer config, dataset content fingerprint, held-out
     /// group); a store hit deserializes a bit-identically-predicting
-    /// [`AnyModel`] instead of training, so a warm-store evaluation
-    /// performs **zero** trainings
+    /// [`AnyModel`] instead of training (every fold model is trained or
+    /// read exactly once per call), so a warm-store evaluation performs
+    /// **zero** trainings
     /// ([`EvalGrid::trainings`] / [`EvalGrid::store_hits`] expose the
     /// split) while producing byte-identical reports — asserted by
     /// `tests/artifact_store.rs`.
@@ -124,13 +124,12 @@ impl EvalGrid {
         wer: bool,
         pue: bool,
     ) -> Self {
-        // Build the datasets first: the trainer closures need the complete
-        // dataset-fingerprint table to address persisted models. Datasets
-        // failing the guard are simply not registered; they surface as
-        // absent fold entries, which the assembly below reads back as
-        // `per_rank: None` / a `NaN` PUE error. The guards replicate the
-        // historical evaluation protocol exactly: datasets need ≥ 6
-        // samples over ≥ 3 workloads, folds need ≥ 4 training samples.
+        // Datasets failing the guard are simply not registered; they
+        // surface as absent fold entries, which the assembly below reads
+        // back as `per_rank: None` / a `NaN` PUE error. The guards
+        // replicate the historical evaluation protocol exactly: datasets
+        // need ≥ 6 samples over ≥ 3 workloads, folds need ≥ 4 training
+        // samples.
         let mut datasets: Vec<(u64, Dataset)> = Vec::new();
         for &set in sets {
             if wer {
@@ -148,90 +147,21 @@ impl EvalGrid {
                 }
             }
         }
-        // Dataset identities (slot key → verbatim discriminators + content
-        // hash), only paid for when a store is in play.
-        let fingerprints: Arc<HashMap<u64, String>> = Arc::new(if store.is_some() {
-            datasets
-                .iter()
-                .filter_map(|(k, ds)| dataset_id(*k, ds).map(|id| (*k, id)))
-                .collect()
-        } else {
-            HashMap::new()
-        });
-
-        let trainings = Arc::new(AtomicUsize::new(0));
-        let store_hits = Arc::new(AtomicUsize::new(0));
-        let mut grid = wade_ml::EvalGrid::with_min_train(4);
-        for &kind in kinds {
-            let store = store.clone();
-            let fingerprints = fingerprints.clone();
-            let trainings = trainings.clone();
-            let store_hits = store_hits.clone();
-            grid.add_trainer(
-                kind.grid_key(),
-                Box::new(
-                    move |key: &wade_ml::ModelKey, x: &[Vec<f64>], y: &[f64]| {
-                        let Some(store) = store.as_deref() else {
-                            trainings.fetch_add(1, Ordering::Relaxed);
-                            return kind.train_shared(x, y);
-                        };
-                        // A dataset without a registered fingerprint (its
-                        // identity failed to serialize) trains in-process —
-                        // graceful degradation, never a panic mid-grid.
-                        let Some(ds_id) = fingerprints.get(&key.dataset) else {
-                            trainings.fetch_add(1, Ordering::Relaxed);
-                            return kind.train_shared(x, y);
-                        };
-                        let skey = model_store_key(kind, ds_id, &key.fold);
-                        if let Some(model) = store.get::<AnyModel>(MODEL_KIND, &skey) {
-                            store_hits.fetch_add(1, Ordering::Relaxed);
-                            return Arc::new(model) as SharedModel;
-                        }
-                        trainings.fetch_add(1, Ordering::Relaxed);
-                        let model = kind.train_any(x, y);
-                        // Best effort: an unwritable store degrades to
-                        // train-every-process, never to failure.
-                        let _ = store.put(MODEL_KIND, &skey, &model);
-                        Arc::new(model) as SharedModel
-                    },
-                ),
-            );
-        }
-        for (key, ds) in datasets {
-            grid.add_dataset(key, ds);
-        }
-
-        // One dispatch over every (learner, dataset, fold) unit.
-        let cells = grid.evaluate();
-        let mut folds: HashMap<(u64, u64), Vec<GroupCvOutcome>> = HashMap::new();
-        for cell in cells {
-            folds.insert((cell.trainer, cell.dataset), cell.folds);
-        }
+        let (folds, trainings, store_hits) = evaluate_folds(store.as_deref(), &datasets, kinds);
 
         let mut wer_reports = HashMap::new();
         let mut pue_errors = HashMap::new();
         for &kind in kinds {
             for &set in sets {
                 if wer {
-                    let report = assemble_wer_report(kind, set, &folds);
-                    wer_reports.insert((kind, set), report);
+                    wer_reports.insert((kind, set), assemble_wer_report(kind, set, &folds));
                 }
                 if pue {
-                    let err = match folds.get(&(kind.grid_key(), pue_key(set))) {
-                        Some(pue_folds) => assemble_pue_error(pue_folds),
-                        None => f64::NAN,
-                    };
-                    pue_errors.insert((kind, set), err);
+                    pue_errors.insert((kind, set), assemble_pue_error(kind, set, &folds));
                 }
             }
         }
-        Self {
-            wer: wer_reports,
-            pue: pue_errors,
-            trainings: trainings.load(Ordering::Relaxed),
-            cache_hits: grid.cache().hits(),
-            store_hits: store_hits.load(Ordering::Relaxed),
-        }
+        Self { wer: wer_reports, pue: pue_errors, trainings, store_hits }
     }
 
     /// The WER accuracy report of one evaluated cell (Fig. 11's view).
@@ -262,17 +192,102 @@ impl EvalGrid {
         self.trainings
     }
 
-    /// Number of fold models served from the in-process memo instead of
-    /// re-trained.
-    pub fn cache_hits(&self) -> usize {
-        self.cache_hits
-    }
-
     /// Number of fold models deserialized from the artifact store instead
     /// of trained.
     pub fn store_hits(&self) -> usize {
         self.store_hits
     }
+}
+
+/// Fold outcomes per (learner, dataset slot), in held-out group order.
+type Folds = HashMap<(MlKind, u64), Vec<GroupCvOutcome>>;
+
+/// The fewest training samples a fold may have and still be evaluated.
+const MIN_FOLD_TRAIN: usize = 4;
+
+/// Every (learner × dataset × held-out group) fold of `datasets`, in one
+/// pool dispatch, plus the number of fold models trained and served from
+/// `store`. The parallel unit is a (dataset, held-out group) pair: the
+/// split is materialized once and shared by every learner, which run in
+/// `kinds` order. Units merge back in input order, so each slot's folds
+/// come out in group order, byte-identical at any thread count.
+fn evaluate_folds(
+    store: Option<&ArtifactStore>,
+    datasets: &[(u64, Dataset)],
+    kinds: &[MlKind],
+) -> (Folds, usize, usize) {
+    // Dataset identities (verbatim discriminators + content hash), only
+    // paid for when a store is in play. A dataset whose identity fails to
+    // serialize trains in-process: graceful degradation, never a panic
+    // mid-grid.
+    let ids: Vec<Option<String>> = datasets
+        .iter()
+        .map(|(slot, ds)| store.and_then(|_| dataset_id(*slot, ds)))
+        .collect();
+    let units: Vec<(usize, String)> = datasets
+        .iter()
+        .enumerate()
+        .flat_map(|(di, (_, ds))| ds.groups().into_iter().map(move |group| (di, group)))
+        .collect();
+    let outcomes: Vec<(Vec<GroupCvOutcome>, usize, usize)> = units
+        .par_iter()
+        .map(|(di, group)| {
+            let (train_x, train_y, test_x, actuals) =
+                datasets[*di].1.split_xy_leave_group_out(group);
+            if train_x.len() < MIN_FOLD_TRAIN {
+                return (Vec::new(), 0, 0);
+            }
+            let (mut trainings, mut store_hits) = (0, 0);
+            let folds = kinds
+                .iter()
+                .map(|&kind| {
+                    let key = ids[*di].as_deref().map(|id| model_store_key(kind, id, group));
+                    let (model, hit) = fold_model(store.zip(key.as_deref()), || {
+                        kind.train_any(&train_x, &train_y)
+                    });
+                    if hit {
+                        store_hits += 1;
+                    } else {
+                        trainings += 1;
+                    }
+                    GroupCvOutcome {
+                        group: group.clone(),
+                        predictions: model.predict_batch(&test_x),
+                        actuals: actuals.clone(),
+                    }
+                })
+                .collect();
+            (folds, trainings, store_hits)
+        })
+        .collect();
+
+    let mut folds = Folds::new();
+    let (mut trainings, mut store_hits) = (0, 0);
+    for ((di, _), (unit, unit_trainings, unit_hits)) in units.iter().zip(outcomes) {
+        trainings += unit_trainings;
+        store_hits += unit_hits;
+        for (&kind, fold) in kinds.iter().zip(unit) {
+            folds.entry((kind, datasets[*di].0)).or_default().push(fold);
+        }
+    }
+    (folds, trainings, store_hits)
+}
+
+/// One model: read from the store under the given key when it holds one
+/// (the flag is then `true`), else produced by `train` and published
+/// best-effort — an unwritable store degrades to train-every-process,
+/// never to failure. `None` trains without persistence.
+pub(crate) fn fold_model(
+    store: Option<(&ArtifactStore, &str)>,
+    train: impl FnOnce() -> AnyModel,
+) -> (AnyModel, bool) {
+    let Some((store, key)) = store else { return (train(), false) };
+    if let Some(model) = store.get::<AnyModel>(MODEL_KIND, key) {
+        return (model, true);
+    }
+    let model = train();
+    let _ = store.put(MODEL_KIND, key, &model);
+    (model, false)
 }
 
 /// Folds → Fig. 11 report, replicating the historical serial loop: rank
@@ -281,12 +296,12 @@ impl EvalGrid {
 fn assemble_wer_report(
     kind: MlKind,
     set: FeatureSet,
-    folds: &HashMap<(u64, u64), Vec<GroupCvOutcome>>,
+    folds: &Folds,
 ) -> AccuracyReport {
     let mut per_rank: Vec<Option<f64>> = Vec::with_capacity(RANK_COUNT);
     let mut workload_errs: Vec<(String, Vec<f64>)> = Vec::new();
     for rank in 0..RANK_COUNT {
-        let Some(rank_folds) = folds.get(&(kind.grid_key(), wer_key(set, rank))) else {
+        let Some(rank_folds) = folds.get(&(kind, wer_key(set, rank))) else {
             per_rank.push(None);
             continue;
         };
@@ -327,9 +342,11 @@ fn assemble_wer_report(
 }
 
 /// Folds → Fig. 12 number: per-fold MAE of the clamped probability, in
-/// percentage points, averaged over folds.
-fn assemble_pue_error(folds: &[GroupCvOutcome]) -> f64 {
+/// percentage points, averaged over folds; `NaN` without folds.
+fn assemble_pue_error(kind: MlKind, set: FeatureSet, folds: &Folds) -> f64 {
     let errs: Vec<f64> = folds
+        .get(&(kind, pue_key(set)))
+        .map_or(&[][..], Vec::as_slice)
         .iter()
         .map(|fold| {
             let preds: Vec<f64> =
@@ -337,7 +354,7 @@ fn assemble_pue_error(folds: &[GroupCvOutcome]) -> f64 {
             mean_absolute_error_percent(&preds, &fold.actuals)
         })
         .collect();
-    errs.iter().sum::<f64>() / errs.len().max(1) as f64
+    errs.iter().sum::<f64>() / errs.len() as f64
 }
 
 #[cfg(test)]
@@ -345,6 +362,7 @@ mod tests {
     use super::*;
     use crate::campaign::{Campaign, CampaignConfig};
     use crate::server::SimulatedServer;
+    use wade_ml::{leave_one_group_out, ForestTrainer, KnnTrainer, SvrTrainer};
     use wade_workloads::{Scale, WorkloadId};
 
     fn data() -> CampaignData {
@@ -379,6 +397,42 @@ mod tests {
 
     fn pue_cell(d: &CampaignData, kind: MlKind, set: FeatureSet) -> f64 {
         grid(d, &[kind], &[set], false, true).pue_error(kind, set)
+    }
+
+    /// Every number of a report as bit patterns, so NaN compares equal.
+    #[allow(clippy::type_complexity)]
+    fn report_bits(r: &AccuracyReport) -> (Vec<Option<u64>>, Vec<(String, u64)>, u64) {
+        (
+            r.per_rank.iter().map(|e| e.map(f64::to_bits)).collect(),
+            r.per_workload.iter().map(|(w, e)| (w.clone(), e.to_bits())).collect(),
+            r.average.to_bits(),
+        )
+    }
+
+    /// The registered datasets of a full grid — (slot, dataset) pairs of
+    /// every target with ≥ 6 samples over ≥ 3 workloads — built straight
+    /// from the dataset builders.
+    fn registered_datasets(d: &CampaignData) -> Vec<(u64, Dataset)> {
+        let mut datasets = Vec::new();
+        for set in FeatureSet::ALL {
+            for rank in 0..RANK_COUNT {
+                datasets.push((wer_key(set, rank), build_wer_dataset(d, set, rank)));
+            }
+            datasets.push((pue_key(set), build_pue_dataset(d, set)));
+        }
+        datasets.retain(|(_, ds)| ds.len() >= 6 && ds.groups().len() >= 3);
+        datasets
+    }
+
+    /// Folds of the registered datasets whose training split keeps at
+    /// least 4 samples.
+    fn floor_passing_folds(d: &CampaignData) -> usize {
+        registered_datasets(d)
+            .iter()
+            .map(|(_, ds)| {
+                ds.groups().iter().filter(|g| ds.split_leave_group_out(g).0.len() >= 4).count()
+            })
+            .sum()
     }
 
     #[test]
@@ -454,6 +508,7 @@ mod tests {
         );
         assert_eq!(warm.trainings(), 0, "a warm store must serve every fold model");
         assert_eq!(warm.store_hits(), cold.trainings());
+        assert_eq!(warm.store_hits(), MlKind::ALL.len() * floor_passing_folds(&d));
         for kind in MlKind::ALL {
             for set in FeatureSet::ALL {
                 for grid in [&cold, &warm] {
@@ -475,9 +530,70 @@ mod tests {
     fn grid_counts_one_training_per_fold_unit() {
         let d = data();
         let grid = full_grid(&d);
-        assert!(grid.trainings() > 0);
-        // One dispatch covers every unit exactly once: the memo never pays
-        // a redundant training inside a single evaluation.
-        assert_eq!(grid.cache_hits(), 0);
+        let folds = floor_passing_folds(&d);
+        assert!(folds > 0);
+        // One dispatch trains every learner exactly once per fold.
+        assert_eq!(grid.trainings(), MlKind::ALL.len() * folds);
+        assert_eq!(grid.store_hits(), 0);
+    }
+
+    #[test]
+    fn grid_cells_match_fold_at_a_time_cv() {
+        // Every cell's folds are `leave_one_group_out` with the learner's
+        // paper-default trainer, minus folds below the training floor.
+        let d = data();
+        let grid = full_grid(&d);
+        for kind in MlKind::ALL {
+            let mut reference = Folds::new();
+            for (slot, ds) in registered_datasets(&d) {
+                let folds = match kind {
+                    MlKind::Svm => leave_one_group_out(&ds, &SvrTrainer::paper_default()),
+                    MlKind::Knn => leave_one_group_out(&ds, &KnnTrainer::paper_default()),
+                    MlKind::Rdf => leave_one_group_out(&ds, &ForestTrainer::paper_default()),
+                };
+                let kept = folds.into_iter().filter(|f| ds.len() - f.actuals.len() >= 4);
+                reference.insert((kind, slot), kept.collect());
+            }
+            for set in FeatureSet::ALL {
+                assert_eq!(
+                    report_bits(grid.wer_report(kind, set)),
+                    report_bits(&assemble_wer_report(kind, set, &reference)),
+                    "{kind}/{set}"
+                );
+                assert_eq!(
+                    grid.pue_error(kind, set).to_bits(),
+                    assemble_pue_error(kind, set, &reference).to_bits(),
+                    "{kind}/{set}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn folds_below_the_training_floor_are_skipped() {
+        let set = FeatureSet::Set1;
+        // Three workloads of one sample each: every fold trains on 2 < 4.
+        let mut thin = Dataset::new(1);
+        // Workloads a and b leave 4 training samples each, c leaves 2.
+        let mut edge = Dataset::new(1);
+        for (i, workload) in ["a", "b", "c"].into_iter().enumerate() {
+            thin.push(vec![i as f64], i as f64, workload.to_string());
+        }
+        for (i, workload) in ["a", "b", "c", "c", "c"].into_iter().enumerate() {
+            edge.push(vec![i as f64], i as f64, workload.to_string());
+        }
+        let datasets =
+            vec![(wer_key(set, 0), thin.clone()), (pue_key(set), thin), (wer_key(set, 1), edge)];
+        let (folds, trainings, store_hits) = evaluate_folds(None, &datasets, &MlKind::ALL);
+        assert_eq!((trainings, store_hits), (MlKind::ALL.len() * 2, 0));
+        for kind in MlKind::ALL {
+            let report = assemble_wer_report(kind, set, &folds);
+            assert_eq!(report.per_rank[0], None);
+            assert!(report.per_rank[1].is_some());
+            assert!(assemble_pue_error(kind, set, &folds).is_nan());
+            let groups: Vec<&str> =
+                folds[&(kind, wer_key(set, 1))].iter().map(|f| f.group.as_str()).collect();
+            assert_eq!(groups, ["a", "b"]);
+        }
     }
 }

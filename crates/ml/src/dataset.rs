@@ -99,8 +99,8 @@ impl Dataset {
     /// `split_leave_group_out` followed by `features()`/`targets()` on both
     /// halves — same rows, same order — but with a single clone per sample
     /// instead of two (the intermediate `Dataset`s cloned every `Sample`
-    /// only to be cloned again into matrices; this is the EvalGrid hot
-    /// path).
+    /// only to be cloned again into matrices; `wade_core::EvalGrid` runs
+    /// this once per fold).
     #[allow(clippy::type_complexity)]
     pub fn split_xy_leave_group_out(
         &self,

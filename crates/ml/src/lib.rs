@@ -14,9 +14,10 @@
 //!   feature subsampling,
 //!
 //! plus the shared machinery: [`Dataset`] with group labels,
-//! [`StandardScaler`], error metrics ([`metrics`]),
-//! [`leave_one_group_out`] cross-validation, and the parallel
-//! model-comparison harness ([`EvalGrid`] + [`ModelCache`] in [`eval`]).
+//! [`StandardScaler`], error metrics ([`metrics`]) and
+//! [`leave_one_group_out`] cross-validation. The paper's whole
+//! model-comparison grid is evaluated one layer up, by
+//! `wade_core::EvalGrid`.
 //!
 //! Training and evaluation follow the workspace determinism contract:
 //! forest trees and CV folds are independent units with derived seed
@@ -42,7 +43,6 @@
 mod baseline;
 mod cv;
 mod dataset;
-pub mod eval;
 mod forest;
 mod knn;
 pub mod metrics;
@@ -53,7 +53,6 @@ mod tree;
 
 pub use baseline::{ConstantModel, ConstantTrainer};
 pub use cv::{leave_one_group_out, GroupCvOutcome};
-pub use eval::{CellOutcome, EvalGrid, ModelCache, ModelKey, SharedModel, TrainFn};
 pub use dataset::{Dataset, Sample};
 pub use forest::{ForestRegressor, ForestTrainer, PointerForest};
 pub use knn::{KnnRegressor, KnnTrainer};
