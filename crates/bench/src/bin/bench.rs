@@ -20,10 +20,10 @@
 //! other section is handed a store, so none can be accidentally warmed by
 //! a previous invocation.
 //!
-//! Usage: `cargo run --release -p wade-bench --bin bench [output.json]`.
-//! A `WADE_BENCH_MS` budget under 200 selects smoke mode (one sample per
-//! timing and smaller fixtures). An unknown flag, or more positional
-//! arguments than the mode reads, exits 2 with a usage line.
+//! Usage: `cargo run --release -p wade-bench --bin bench [--smoke]
+//! [output.json]`. `--smoke` takes one sample per timing and smaller
+//! fixtures. An unknown flag, or more positional arguments than the mode
+//! reads, exits 2 with a usage line.
 //!
 //! Store maintenance subcommands (`--store-dir DIR` / `WADE_STORE_DIR`
 //! select the store, default `target/wade-store`):
@@ -62,9 +62,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::Value;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
+use wade_bench::cli::Args;
 use wade_core::{
     build_wer_dataset, train_error_model, AccuracyReport, Campaign, CampaignConfig, CampaignData,
     ErrorModel, EvalGrid, MlKind, ProfileCache, SimulatedServer,
@@ -74,10 +74,8 @@ use wade_features::FeatureSet;
 use wade_ml::{DecisionTree, ForestTrainer, KnnTrainer, Regressor, Trainer, TreeParams};
 use wade_workloads::{full_suite, paper_suite, Scale};
 
-/// Flags that take a value: consumed during positional parsing so flag
-/// values never masquerade as subcommands, and collected for the
-/// subcommands. `--store-dir`'s validity stays enforced by
-/// `wade_bench::store_dir()`. Any other `--flag` is rejected.
+/// Flags that take a value (`--flag VALUE` or `--flag=VALUE`). Any other
+/// `--flag` but the `--smoke` switch is rejected.
 const VALUE_FLAGS: [&str; 11] = [
     "--store-dir",
     "--seed",
@@ -93,73 +91,49 @@ const VALUE_FLAGS: [&str; 11] = [
 ];
 
 fn main() {
-    // Positional args, skipping flags and their values — so
-    // `bench --store-dir X store clear` and `bench store clear
-    // --store-dir X` both reach the subcommand.
-    let args: Vec<String> = std::env::args().collect();
-    let mut positional: Vec<&str> = Vec::new();
-    let mut flags: HashMap<&'static str, String> = HashMap::new();
-    let mut i = 1;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        if let Some(&flag) = VALUE_FLAGS.iter().find(|f| **f == arg) {
-            match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => {
-                    flags.insert(flag, v.clone());
-                }
-                _ => {
-                    eprintln!("error: {flag} requires a value");
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        } else if arg.starts_with("--store-dir=") {
-            // `wade_bench::store_dir()` reads this form itself.
-            i += 1;
-        } else if arg.starts_with("--") {
-            usage_error(&format!("unknown flag {arg}"));
-        } else {
-            positional.push(arg);
-            i += 1;
-        }
-    }
+    // Flags may sit anywhere: `bench --store-dir X store clear` and
+    // `bench store clear --store-dir X` both reach the subcommand.
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = wade_bench::cli::parse(&argv, &VALUE_FLAGS, &["--smoke"])
+        .unwrap_or_else(|msg| usage_error(&msg));
+    let positional: Vec<&str> = args.positional.iter().map(String::as_str).collect();
     // A subcommand reads its name and one action; the perf run reads one
     // output path.
-    let expected = match positional.first() {
-        Some(&("store" | "serve" | "fleet")) => 2,
-        _ => 1,
-    };
+    let subcommand = matches!(positional.first(), Some(&("store" | "serve" | "fleet")));
+    let expected = if subcommand { 2 } else { 1 };
     if positional.len() > expected {
         usage_error(&format!("unexpected argument {}", positional[expected]));
     }
+    let smoke = args.value("--smoke").is_some();
+    if subcommand && smoke {
+        usage_error("--smoke applies to the perf run only");
+    }
     match positional.first().copied() {
-        Some("store") => store_command(positional.get(1).copied(), &flags),
-        Some("serve") => serve_command(positional.get(1).copied(), &flags),
-        Some("fleet") => fleet_command(positional.get(1).copied(), &flags),
-        out_path => perf_snapshot(out_path.unwrap_or("BENCH_sim.json")),
+        Some("store") => store_command(positional.get(1).copied(), &args),
+        Some("serve") => serve_command(positional.get(1).copied(), &args),
+        Some("fleet") => fleet_command(positional.get(1).copied(), &args),
+        out_path => perf_snapshot(out_path.unwrap_or("BENCH_sim.json"), smoke),
     }
 }
 
 /// Prints `msg` and the top-level usage line, then exits with status 2.
 fn usage_error(msg: &str) -> ! {
-    eprintln!(
-        "error: {msg}\nusage: bench [OUT.json] | bench store <ls|gc|clear|torture> | \
-         bench serve load | bench fleet <sweep|extend|eval>   (flags: {})",
-        VALUE_FLAGS.join(" ")
-    );
-    std::process::exit(2);
+    wade_bench::cli::exit_usage(
+        msg,
+        &format!(
+            "bench [--smoke] [OUT.json] | bench store <ls|gc|clear|torture> | \
+             bench serve load | bench fleet <sweep|extend|eval>   (flags: {})",
+            VALUE_FLAGS.join(" ")
+        ),
+    )
 }
 
 /// The perf run: every section in order, written to `out_path` as
 /// `{schema, threads, host, results}` and echoed to stdout.
-fn perf_snapshot(out_path: &str) {
-    // A `WADE_BENCH_MS` value under 200 selects "smoke mode" — one sample
-    // per configuration instead of the median of several (CI runners);
-    // unset or larger values take the full sample counts.
-    let smoke = std::env::var("WADE_BENCH_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .is_some_and(|ms| ms < 200);
+///
+/// `smoke` takes one sample per configuration instead of the median of
+/// several, and smaller fixtures (CI runners).
+fn perf_snapshot(out_path: &str, smoke: bool) {
     let (ref_samples, cur_samples) = if smoke { (1, 1) } else { (3, 5) };
     let threads = rayon::current_num_threads();
     let quick = quick_campaign();
@@ -826,20 +800,11 @@ fn pool(threads: usize) -> rayon::ThreadPool {
     rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("build a rayon pool")
 }
 
-/// Parses a numeric flag value, exiting with status 2 on malformed input
-/// (same contract as `wade_bench::store_dir` for `--store-dir`).
-fn flag_num<T: std::str::FromStr>(
-    flags: &HashMap<&'static str, String>,
-    name: &str,
-    default: T,
-) -> T {
-    match flags.get(name) {
-        Some(v) => v.trim().parse().unwrap_or_else(|_| {
-            eprintln!("error: {name} expects a number, got {v:?}");
-            std::process::exit(2);
-        }),
-        None => default,
-    }
+/// Parses a numeric flag value, exiting with status 2 and the usage line
+/// on malformed input.
+fn flag_num<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> T {
+    let Some(v) = args.value(name) else { return default };
+    v.trim().parse().unwrap_or_else(|_| usage_error(&format!("{name} expects a number, got {v:?}")))
 }
 
 /// `bench store <ls|gc|clear|torture>`: maintenance and chaos-testing of
@@ -847,10 +812,10 @@ fn flag_num<T: std::str::FromStr>(
 /// `target/wade-store`). `torture` deliberately ignores `--store-dir` and
 /// runs against a scratch directory — a fault schedule must never chew
 /// through the user's real cache.
-fn store_command(action: Option<&str>, flags: &HashMap<&'static str, String>) {
+fn store_command(action: Option<&str>, args: &Args) {
     match action {
         Some("ls") => {
-            let store = wade_store::ArtifactStore::open(wade_bench::store_dir());
+            let store = wade_store::ArtifactStore::open(args.store_dir());
             let entries = store.ls();
             println!("store: {} ({} entries)", store.root().display(), entries.len());
             for meta in entries {
@@ -864,10 +829,10 @@ fn store_command(action: Option<&str>, flags: &HashMap<&'static str, String>) {
             }
         }
         Some("gc") => {
-            let store = wade_store::ArtifactStore::open(wade_bench::store_dir());
+            let store = wade_store::ArtifactStore::open(args.store_dir());
             // Absent means no cap.
             let max_bytes =
-                flags.contains_key("--max-bytes").then(|| flag_num(flags, "--max-bytes", 0u64));
+                args.value("--max-bytes").is_some().then(|| flag_num(args, "--max-bytes", 0u64));
             let report = store.gc_capped(max_bytes);
             println!(
                 "store: {} — kept {}, removed {} corrupt, evicted {} over cap, {} B live",
@@ -879,16 +844,16 @@ fn store_command(action: Option<&str>, flags: &HashMap<&'static str, String>) {
             );
         }
         Some("clear") => {
-            let store = wade_store::ArtifactStore::open(wade_bench::store_dir());
+            let store = wade_store::ArtifactStore::open(args.store_dir());
             let removed = store.clear();
             println!("store: {} — removed {removed} entries", store.root().display());
         }
         Some("torture") => {
             let config = wade_store::torture::TortureConfig {
-                seed: flag_num(flags, "--seed", 1u64),
-                ops: flag_num(flags, "--ops", 5_000u64),
-                threads: flag_num(flags, "--threads", 4usize),
-                fault_rate: flag_num(flags, "--fault-rate", 0.10f64),
+                seed: flag_num(args, "--seed", 1u64),
+                ops: flag_num(args, "--ops", 5_000u64),
+                threads: flag_num(args, "--threads", 4usize),
+                fault_rate: flag_num(args, "--fault-rate", 0.10f64),
             };
             let root = std::env::temp_dir().join(format!(
                 "wade-torture-{}-{}",
@@ -940,13 +905,11 @@ fn store_command(action: Option<&str>, flags: &HashMap<&'static str, String>) {
                 std::process::exit(1);
             }
         }
-        other => {
-            eprintln!(
-                "usage: bench store <ls|gc [--max-bytes N]|clear|torture [--seed N] \
-                 [--ops M] [--threads T] [--fault-rate F]> [--store-dir DIR]   (got {other:?})"
-            );
-            std::process::exit(2);
-        }
+        other => wade_bench::cli::exit_usage(
+            &format!("expected a store action, got {other:?}"),
+            "bench store <ls|gc [--max-bytes N]|clear|torture [--seed N] [--ops M] \
+             [--threads T] [--fault-rate F]> [--store-dir DIR]",
+        ),
     }
 }
 
@@ -979,12 +942,12 @@ fn serve_load(
 /// load generator against a live in-process server, with byte-identity
 /// against direct `predict_rows` verified per response. Exits 1 on any
 /// error or mismatch — the CI smoke gate.
-fn serve_command(action: Option<&str>, flags: &HashMap<&'static str, String>) {
+fn serve_command(action: Option<&str>, args: &Args) {
     match action {
         Some("load") => {
-            let threads = flag_num(flags, "--threads", 4usize);
-            let requests = flag_num(flags, "--requests", 256u64);
-            let seed = flag_num(flags, "--seed", 11u64);
+            let threads = flag_num(args, "--threads", 4usize);
+            let requests = flag_num(args, "--requests", 256u64);
+            let seed = flag_num(args, "--seed", 11u64);
             eprintln!("[serve] load: {threads} threads × {requests} total requests, seed {seed}");
             let (report, hist) = serve_load(&quick_campaign(), threads, requests, seed);
             println!(
@@ -1007,12 +970,10 @@ fn serve_command(action: Option<&str>, flags: &HashMap<&'static str, String>) {
             }
             println!("serve load: OK — byte-identical to direct predict_batch");
         }
-        other => {
-            eprintln!(
-                "usage: bench serve load [--threads T] [--requests N] [--seed S]   (got {other:?})"
-            );
-            std::process::exit(2);
-        }
+        other => wade_bench::cli::exit_usage(
+            &format!("expected a serve action, got {other:?}"),
+            "bench serve load [--threads T] [--requests N] [--seed S]",
+        ),
     }
 }
 /// Bitwise equality of two evaluated grids (NaN-safe: compares the bit
@@ -1047,18 +1008,17 @@ fn report_eq(a: &AccuracyReport, b: &AccuracyReport) -> bool {
 /// reusing the persisted prefix and self-asserts the extension simulated
 /// nothing but the delta; `eval` runs the field-style failure-prediction
 /// evaluation on the swept histories.
-fn fleet_command(action: Option<&str>, flags: &HashMap<&'static str, String>) {
+fn fleet_command(action: Option<&str>, args: &Args) {
     let mut spec = wade_fleet::FleetSpec::test_default();
-    spec.devices = flag_num(flags, "--devices", spec.devices);
-    spec.shards = flag_num(flags, "--shards", spec.shards);
-    spec.epochs = flag_num(flags, "--epochs", spec.epochs);
+    spec.devices = flag_num(args, "--devices", spec.devices);
+    spec.shards = flag_num(args, "--shards", spec.shards);
+    spec.epochs = flag_num(args, "--epochs", spec.epochs);
     if let Err(err) = spec.validate() {
-        eprintln!("error: invalid fleet spec: {err}");
-        std::process::exit(2);
+        usage_error(&format!("invalid fleet spec: {err}"));
     }
-    let seed = flag_num(flags, "--seed", 7u64);
+    let seed = flag_num(args, "--seed", 7u64);
     let run_sweep = || {
-        let store = wade_store::ArtifactStore::open(wade_bench::store_dir());
+        let store = wade_store::ArtifactStore::open(args.store_dir());
         let engine = wade_fleet::FleetSweep::new(spec, seed);
         let start = Instant::now();
         let outcome = engine.sweep_stored(&store);
@@ -1089,25 +1049,21 @@ fn fleet_command(action: Option<&str>, flags: &HashMap<&'static str, String>) {
             run_sweep();
         }
         Some("extend") => {
-            let extend_to = flag_num(flags, "--extend-to", spec.epochs + 4);
+            let extend_to = flag_num(args, "--extend-to", spec.epochs + 4);
             if extend_to <= spec.epochs {
-                eprintln!(
-                    "error: --extend-to must exceed --epochs ({extend_to} <= {})",
-                    spec.epochs
-                );
-                std::process::exit(2);
+                let epochs = spec.epochs;
+                usage_error(&format!("--extend-to must exceed --epochs ({extend_to} <= {epochs})"));
             }
             let mut extended_spec = spec;
             extended_spec.epochs = extend_to;
             if let Err(err) = extended_spec.validate() {
-                eprintln!("error: invalid extended fleet spec: {err}");
-                std::process::exit(2);
+                usage_error(&format!("invalid extended fleet spec: {err}"));
             }
             // Warm (or verify) the base prefix first: after this, every
             // slice below `spec.epochs` is on disk, so any extension
             // simulation beyond the delta is a prefix-reuse bug.
             run_sweep();
-            let store = wade_store::ArtifactStore::open(wade_bench::store_dir());
+            let store = wade_store::ArtifactStore::open(args.store_dir());
             let engine = wade_fleet::FleetSweep::new(extended_spec, seed);
             let prefix_slices = store
                 .keys_with_prefix(wade_fleet::FLEET_SLICE_KIND, &engine.slice_key_prefix())
@@ -1181,7 +1137,7 @@ fn fleet_command(action: Option<&str>, flags: &HashMap<&'static str, String>) {
                  = {:.0}; never-migrate = {:.0}",
                 best.threshold, best.migrations, best.crashes, best.cost, never.cost,
             );
-            let store = wade_store::ArtifactStore::open(wade_bench::store_dir());
+            let store = wade_store::ArtifactStore::open(args.store_dir());
             let matrix = wade_fleet::transfer_matrix(
                 &engine,
                 &outcome,
@@ -1202,13 +1158,11 @@ fn fleet_command(action: Option<&str>, flags: &HashMap<&'static str, String>) {
                 matrix.mean_off_diagonal(),
             );
         }
-        other => {
-            eprintln!(
-                "usage: bench fleet <sweep|extend|eval> [--devices N] [--shards S] \
-                 [--epochs E] [--extend-to E2] [--seed K] [--store-dir DIR]   (got {other:?})"
-            );
-            std::process::exit(2);
-        }
+        other => wade_bench::cli::exit_usage(
+            &format!("expected a fleet action, got {other:?}"),
+            "bench fleet <sweep|extend|eval> [--devices N] [--shards S] [--epochs E] \
+             [--extend-to E2] [--seed K] [--store-dir DIR]",
+        ),
     }
 }
 

@@ -20,44 +20,17 @@ use std::time::Duration;
 use wade_serve::{ServeConfig, Server};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut addr = "127.0.0.1:7878".to_string();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => {
-                    addr = v.clone();
-                    i += 1;
-                }
-                _ => {
-                    eprintln!("error: --addr requires a HOST:PORT value");
-                    std::process::exit(2);
-                }
-            },
-            // Consumed by wade_bench::store_dir() from the raw argv.
-            "--store-dir" => i += 1,
-            other => {
-                eprintln!("usage: serve [--addr HOST:PORT] [--store-dir DIR]   (got {other:?})");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-
-    let (store, cache) = wade_bench::init_store();
-    let data = wade_bench::full_campaign_data(&store, &cache);
+    let (lab, args) =
+        wade_bench::Lab::from_args(&["--addr"], "[--addr HOST:PORT] [--store-dir DIR]");
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7878").to_string();
+    let data = lab.campaign();
     eprintln!(
         "[serve] {} campaign rows, store {}",
         data.rows.len(),
-        store.root().display()
+        lab.store.root().display()
     );
-    let config = ServeConfig {
-        addr,
-        reload_poll: Some(Duration::from_millis(500)),
-        ..ServeConfig::default()
-    };
-    let server = match Server::start(config, data, Some(store)) {
+    let config = ServeConfig { addr, reload_poll: Some(Duration::from_millis(500)) };
+    let server = match Server::start(config, data, Some(lab.store)) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("error: cannot bind serving socket: {e}");

@@ -1,23 +1,32 @@
 //! # wade-bench — experiment harness
 //!
 //! One binary per table/figure of the paper (see ARCHITECTURE.md §4 for the
-//! index) plus the `bench` perf tracker. This library holds the shared
-//! plumbing: the reference server/campaign construction, the artifact-store
-//! wiring every figure binary shares (profiles, campaign data and trained
-//! fold models persist across *processes* — ARCHITECTURE.md §11), and the
-//! paper's WER formatting. Nothing here is process-global: each binary
-//! opens its store and profile cache once with [`init_store`] and passes
-//! both handles to every stage that persists.
+//! index), `repro_all` (every experiment → `EXPERIMENTS.md`), the `bench`
+//! perf tracker and the `serve` prediction service. Every experiment is
+//! computed once, in [`experiments`]: a figure binary only hands its
+//! function to [`run`], and `repro_all` only writes [`experiments::report`].
+//!
+//! This library also holds the shared plumbing: the reference server, the
+//! one command-line parser ([`cli`]), and the [`Lab`] — the artifact store
+//! and profile cache every experiment binary opens once, so that profiles,
+//! campaign data and trained fold models persist across *processes*
+//! (ARCHITECTURE.md §11). Nothing here is process-global: each binary
+//! opens its own [`Lab`] and passes it to every stage that persists.
 //!
 //! ```no_run
 //! // The shared full-grid campaign (collected once, stored on disk):
-//! let (store, cache) = wade_bench::init_store();
-//! let data = wade_bench::full_campaign_data(&store, &cache);
+//! let lab = wade_bench::Lab::open();
+//! let data = lab.campaign();
 //! println!("{} rows from the reference server", data.rows.len());
 //! ```
 
 #![deny(missing_docs)]
 
+pub mod cli;
+pub mod experiments;
+
+use std::io::{self, Write};
+use std::path::Path;
 use std::sync::Arc;
 use wade_core::{Campaign, CampaignConfig, CampaignData, ProfileCache, SimulatedServer};
 use wade_store::ArtifactStore;
@@ -35,41 +44,78 @@ pub fn server() -> SimulatedServer {
     SimulatedServer::with_seed(DEVICE_SEED)
 }
 
-/// Opens the artifact store every figure binary shares, plus a profile
-/// cache over it. The directory is resolved `--store-dir DIR` (or
-/// `--store-dir=DIR`) > `WADE_STORE_DIR` > `target/wade-store`. Handing
-/// both to the stages makes profiling, campaign collection and fold-model
-/// training persist across invocations — `repro_all` warms the store and
-/// every standalone `fig*` binary reuses it. Call it once per process:
-/// every call opens fresh handles with their own counters and memo.
-pub fn init_store() -> (Arc<ArtifactStore>, Arc<ProfileCache>) {
-    let store = Arc::new(ArtifactStore::open(store_dir()));
-    let cache = Arc::new(ProfileCache::with_store(store.clone()));
-    (store, cache)
+/// The artifact store every experiment binary shares, plus a profile cache
+/// over it. Handing both to the stages makes profiling, campaign
+/// collection and fold-model training persist across invocations —
+/// `repro_all` warms the store and every standalone `fig*` binary reuses
+/// it. Open one per process: each opens fresh handles with their own
+/// counters and memo.
+pub struct Lab {
+    /// The artifact store.
+    pub store: Arc<ArtifactStore>,
+    /// The store-backed profile cache.
+    pub cache: Arc<ProfileCache>,
 }
 
-/// The store directory [`init_store`] resolves (without opening it).
-/// Exits with an error if `--store-dir` is given without a value — falling
-/// back to the default store after a malformed flag would point
-/// destructive subcommands (`store clear`) at a store the user did not
-/// intend to touch.
-pub fn store_dir() -> std::path::PathBuf {
-    let args: Vec<String> = std::env::args().collect();
-    let mut explicit: Option<String> = None;
-    for (i, arg) in args.iter().enumerate() {
-        if arg == "--store-dir" {
-            match args.get(i + 1) {
-                Some(dir) if !dir.starts_with("--") => explicit = Some(dir.clone()),
-                _ => {
-                    eprintln!("error: --store-dir requires a directory argument");
-                    std::process::exit(2);
-                }
-            }
-        } else if let Some(dir) = arg.strip_prefix("--store-dir=") {
-            explicit = Some(dir.to_string());
-        }
+impl Lab {
+    /// Opens the store named on the command line of `repro_all` or a
+    /// `fig*`/`table*` binary, which takes no other argument.
+    pub fn open() -> Self {
+        Self::from_args(&[], "[--store-dir DIR]").0
     }
-    wade_store::resolve_dir(explicit.as_deref())
+
+    /// Parses this process's command line — `--store-dir DIR` (or
+    /// `--store-dir=DIR`), the value flags in `extra`, no positional
+    /// argument — and opens the store it names: `--store-dir` >
+    /// `WADE_STORE_DIR` > `target/wade-store`. Anything else exits with
+    /// status 2 and the program name followed by `usage`: a misspelt flag
+    /// must not silently fill the default store.
+    pub fn from_args(extra: &[&str], usage: &str) -> (Self, cli::Args) {
+        let argv: Vec<String> = std::env::args().collect();
+        let name = argv.first().and_then(|path| Path::new(path).file_name());
+        let usage = format!("{} {usage}", name.map_or("wade-bench".into(), |n| n.to_string_lossy()));
+        let flags = [&["--store-dir"], extra].concat();
+        let args = cli::parse(argv.get(1..).unwrap_or_default(), &flags, &[])
+            .unwrap_or_else(|msg| cli::exit_usage(&msg, &usage));
+        if let Some(extra) = args.positional.first() {
+            cli::exit_usage(&format!("unexpected argument {extra}"), &usage);
+        }
+        let store = Arc::new(ArtifactStore::open(args.store_dir()));
+        let cache = Arc::new(ProfileCache::with_store(store.clone()));
+        (Self { store, cache }, args)
+    }
+
+    /// The full-suite campaign data at the paper's grid ([`scale`]-sized),
+    /// served through the store so every figure binary — and every
+    /// repeated invocation — shares one collection pass; a cold collection
+    /// profiles through the cache. The store key is explicit: (campaign
+    /// seed, grid config, suite at its scale, device fingerprint); see
+    /// `wade_core::campaign_store_key`.
+    pub fn campaign(&self) -> CampaignData {
+        let config = CampaignConfig::paper_full();
+        let suite = experiment_suite();
+        // Probe the campaign artifact itself (profile-kind hits during a
+        // cold collection must not masquerade as a campaign hit).
+        let key = wade_core::campaign_store_key(&server(), &config, &suite, CAMPAIGN_SEED);
+        if let Some(data) = self.store.get::<CampaignData>(wade_core::CAMPAIGN_KIND, &key) {
+            eprintln!("[wade-bench] using stored campaign data ({})", self.store.root().display());
+            return data;
+        }
+        eprintln!(
+            "[wade-bench] collecting full campaign into {} (first run)…",
+            self.store.root().display()
+        );
+        Campaign::new(server(), config)
+            .with_profile_cache(self.cache.clone())
+            .collect_stored(&self.store, &suite, CAMPAIGN_SEED)
+    }
+
+}
+
+/// Runs one table/figure function of [`experiments`] against the store
+/// named on the command line, writing its text to stdout.
+pub fn run(figure: fn(&Lab, &mut dyn Write) -> io::Result<()>) -> io::Result<()> {
+    figure(&Lab::open(), &mut io::stdout().lock())
 }
 
 /// The experiment scale: `Scale::Full` (the paper's inputs) unless
@@ -81,31 +127,6 @@ pub fn scale() -> Scale {
         Ok(v) if v.eq_ignore_ascii_case("test") => Scale::Test,
         _ => Scale::Full,
     }
-}
-
-/// The full-suite campaign data at the paper's grid ([`scale`]-sized),
-/// served through `store` so every figure binary — and every repeated
-/// invocation — shares one collection pass; a cold collection profiles
-/// through `cache`. The store key is explicit: (campaign seed, grid
-/// config, suite at its scale, device fingerprint); see
-/// `wade_core::campaign_store_key`.
-pub fn full_campaign_data(store: &ArtifactStore, cache: &Arc<ProfileCache>) -> CampaignData {
-    let config = CampaignConfig::paper_full();
-    let suite = experiment_suite();
-    // Probe the campaign artifact itself (profile-kind hits during a cold
-    // collection must not masquerade as a campaign hit).
-    let key = wade_core::campaign_store_key(&server(), &config, &suite, CAMPAIGN_SEED);
-    if let Some(data) = store.get::<CampaignData>(wade_core::CAMPAIGN_KIND, &key) {
-        eprintln!("[wade-bench] using stored campaign data ({})", store.root().display());
-        return data;
-    }
-    eprintln!(
-        "[wade-bench] collecting full campaign into {} (first run)…",
-        store.root().display()
-    );
-    Campaign::new(server(), config)
-        .with_profile_cache(cache.clone())
-        .collect_stored(store, &suite, CAMPAIGN_SEED)
 }
 
 /// The workload suite used by the experiments: the paper's 14 configs plus

@@ -54,8 +54,8 @@ pub(crate) struct PreparedCell {
 
 impl PreparedCell {
     /// Plays out one replay's run randomness for this (already gated)
-    /// frozen cell — the single manifest step both replay paths share, so
-    /// the bit-identity guarantee cannot drift between them.
+    /// frozen cell through the direct path's own manifest step, so replay
+    /// and the direct path cannot drift apart.
     fn manifest(
         &self,
         ctx: &RunContext<'_>,
@@ -288,10 +288,9 @@ impl<'d> PreparedRun<'d> {
         LiveCellIndex { op, stamp: self.stamp, live }
     }
 
-    /// [`PreparedRun::run`] against a pre-gated [`LiveCellIndex`]: skips the
-    /// per-cell gate checks and plays out run randomness for the indexed
-    /// cells only. Bit-identical to [`PreparedRun::run`] (and therefore to
-    /// [`crate::ErrorSim::run`]) at the index's operating point, because the
+    /// Replays one run against a pre-gated [`LiveCellIndex`]: plays out
+    /// run randomness for the indexed cells only. Bit-identical to
+    /// [`crate::ErrorSim::run`] at the index's operating point, because the
     /// indexed cells are exactly the gate survivors, in the same canonical
     /// order.
     ///
@@ -330,11 +329,9 @@ impl<'d> PreparedRun<'d> {
     }
 
     /// One deterministic slice of a rank's *live* cells: run randomness
-    /// only, no re-gating. Slice boundaries differ from
-    /// [`PreparedRun::replay_slice`]'s (they partition the live list, not
-    /// the arena), which the order-stable merge makes invisible: per rank,
-    /// concatenating the slices yields the live cells in stored (segment,
-    /// cell) order either way.
+    /// only, no re-gating. Slice boundaries partition the live list; the
+    /// order-stable merge makes them invisible: per rank, concatenating
+    /// the slices yields the live cells in stored (segment, cell) order.
     fn replay_indexed_slice(
         &self,
         ctx: &RunContext<'_>,
@@ -363,63 +360,20 @@ impl<'d> PreparedRun<'d> {
     }
 
     /// Replays one characterization run against the frozen population:
-    /// re-applies the per-operating-point gates (thinning cap and implicit
-    /// refresh) and plays out discovery/companion/disturbance/burst
-    /// randomness from the `(op, run seed, cell)` derived streams.
+    /// gates it at `op` ([`PreparedRun::live_index`]), then plays out
+    /// discovery/companion/disturbance/burst randomness from the `(op, run
+    /// seed, cell)` derived streams ([`PreparedRun::run_indexed`]).
     ///
     /// Bit-identical to [`crate::ErrorSim::run`] with the same arguments
-    /// (see the type-level *Replay guarantee*).
+    /// (see the type-level *Replay guarantee*). Campaigns replaying several
+    /// runs at one op build the index once instead.
     ///
     /// # Panics
     /// Panics if `op` fails validation, does not match the prepared
     /// (temperature, voltage) key, or exceeds the prepared refresh-period
     /// envelope.
     pub fn run(&self, op: OperatingPoint, duration_s: f64, run_seed: u64) -> RunResult {
-        self.check_replay_op(op);
-        let ctx = RunContext::new(self.device, &self.profile, op, duration_s, run_seed);
-        let rank_count = self.ranks.len();
-        let units: Vec<(usize, usize)> = (0..rank_count)
-            .flat_map(|r| (0..=REPLAY_SLICES).map(move |s| (r, s)))
-            .collect();
-        let outcomes: Vec<UnitOutcome> = units
-            .into_par_iter()
-            .map(|(rank, slice)| {
-                if slice < REPLAY_SLICES {
-                    UnitOutcome::Pop(self.replay_slice(&ctx, rank, slice))
-                } else {
-                    UnitOutcome::Aux(
-                        ctx.aux_channels(rank, OsSource::Prepared(&self.ranks[rank].os_cells)),
-                    )
-                }
-            })
-            .collect();
-        finalize_outcomes(
-            outcomes,
-            rank_count,
-            REPLAY_SLICES,
-            self.profile.footprint_words,
-            duration_s,
-        )
-    }
-
-    /// Replays one deterministic slice of a rank's frozen cells, in stored
-    /// (segment, cell) order: gate at the replay op, then run randomness.
-    fn replay_slice(&self, ctx: &RunContext<'_>, rank_index: usize, slice: usize) -> Vec<Candidate> {
-        let cells = &self.ranks[rank_index].cells;
-        let lo = cells.len() * slice / REPLAY_SLICES;
-        let hi = cells.len() * (slice + 1) / REPLAY_SLICES;
-        let rank_run_seed = ctx.rank_run_seed(rank_index);
-        let p_companion_unit = ctx.p_companion_unit(rank_index);
-        let mut out = Vec::with_capacity((hi - lo) / 2 + 4);
-        for cell in &cells[lo..hi] {
-            if !ctx.cell_is_live(cell.q, cell.retention, cell.bucket as usize) {
-                continue;
-            }
-            if let Some(cand) = cell.manifest(ctx, rank_run_seed, p_companion_unit) {
-                out.push(cand);
-            }
-        }
-        out
+        self.run_indexed(&self.live_index(op), duration_s, run_seed)
     }
 }
 
@@ -493,8 +447,8 @@ mod tests {
     #[test]
     fn indexed_replay_is_bit_identical_to_run() {
         // The per-op live-cell index must be invisible: same RunResult as
-        // the re-gating replay (and therefore as the direct path) at every
-        // set-point and seed, including the crash-prone 70 °C corner.
+        // the direct path at every set-point and seed, including the
+        // crash-prone 70 °C corner.
         let d = device();
         let sim = ErrorSim::new(&d);
         let p = profile();
@@ -512,7 +466,7 @@ mod tests {
                 for seed in 0..3 {
                     assert_eq!(
                         prepared.run_indexed(&index, 7200.0, seed),
-                        prepared.run(op, 7200.0, seed),
+                        sim.run(&p, op, 7200.0, seed),
                         "indexed replay diverged at {op} seed {seed}"
                     );
                 }

@@ -26,23 +26,24 @@ use crate::metrics::Metrics;
 use crate::models::ModelRegistry;
 use crate::protocol::{feature_set_label, parse_model_kind, PredictRequest, PredictResponse};
 
-/// Tunables of one [`Server`] instance.
+/// Feature set the served models are trained on.
+const SERVED_SET: FeatureSet = FeatureSet::Set1;
+/// Connection-handling worker threads.
+const WORKERS: usize = 8;
+/// Request-body bound; larger declared bodies answer `413`.
+const MAX_BODY_BYTES: usize = 1024 * 1024;
+/// Per-read socket timeout; an idle keep-alive connection is dropped after
+/// this long.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+/// Most jobs one batcher wake-up drains into a single model call.
+const MAX_BATCH_JOBS: usize = 32;
+
+/// The deployment settings of one [`Server`] instance.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port `0` picks a free port (read it back from
     /// [`Server::addr`]).
     pub addr: String,
-    /// Feature set the served models are trained on.
-    pub set: FeatureSet,
-    /// Connection-handling worker threads.
-    pub workers: usize,
-    /// Request-body bound; larger declared bodies answer `413`.
-    pub max_body_bytes: usize,
-    /// Per-read socket timeout; an idle keep-alive connection is dropped
-    /// after this long.
-    pub read_timeout: Duration,
-    /// Most jobs one batcher wake-up drains into a single model call.
-    pub max_batch_jobs: usize,
     /// Hot-reload poll interval; `None` disables the watcher thread
     /// ([`ModelRegistry::poll_reload`] can still be driven manually).
     pub reload_poll: Option<Duration>,
@@ -50,15 +51,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            addr: "127.0.0.1:0".into(),
-            set: FeatureSet::Set1,
-            workers: 8,
-            max_body_bytes: 1024 * 1024,
-            read_timeout: Duration::from_secs(5),
-            max_batch_jobs: 32,
-            reload_poll: None,
-        }
+        Self { addr: "127.0.0.1:0".into(), reload_poll: None }
     }
 }
 
@@ -89,7 +82,7 @@ impl Server {
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let registry = Arc::new(ModelRegistry::new(data, config.set, store));
+        let registry = Arc::new(ModelRegistry::new(data, SERVED_SET, store));
         let metrics = Arc::new(Metrics::new());
         let queue = Arc::new(BatchQueue::new());
         let stop = Arc::new(AtomicBool::new(false));
@@ -115,13 +108,12 @@ impl Server {
             })
         };
 
-        let workers = (0..config.workers.max(1))
+        let workers = (0..WORKERS)
             .map(|_| {
                 let conn_rx = Arc::clone(&conn_rx);
                 let registry = Arc::clone(&registry);
                 let metrics = Arc::clone(&metrics);
                 let queue = Arc::clone(&queue);
-                let config = config.clone();
                 std::thread::spawn(move || loop {
                     let stream = {
                         let rx = conn_rx.lock().expect("connection channel poisoned");
@@ -131,7 +123,7 @@ impl Server {
                     // A panicking connection (bad model invariant, …)
                     // must not take the worker down with it.
                     let _ = catch_unwind(AssertUnwindSafe(|| {
-                        handle_connection(stream, &config, &registry, &metrics, &queue);
+                        handle_connection(stream, &registry, &metrics, &queue);
                     }));
                 })
             })
@@ -141,8 +133,7 @@ impl Server {
             let queue = Arc::clone(&queue);
             let registry = Arc::clone(&registry);
             let metrics = Arc::clone(&metrics);
-            let max_jobs = config.max_batch_jobs;
-            std::thread::spawn(move || run_batcher(&queue, &registry, &metrics, max_jobs))
+            std::thread::spawn(move || run_batcher(&queue, &registry, &metrics, MAX_BATCH_JOBS))
         };
 
         let watcher = config.reload_poll.map(|period| {
@@ -228,15 +219,14 @@ impl Drop for Server {
 /// Keep-alive loop over one connection: read, route, answer, repeat.
 fn handle_connection(
     mut stream: TcpStream,
-    config: &ServeConfig,
     registry: &ModelRegistry,
     metrics: &Metrics,
     queue: &BatchQueue,
 ) {
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_nodelay(true);
     loop {
-        let request = match read_request(&mut stream, config.max_body_bytes) {
+        let request = match read_request(&mut stream, MAX_BODY_BYTES) {
             Ok(request) => request,
             Err(RequestError::Closed) | Err(RequestError::Io(_)) => return,
             Err(RequestError::Malformed(reason)) => {
