@@ -4,8 +4,9 @@
 //! and writes the machine-readable `BENCH_sim.json` snapshot that later
 //! changes compare against.
 //!
-//! Every speedup divides by kept code: a 1-thread pool, direct
-//! (unprepared) characterization, the per-access profiling path
+//! Every speedup divides by kept code: a 1-thread pool, the per-cell
+//! weak-cell walk `ErrorSim::run_reference`, direct (unprepared)
+//! characterization, the per-access profiling path
 //! `SimulatedServer::profile_workload_unbatched`, the pointer forest, the
 //! exhaustive KNN scan, the tree-building JSON reader, a cold store or a
 //! cold fleet sweep. Ratios once measured against retired pre-optimization
@@ -22,8 +23,9 @@
 //!
 //! Usage: `cargo run --release -p wade-bench --bin bench [--smoke]
 //! [output.json]`. `--smoke` takes one sample per timing and smaller
-//! fixtures. An unknown flag, or more positional arguments than the mode
-//! reads, exits 2 with a usage line.
+//! fixtures. An unknown flag, a flag the mode does not read (`bench store
+//! ls --devices 48`), or more positional arguments than the mode reads,
+//! exits 2 with a usage line.
 //!
 //! Store maintenance subcommands (`--store-dir DIR` / `WADE_STORE_DIR`
 //! select the store, default `target/wade-store`):
@@ -74,8 +76,9 @@ use wade_features::FeatureSet;
 use wade_ml::{DecisionTree, ForestTrainer, KnnTrainer, Regressor, Trainer, TreeParams};
 use wade_workloads::{full_suite, paper_suite, Scale};
 
-/// Flags that take a value (`--flag VALUE` or `--flag=VALUE`). Any other
-/// `--flag` but the `--smoke` switch is rejected.
+/// Every flag that takes a value (`--flag VALUE` or `--flag=VALUE`) in
+/// some mode. Any other `--flag` but the `--smoke` switch is rejected;
+/// each mode then accepts only the flags it reads (`mode_flags`).
 const VALUE_FLAGS: [&str; 11] = [
     "--store-dir",
     "--seed",
@@ -89,6 +92,25 @@ const VALUE_FLAGS: [&str; 11] = [
     "--epochs",
     "--extend-to",
 ];
+
+/// The value flags and switches the mode named by `positional` reads. An
+/// unknown action gets every flag, so its own usage error is the one shown.
+fn mode_flags(positional: &[&str]) -> (&'static [&'static str], &'static [&'static str]) {
+    match positional {
+        ["store", "ls" | "clear"] => (&["--store-dir"], &[]),
+        ["store", "gc"] => (&["--store-dir", "--max-bytes"], &[]),
+        ["store", "torture"] => (&["--seed", "--ops", "--threads", "--fault-rate"], &[]),
+        ["serve", "load"] => (&["--threads", "--requests", "--seed"], &[]),
+        ["fleet", "sweep" | "eval"] => {
+            (&["--devices", "--shards", "--epochs", "--seed", "--store-dir"], &[])
+        }
+        ["fleet", "extend"] => {
+            (&["--devices", "--shards", "--epochs", "--seed", "--store-dir", "--extend-to"], &[])
+        }
+        ["store" | "serve" | "fleet", ..] => (&VALUE_FLAGS, &[]),
+        _ => (&[], &["--smoke"]),
+    }
+}
 
 fn main() {
     // Flags may sit anywhere: `bench --store-dir X store clear` and
@@ -104,15 +126,21 @@ fn main() {
     if positional.len() > expected {
         usage_error(&format!("unexpected argument {}", positional[expected]));
     }
-    let smoke = args.value("--smoke").is_some();
-    if subcommand && smoke {
-        usage_error("--smoke applies to the perf run only");
-    }
+    // A flag the mode does not read is an error, not a silent default:
+    // `bench store ls --devices 48` must not list the store and exit 0.
+    let mode: &[&str] = if subcommand { &positional } else { &[] };
+    let (value_flags, switches) = mode_flags(mode);
+    let args = wade_bench::cli::parse(&argv, value_flags, switches).unwrap_or_else(|msg| {
+        let name = if subcommand { positional.join(" ") } else { "[OUT.json]".to_string() };
+        usage_error(&format!("{msg} for `bench {name}`"))
+    });
     match positional.first().copied() {
         Some("store") => store_command(positional.get(1).copied(), &args),
         Some("serve") => serve_command(positional.get(1).copied(), &args),
         Some("fleet") => fleet_command(positional.get(1).copied(), &args),
-        out_path => perf_snapshot(out_path.unwrap_or("BENCH_sim.json"), smoke),
+        out_path => {
+            perf_snapshot(out_path.unwrap_or("BENCH_sim.json"), args.value("--smoke").is_some())
+        }
     }
 }
 
@@ -141,6 +169,7 @@ fn perf_snapshot(out_path: &str, smoke: bool) {
     let mut results = run_2h_1gib(cur_samples);
     results.extend(
         [
+            ("fleet_epoch_sim", fleet_epoch_sim(smoke, cur_samples)),
             ("campaign_pue_repeats", campaign_pue_repeats(ref_samples, cur_samples)),
             ("workload_profiling", workload_profiling(ref_samples, cur_samples)),
             ("campaign_quick_grid", campaign_quick_grid(ref_samples, threads)),
@@ -215,6 +244,59 @@ fn run_2h_1gib(samples: usize) -> Vec<(String, Value)> {
             (format!("run_2h_1GiB_{label}"), section)
         })
         .collect()
+}
+
+/// `fleet_epoch_sim`: `ErrorSim::run` on one fleet-representative epoch —
+/// device 0 of `FleetSpec::test_default()` (seed 7) running the fleet's
+/// first profiled workload for one 900 s epoch at the spec's refresh
+/// period, at the top of its temperature swing (70 °C), where a sweep
+/// spends most of its simulation time (the weak-cell population grows
+/// ~27× per 10 °C) — through the blocked weak-cell walk and through the
+/// per-cell reference walk (`ErrorSim::run_reference`), at 1 thread and on
+/// the default pool. Each sample runs the epoch under `runs` run seeds.
+fn fleet_epoch_sim(smoke: bool, samples: usize) -> Value {
+    eprintln!("[bench] fleet epoch simulation: blocked walk vs per-cell reference …");
+    let spec = wade_fleet::FleetSpec::test_default();
+    let seed = 7;
+    let engine = wade_fleet::FleetSweep::new(spec, seed);
+    let profile = &engine.profiles()[0].profile;
+    let device = spec.manufacture(seed, 0);
+    let sim = ErrorSim::new(&device);
+    let op = OperatingPoint::relaxed(spec.trefp_s, spec.base_temp_c + spec.temp_swing_c);
+    let runs = if smoke { 8 } else { 32 };
+    let time = |reference: bool| {
+        median_ms(samples, || {
+            for run_seed in 0..runs {
+                std::hint::black_box(if reference {
+                    sim.run_reference(profile, op, spec.epoch_s, run_seed)
+                } else {
+                    sim.run(profile, op, spec.epoch_s, run_seed)
+                });
+            }
+        })
+    };
+    let one = pool(1);
+    let reference_single_ms = one.install(|| time(true));
+    let blocked_single_ms = one.install(|| time(false));
+    let reference_parallel_ms = time(true);
+    let blocked_parallel_ms = time(false);
+    let identical = (0..runs).all(|run_seed| {
+        let reference = sim.run_reference(profile, op, spec.epoch_s, run_seed);
+        reference == sim.run(profile, op, spec.epoch_s, run_seed)
+            && reference == one.install(|| sim.run(profile, op, spec.epoch_s, run_seed))
+    });
+    map([
+        ("runs", Value::U64(runs)),
+        ("temp_c", Value::F64(op.temp_c)),
+        ("epoch_s", Value::F64(spec.epoch_s)),
+        ("reference_single_thread_ms", ms(reference_single_ms)),
+        ("blocked_single_thread_ms", ms(blocked_single_ms)),
+        ("reference_parallel_ms", ms(reference_parallel_ms)),
+        ("blocked_parallel_ms", ms(blocked_parallel_ms)),
+        ("speedup", speedup(reference_single_ms, blocked_single_ms)),
+        ("speedup_parallel", speedup(reference_parallel_ms, blocked_parallel_ms)),
+        ("byte_identical", Value::Bool(identical)),
+    ])
 }
 
 /// `campaign_pue_repeats`: PUE repeats and TREFP set-points share one

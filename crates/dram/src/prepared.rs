@@ -66,10 +66,9 @@ impl PreparedCell {
             bucket: self.bucket as usize,
             word: self.word,
             lane: self.lane,
-            read_rate: self.read_rate,
             cell_key: self.cell_key,
         };
-        ctx.manifest_cell(&gated, rank_run_seed, p_companion_unit)
+        ctx.manifest_cell(&gated, || self.read_rate, rank_run_seed, p_companion_unit)
     }
 }
 

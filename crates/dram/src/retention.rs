@@ -51,6 +51,35 @@ impl RetentionLaw {
     pub fn retention_at_fraction(&self, q: f64) -> f64 {
         self.window_s + q.max(f64::MIN_POSITIVE).ln() / self.alpha_per_s
     }
+
+    /// A quantile bracket `(lo, hi)` that decides the refresh-gate test
+    /// `retention_at_fraction(q) * coupling < t` without the `ln`: the
+    /// test holds for every `q < lo` and fails for every `q ≥ hi`, so only
+    /// `q` in `[lo, hi)` needs the exact comparison.
+    ///
+    /// The edges are the quantiles of the threshold retention `t /
+    /// coupling` moved by a margin of 10⁻⁹ × (`|W|` + `|t / coupling|` +
+    /// `1/alpha`) seconds either way. The rounding of the exact test (the
+    /// `ln`, the division, the sum and the product) and of the edges
+    /// themselves stays below 10⁻¹⁵ of that sum, so on each side of the
+    /// bracket the test's outcome is that of the exact arithmetic, which
+    /// is monotone in `q`. Where that argument does not apply — a
+    /// non-positive or non-finite coupling, threshold or law — the bracket
+    /// is `(0, ∞)` and decides nothing.
+    pub fn quantile_bracket(&self, coupling: f64, t: f64) -> (f64, f64) {
+        let (w, alpha) = (self.window_s, self.alpha_per_s);
+        let threshold = t / coupling;
+        let monotone = coupling > 0.0 && alpha > 0.0 && alpha.is_finite() && w.is_finite();
+        if !monotone || !threshold.is_finite() {
+            return (0.0, f64::INFINITY);
+        }
+        let margin = 1e-9 * (w.abs() + threshold.abs() + 1.0 / alpha);
+        let lo = (alpha * (threshold - margin - w)).exp();
+        let hi = (alpha * (threshold + margin - w)).exp();
+        // Below `MIN_POSITIVE`, `retention_at_fraction` clamps `q` up, so a
+        // subnormal `lo` would not bound the clamped quantiles under it.
+        (if lo < f64::MIN_POSITIVE { 0.0 } else { lo }, hi)
+    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //!
 //! # Performance architecture
 //!
-//! The hot path is engineered around three ideas (this is the simulator's
+//! The hot path is engineered around four ideas (this is the simulator's
 //! contract with the campaign layer, so the details are normative):
 //!
 //! **Quantile-space thinning.** Weak cells are *not* enumerated one by one
@@ -70,6 +70,26 @@
 //! events in a canonical order and a run is byte-identical on 1 thread and
 //! N threads (`run_is_identical_across_thread_counts` asserts this).
 //!
+//! **Blocked walk.** Most cells below the cap are rejected by the data or
+//! refresh gate, so the walk is built to reject them cheaply. Each
+//! segment's cells go through in blocks of 256 held in stack arrays (no
+//! buffer grows with the Poisson count), in three passes that each compact
+//! their survivors without branching on the coin-flip gate outcomes: the
+//! cap, the data gate, then the refresh gate. The refresh gate is tested
+//! in quantile space: per reuse bucket, [`RetentionLaw::quantile_bracket`]
+//! gives `(lo, hi)` such that every `q < lo` passes and every `q ≥ hi`
+//! fails, so the retention `ln` is taken only inside the bracket (a few
+//! parts in 10⁸ of `q` wide). Only the survivors draw word and lane, and
+//! `RunContext::manifest_cell` stops once the partial discovery time
+//! exceeds the run: a uniform onset draw below a precomputed floor exits
+//! before any `ln`. Stopping early is sound only on a stream private to
+//! one cell, whose skipped draws no one reads; the shared sequential
+//! streams — the segment's quantile stream, the disturbance stream and
+//! the OS-resident population and run streams — draw every term, because
+//! the next cell's draws start where this one's end. The per-cell walk the
+//! blocked one replaced is kept as [`ErrorSim::run_reference`], and the
+//! two are bit-identical for every input (`tests/sim_walk.rs`).
+//!
 //! # Campaign-level caching: [`PreparedRun`]
 //!
 //! The population/run split above is exactly what makes campaign-level
@@ -80,13 +100,14 @@
 //! rank's realized cells (and the OS-resident walk) into a
 //! [`PreparedRun`]; `PreparedRun::run` re-applies the per-operating-point
 //! gates and plays out the `(op, run seed, cell)` streams. Both paths share
-//! the same gate and manifestation code (`RunContext::sample_cell_attrs` /
+//! the same walk and manifestation code (`RunContext::walk_chunk` /
 //! `RunContext::manifest_cell`), so a prepared replay is **bit-for-bit
 //! identical** to the direct [`ErrorSim::run`] at the same seed — the
 //! `prepared` module's tests and `wade-core`'s campaign tests assert this.
 //!
 //! [`PreparedRun`]: crate::PreparedRun
 //! [`ErrorSim::prepare`]: ErrorSim::prepare
+//! [`RetentionLaw::quantile_bracket`]: crate::RetentionLaw::quantile_bracket
 
 use crate::device::DramDevice;
 use crate::event::{CeEvent, RunResult, UeEvent};
@@ -231,6 +252,64 @@ impl<'d> ErrorSim<'d> {
         duration_s: f64,
         run_seed: u64,
     ) -> RunResult {
+        self.run_with(profile, op, duration_s, run_seed, RunContext::population_chunk)
+    }
+
+    /// [`ErrorSim::run`] through the per-cell reference walk: one cell at a
+    /// time, its retention `ln` taken before the data gate and every
+    /// discovery term drawn. This is the walk the blocked one replaced,
+    /// kept as the bit-compare reference — both return byte-identical
+    /// results for every input (see the module docs, *Blocked walk*).
+    ///
+    /// # Panics
+    /// Panics if the profile or operating point fail validation.
+    pub fn run_reference(
+        &self,
+        profile: &DramUsageProfile,
+        op: OperatingPoint,
+        duration_s: f64,
+        run_seed: u64,
+    ) -> RunResult {
+        self.run_with(profile, op, duration_s, run_seed, RunContext::population_chunk_reference)
+    }
+
+    /// The Poisson cell count of every population segment, per rank, at
+    /// `op`'s temperature and voltage (the refresh period never enters
+    /// them). A run walks a segment's cells only if the segment starts
+    /// below the thinning cap. Tests use the counts to check which block
+    /// shapes a run exercised.
+    ///
+    /// # Panics
+    /// Panics if the profile or operating point fail validation.
+    pub fn segment_cell_counts(
+        &self,
+        profile: &DramUsageProfile,
+        op: OperatingPoint,
+    ) -> Vec<Vec<u64>> {
+        profile.validate().expect("invalid DRAM usage profile");
+        op.validate().expect("invalid operating point");
+        let ctx = RunContext::new(self.device, profile, op, 0.0, 0);
+        (0..ctx.ranks)
+            .map(|rank| {
+                let expected = ctx.expected_weak_cells(rank);
+                (0..SEGMENTS).map(|seg| ctx.segment(rank, seg, expected).1).collect()
+            })
+            .collect()
+    }
+
+    /// The shared body of [`ErrorSim::run`] and [`ErrorSim::run_reference`]:
+    /// `walk` realizes one (rank, segment chunk) population unit.
+    fn run_with<'p>(
+        &self,
+        profile: &'p DramUsageProfile,
+        op: OperatingPoint,
+        duration_s: f64,
+        run_seed: u64,
+        walk: fn(&RunContext<'p>, usize, u64) -> Vec<Candidate>,
+    ) -> RunResult
+    where
+        'd: 'p,
+    {
         profile.validate().expect("invalid DRAM usage profile");
         op.validate().expect("invalid operating point");
         let ranks = self.device.geometry().total_ranks();
@@ -246,7 +325,7 @@ impl<'d> ErrorSim<'d> {
             .into_par_iter()
             .map(|(rank, chunk)| {
                 if chunk < chunks_per_rank {
-                    UnitOutcome::Pop(ctx.population_chunk(rank, chunk as u64))
+                    UnitOutcome::Pop(walk(&ctx, rank, chunk as u64))
                 } else {
                     UnitOutcome::Aux(ctx.aux_channels(rank, OsSource::Walk))
                 }
@@ -375,35 +454,42 @@ pub(crate) struct RunContext<'a> {
     /// `fraction_below(t_eff / coupling)` per reuse bucket (the companion
     /// weight that used to cost one `exp()` per manifesting cell).
     companion_fraction_by_bucket: [f64; REUSE_BUCKETS + 1],
+    /// The refresh gate per reuse bucket in quantile space: a cell at
+    /// quantile `q` passes if `q < lo` and fails if `q ≥ hi`; only inside
+    /// `[lo, hi)` is its retention computed
+    /// ([`RetentionLaw::quantile_bracket`]).
+    ///
+    /// [`RetentionLaw::quantile_bracket`]: crate::RetentionLaw::quantile_bracket
+    refresh_bracket_by_bucket: [(f64, f64); REUSE_BUCKETS + 1],
+    /// A uniform onset draw below this floor puts the onset beyond the run,
+    /// so `manifest_cell` stops without taking its `ln`.
+    onset_u_floor: f64,
     /// Word-level read rate (reads + patrol scrub) per spatial region,
     /// precomputed so the per-cell lookup is one index instead of a 128-bit
     /// division and two floating-point divisions.
     read_rate_by_region: Vec<f64>,
+    /// Per rank: the word sampler with its line count computed once.
+    word_samplers: Vec<WordSampler>,
 }
+
+/// Cells per block of the blocked walk: each pass runs over at most this
+/// many cells held in stack arrays, so the walk allocates nothing that
+/// grows with a segment's Poisson count.
+const BLOCK: usize = 256;
 
 /// Number of quantile points in `ReuseQuantiles`.
 const REUSE_BUCKETS: usize = 16;
 
-/// The refresh-period-independent attributes of one realized weak cell that
-/// passed the population-side gates, drawn from its private attribute
-/// stream (see `RunContext::sample_cell_attrs`).
-pub(crate) struct CellAttrs {
+/// A weak cell that passed the population-side gates: the
+/// refresh-period-independent attributes drawn from its private attribute
+/// stream, and its run-stream identity.
+pub(crate) struct GatedCell {
     /// Reuse bucket (`REUSE_BUCKETS` = never reused).
     pub(crate) bucket: usize,
     /// 64-bit word index within the footprint, on the cell's rank.
     pub(crate) word: u64,
     /// Bit lane within the 72-bit ECC word.
     pub(crate) lane: u8,
-}
-
-/// A gated candidate cell handed to `RunContext::manifest_cell`: the
-/// attributes plus the word's read rate and the cell's run-stream identity.
-pub(crate) struct GatedCell {
-    pub(crate) bucket: usize,
-    pub(crate) word: u64,
-    pub(crate) lane: u8,
-    /// Word-level read rate of the cell's region (reads + patrol scrub).
-    pub(crate) read_rate: f64,
     /// `(segment << 24) | index` — keys the cell's derived run stream.
     pub(crate) cell_key: u64,
 }
@@ -427,6 +513,7 @@ impl<'a> RunContext<'a> {
             1.0 - physics.entropy_coupling * (profile.entropy_bits / 32.0).clamp(0.0, 1.0);
         let mut t_eff_by_bucket = [op.trefp_s; REUSE_BUCKETS + 1];
         let mut companion_fraction_by_bucket = [0.0; REUSE_BUCKETS + 1];
+        let mut refresh_bracket_by_bucket = [(0.0, 0.0); REUSE_BUCKETS + 1];
         for bucket in 0..=REUSE_BUCKETS {
             // Bucket REUSE_BUCKETS is the never-reused case (auto-refresh
             // only): t_eff stays at TREFP.
@@ -437,7 +524,17 @@ impl<'a> RunContext<'a> {
             }
             companion_fraction_by_bucket[bucket] =
                 law.fraction_below(t_eff_by_bucket[bucket] / coupling.max(1e-9));
+            refresh_bracket_by_bucket[bucket] =
+                law.quantile_bracket(coupling, t_eff_by_bucket[bucket]);
         }
+        // `-ln(u) / rate > duration` for every `u` below the floor: the
+        // 1e-9 relative margin dwarfs the rounding of both sides.
+        let onset_u_floor = if physics.onset_rate_hz > 0.0 {
+            (-(duration_s * physics.onset_rate_hz)).exp() * (1.0 - 1e-9)
+        } else {
+            0.0
+        };
+        let ranks = device.geometry().total_ranks();
         let region_words = (profile.footprint_words / 64).max(1);
         let read_rate_by_region: Vec<f64> = (0..64)
             .map(|region| {
@@ -451,7 +548,7 @@ impl<'a> RunContext<'a> {
             op,
             duration_s,
             run_seed,
-            ranks: device.geometry().total_ranks(),
+            ranks,
             region_words,
             coupling,
             temp_factor: (physics.beta_per_c * (op.temp_c - 50.0)).exp(),
@@ -462,7 +559,12 @@ impl<'a> RunContext<'a> {
             q_cap: law.fraction_below(op.trefp_s / coupling.max(1e-9)),
             t_eff_by_bucket,
             companion_fraction_by_bucket,
+            refresh_bracket_by_bucket,
+            onset_u_floor,
             read_rate_by_region,
+            word_samplers: (0..ranks)
+                .map(|rank| WordSampler::new(profile.footprint_words, rank, ranks))
+                .collect(),
         }
     }
 
@@ -522,12 +624,230 @@ impl<'a> RunContext<'a> {
         self.read_rate_by_region[region.min(63)]
     }
 
-    /// Walks one chunk of a rank's realized weak-cell population below the
-    /// thinning cap, invoking `visit(q, cell_key, retention, attr_rng)` for
-    /// each candidate cell in canonical (segment, cell) order, with the
-    /// cell's private attribute stream freshly seeded. This loop *is* the
-    /// population side of the seeding contract, shared by the direct path
-    /// and `PreparedRun` realization.
+    /// A segment's population stream and Poisson cell count. The stream
+    /// then yields the quantile of each of the segment's cells in order.
+    fn segment(&self, rank_index: usize, seg: u64, expected: f64) -> (SimRng, u64) {
+        let mut seg_rng = SimRng::seed_from_u64(mix_seed(self.pop_seed(rank_index), seg, 0, 0));
+        let count = sample_poisson(expected.min(5.0e7) / SEGMENTS as f64, &mut seg_rng);
+        (seg_rng, count)
+    }
+
+    /// Walks one chunk of a rank's realized weak-cell population and calls
+    /// `visit(q, cell)` for each cell that passes every population-side
+    /// gate at this operating point, in canonical (segment, cell) order.
+    /// This loop *is* the population side of the seeding contract, shared
+    /// by the direct path and `PreparedRun` realization.
+    ///
+    /// Each segment's cells go through in blocks of [`BLOCK`]; every pass
+    /// compacts its survivors to the front of the block's stack arrays
+    /// without a branch on the (unpredictable) gate outcome:
+    /// 1. draw each cell's quantile from the segment stream and keep those
+    ///    below the thinning cap — the stream is shared by the segment's
+    ///    cells, so every quantile is drawn;
+    /// 2. seed each cell's private attribute stream, draw `is_true` and
+    ///    `u_bit`, and keep the cells whose stored data can leak;
+    /// 3. draw `u_never` and `u_reuse`, take the reuse bucket and apply the
+    ///    refresh gate in quantile space (`refresh_gate_passes`).
+    ///
+    /// Only the survivors draw their word and lane. The draws of each
+    /// private stream come in the order `ErrorSim::run_reference`'s
+    /// `sample_cell_attrs` takes them, and a stream stops where that
+    /// function returns, so every visited cell is bit-identical to the
+    /// reference's.
+    fn walk_chunk(&self, rank_index: usize, chunk: u64, mut visit: impl FnMut(f64, GatedCell)) {
+        let expected = self.expected_weak_cells(rank_index);
+        let seg_lo = chunk * SEGMENTS_PER_CHUNK;
+        // Analytic thinning: a segment that starts at or beyond the cap
+        // holds no cell that can fail at this operating point, and
+        // skipping it cannot perturb any other cell (independent streams).
+        // Most chunks end here, before their block arrays are set up.
+        if expected <= 0.0 || seg_lo as f64 / SEGMENTS as f64 >= self.q_cap {
+            return;
+        }
+        let pop_seed = self.pop_seed(rank_index);
+        let true_cell_fraction = self.device.physics().true_cell_fraction;
+        assert!(
+            (0.0..=1.0).contains(&true_cell_fraction),
+            "true_cell_fraction = {true_cell_fraction} outside [0, 1]"
+        );
+        let one_density = self.profile.one_density.clamp(0.0, 1.0);
+        let never_reused = self.profile.never_reused_fraction;
+        let words = &self.word_samplers[rank_index];
+        let mut q = [0.0f64; BLOCK];
+        let mut key = [0u64; BLOCK];
+        let mut attr = [SimRng::seed_from_u64(0); BLOCK];
+        let mut bucket = [0u8; BLOCK];
+        for seg in seg_lo..seg_lo + SEGMENTS_PER_CHUNK {
+            if seg as f64 / SEGMENTS as f64 >= self.q_cap {
+                break;
+            }
+            let (mut seg_rng, count) = self.segment(rank_index, seg, expected);
+            let mut first = 0;
+            while first < count {
+                let len = (count - first).min(BLOCK as u64) as usize;
+                // Pass 1: the thinning cap. The quantile draw is
+                // cap-independent, so the candidate set only ever *grows*
+                // with TREFP.
+                let mut n = 0;
+                for j in first..first + len as u64 {
+                    let cell_q = (seg as f64 + seg_rng.gen::<f64>()) / SEGMENTS as f64;
+                    q[n] = cell_q;
+                    key[n] = (seg << 24) | j.min((1 << 24) - 1);
+                    n += usize::from(cell_q < self.q_cap);
+                }
+                // Pass 2: the data gate.
+                let mut m = 0;
+                for i in 0..n {
+                    let mut rng =
+                        SimRng::seed_from_u64(mix_seed(pop_seed, key[i], CELL_ATTR_SALT, 1));
+                    let is_true_cell = rng.gen::<f64>() < true_cell_fraction;
+                    let stored_one = rng.gen::<f64>() < one_density;
+                    (q[m], key[m], attr[m]) = (q[i], key[i], rng);
+                    m += usize::from(is_true_cell == stored_one);
+                }
+                // Pass 3: the refresh gate.
+                let mut live = 0;
+                for i in 0..m {
+                    let u_never: f64 = attr[i].gen();
+                    let u_reuse: f64 = attr[i].gen();
+                    let b = reuse_bucket(u_never, u_reuse, never_reused);
+                    let passes = self.refresh_gate_passes(q[i], b);
+                    (q[live], key[live], attr[live], bucket[live]) = (q[i], key[i], attr[i], b as u8);
+                    live += usize::from(passes);
+                }
+                for i in 0..live {
+                    let word = words.sample(&mut attr[i]);
+                    let lane = attr[i].gen_range(0..72u8);
+                    let bucket = bucket[i] as usize;
+                    visit(q[i], GatedCell { bucket, word, lane, cell_key: key[i] });
+                }
+                first += len as u64;
+            }
+        }
+    }
+
+    /// The refresh gate of a cell at quantile `q` in reuse bucket `bucket`:
+    /// decided by the bucket's quantile bracket, with the exact retention
+    /// comparison only inside it.
+    #[inline]
+    fn refresh_gate_passes(&self, q: f64, bucket: usize) -> bool {
+        let (lo, hi) = self.refresh_bracket_by_bucket[bucket];
+        let mut passes = q < lo;
+        // One comparison, so one rarely taken branch: `q >= lo` alone is a
+        // coin flip the branch predictor cannot learn. It holds on all of
+        // `[lo, hi)` (rounding is monotone) and also a little below `lo`,
+        // where the exact comparison is just as right.
+        if (q - lo).abs() <= hi - lo {
+            let retention = self.device.retention_law().retention_at_fraction(q);
+            passes = self.passes_refresh_gate(retention, bucket);
+        }
+        passes
+    }
+
+    /// Realizes one chunk of a rank's weak-cell population: all cells whose
+    /// retention quantile falls inside the chunk's segments and below the
+    /// thinning cap, and that pass the population-side gates.
+    fn population_chunk(&self, rank_index: usize, chunk: u64) -> Vec<Candidate> {
+        let run_seed = self.rank_run_seed(rank_index);
+        let p_companion_unit = self.p_companion_unit(rank_index);
+        // Not pre-sized: the thinning cap usually ends the walk within the
+        // chunk's first segments and most chunks realize no cell, so an
+        // estimate from the whole chunk over-reserves by orders of
+        // magnitude — and each large buffer freed raises glibc's mmap
+        // threshold, leaving the worker arenas holding the memory.
+        let mut out = Vec::new();
+        self.walk_chunk(rank_index, chunk, |_q, cell| {
+            let read_rate = || self.word_read_rate(cell.word);
+            if let Some(cand) = self.manifest_cell(&cell, read_rate, run_seed, p_companion_unit) {
+                out.push(cand);
+            }
+        });
+        out
+    }
+
+    /// Realizes one chunk of a rank's population into frozen
+    /// `PreparedCell`s: the `PreparedRun` analogue of `population_chunk`.
+    /// Cells that can never manifest anywhere in the prepared envelope —
+    /// data-gated, or refresh-gated even at the group's longest refresh
+    /// period (`t_eff` grows with TREFP, so failing at the envelope means
+    /// failing at every set-point below it) — are dropped here and never
+    /// revisited by replays.
+    pub(crate) fn prepare_chunk(
+        &self,
+        rank_index: usize,
+        chunk: u64,
+    ) -> Vec<crate::prepared::PreparedCell> {
+        let law = self.device.retention_law();
+        // Not pre-sized, for the reasons given in `population_chunk`.
+        let mut out = Vec::new();
+        self.walk_chunk(rank_index, chunk, |q, cell| {
+            out.push(crate::prepared::PreparedCell {
+                q,
+                retention: law.retention_at_fraction(q),
+                word: cell.word,
+                cell_key: cell.cell_key,
+                read_rate: self.word_read_rate(cell.word),
+                lane: cell.lane,
+                bucket: cell.bucket as u8,
+            });
+        });
+        out
+    }
+
+    /// Plays out the run randomness of a gated candidate cell — discovery
+    /// timing and the spatially-correlated companion check — from the
+    /// cell's private run stream. Shared verbatim by the direct path and
+    /// the `PreparedRun` replay so the two stay bit-identical. Two bad
+    /// bits in one word: instant UE.
+    ///
+    /// The discovery time is a sum of non-negative terms, so once a partial
+    /// sum exceeds the run the cell cannot be discovered, and the draws it
+    /// skips belong to no other cell: the onset draw is tested against
+    /// `onset_u_floor` before its `ln`, and `read_rate` (the word's region
+    /// lookup) is called only for cells whose onset falls inside the run.
+    /// The shared streams of the aux channels may not stop early: their
+    /// next cell draws where this one left off.
+    pub(crate) fn manifest_cell(
+        &self,
+        cell: &GatedCell,
+        read_rate: impl FnOnce() -> f64,
+        rank_run_seed: u64,
+        p_companion_unit: f64,
+    ) -> Option<Candidate> {
+        let physics = self.device.physics();
+        let mut run_rng =
+            SimRng::seed_from_u64(mix_seed(rank_run_seed, cell.cell_key, CELL_RUN_SALT, 2));
+        let onset = sample_exp_unless_below(
+            physics.onset_rate_hz,
+            self.onset_u_floor,
+            &mut run_rng,
+        )?;
+        if onset > self.duration_s {
+            return None;
+        }
+        let mut t = onset + sample_exp(read_rate(), &mut run_rng);
+        if t > self.duration_s {
+            return None;
+        }
+        if !run_rng.gen_bool(physics.vrt_active_fraction) {
+            t += sample_exp(physics.vrt_toggle_rate_hz, &mut run_rng);
+        }
+        let t = (t <= self.duration_s).then_some(t)?;
+        let companion = run_rng.gen_bool(self.p_companion(p_companion_unit, cell.bucket));
+        Some(Candidate { t_s: t, word: cell.word, lane: cell.lane, companion })
+    }
+
+    /// The companion-bit probability of a manifesting cell in `bucket`.
+    fn p_companion(&self, p_companion_unit: f64, bucket: usize) -> f64 {
+        (p_companion_unit * self.companion_fraction_by_bucket[bucket]).clamp(0.0, 1.0)
+    }
+
+    // ---- the per-cell reference walk (`ErrorSim::run_reference`) ----------
+
+    /// The reference walk: invokes `visit(q, cell_key, retention,
+    /// attr_rng)` for each cell of the chunk below the thinning cap, one
+    /// cell at a time, with its retention computed and its private
+    /// attribute stream freshly seeded.
     fn for_each_realized_cell(
         &self,
         rank_index: usize,
@@ -537,22 +857,13 @@ impl<'a> RunContext<'a> {
     ) {
         let law = self.device.retention_law();
         let pop_seed = self.pop_seed(rank_index);
-        let mean_per_segment = expected.min(5.0e7) / SEGMENTS as f64;
         let seg_lo = chunk * SEGMENTS_PER_CHUNK;
         for seg in seg_lo..seg_lo + SEGMENTS_PER_CHUNK {
-            // Analytic thinning: the whole segment lies beyond the cap —
-            // none of its cells can fail at this operating point, and
-            // skipping it cannot perturb any other cell (independent
-            // streams).
             if seg as f64 / SEGMENTS as f64 >= self.q_cap {
                 break;
             }
-            let mut seg_rng = SimRng::seed_from_u64(mix_seed(pop_seed, seg, 0, 0));
-            let count = sample_poisson(mean_per_segment, &mut seg_rng);
+            let (mut seg_rng, count) = self.segment(rank_index, seg, expected);
             for j in 0..count {
-                // One uniform rejects above-cap cells before any attribute
-                // work. The quantile draw is cap-independent, so the
-                // candidate set only ever *grows* with TREFP.
                 let q = (seg as f64 + seg_rng.gen::<f64>()) / SEGMENTS as f64;
                 if q >= self.q_cap {
                     continue;
@@ -566,35 +877,28 @@ impl<'a> RunContext<'a> {
         }
     }
 
-    /// Realizes one chunk of a rank's weak-cell population: all cells whose
-    /// retention quantile falls inside the chunk's segments and below the
-    /// thinning cap.
-    fn population_chunk(&self, rank_index: usize, chunk: u64) -> Vec<Candidate> {
+    /// The reference counterpart of `population_chunk`: per cell, the
+    /// population gates of `sample_cell_attrs`, then every term of the
+    /// discovery time.
+    fn population_chunk_reference(&self, rank_index: usize, chunk: u64) -> Vec<Candidate> {
         let expected = self.expected_weak_cells(rank_index);
         if expected <= 0.0 || self.q_cap <= 0.0 {
             return Vec::new();
         }
+        let physics = self.device.physics();
         let run_seed = self.rank_run_seed(rank_index);
         let p_companion_unit = self.p_companion_unit(rank_index);
-
-        // Not pre-sized: the thinning cap usually ends the walk within the
-        // chunk's first segments and most chunks realize no cell, so an
-        // estimate from the whole chunk over-reserves by orders of
-        // magnitude — and each large buffer freed raises glibc's mmap
-        // threshold, leaving the worker arenas holding the memory.
         let mut out = Vec::new();
         self.for_each_realized_cell(rank_index, chunk, expected, |_q, cell_key, retention, rng| {
-            if let Some(attrs) = self.sample_cell_attrs(rank_index, retention, rng) {
-                let cell = GatedCell {
-                    bucket: attrs.bucket,
-                    word: attrs.word,
-                    lane: attrs.lane,
-                    read_rate: self.word_read_rate(attrs.word),
-                    cell_key,
-                };
-                if let Some(cand) = self.manifest_cell(&cell, run_seed, p_companion_unit) {
-                    out.push(cand);
-                }
+            let Some(cell) = self.sample_cell_attrs(rank_index, cell_key, retention, rng) else {
+                return;
+            };
+            let mut run_rng =
+                SimRng::seed_from_u64(mix_seed(run_seed, cell_key, CELL_RUN_SALT, 2));
+            let read_rate = self.word_read_rate(cell.word);
+            if let Some(t) = discovery_time(physics, read_rate, self.duration_s, &mut run_rng) {
+                let companion = run_rng.gen_bool(self.p_companion(p_companion_unit, cell.bucket));
+                out.push(Candidate { t_s: t, word: cell.word, lane: cell.lane, companion });
             }
         });
         out
@@ -610,16 +914,14 @@ impl<'a> RunContext<'a> {
     /// part of the seeding contract: `is_true`, `u_bit` (data gate),
     /// `u_never`, `u_reuse` (refresh gate), then — only for cells passing
     /// both — word and lane. Because the stream is private to the cell,
-    /// stopping early never perturbs any other cell, which is what lets
-    /// `PreparedRun` realization (whose envelope context uses the group's
-    /// longest refresh period) share this function verbatim with the
-    /// direct path.
-    pub(crate) fn sample_cell_attrs(
+    /// stopping early never perturbs any other cell.
+    fn sample_cell_attrs(
         &self,
         rank_index: usize,
+        cell_key: u64,
         retention: f64,
         attr_rng: &mut SimRng,
-    ) -> Option<CellAttrs> {
+    ) -> Option<GatedCell> {
         let physics = self.device.physics();
         let profile = self.profile;
 
@@ -641,19 +943,11 @@ impl<'a> RunContext<'a> {
         // Following the paper, the refresh period incurred by the program is
         // its word-level reuse time, inflated by the cache filter (only
         // accesses that reach DRAM refresh the stored row copy). Both the
-        // resulting `t_eff` and the companion weight below are bucket
-        // lookups (17 distinct values per run).
+        // resulting `t_eff` and the companion weight are bucket lookups (17
+        // distinct values per run).
         let u_never: f64 = attr_rng.gen();
         let u_reuse: f64 = attr_rng.gen();
-        // Same floor mapping as `ReuseQuantiles::sample_at`, which is
-        // itself a 16-point lookup — the bucket tables are an exact
-        // refactoring of the old per-cell computation, not a coarsening.
-        let bucket = if u_never < profile.never_reused_fraction {
-            REUSE_BUCKETS
-        } else {
-            ((u_reuse.clamp(0.0, 0.999_999) * REUSE_BUCKETS as f64) as usize)
-                .min(REUSE_BUCKETS - 1)
-        };
+        let bucket = reuse_bucket(u_never, u_reuse, profile.never_reused_fraction);
         if !self.passes_refresh_gate(retention, bucket) {
             return None;
         }
@@ -661,62 +955,7 @@ impl<'a> RunContext<'a> {
         let word =
             sample_word_on_rank(profile.footprint_words, rank_index, self.ranks, attr_rng);
         let lane = attr_rng.gen_range(0..72u8);
-        Some(CellAttrs { bucket, word, lane })
-    }
-
-    /// Plays out the run randomness of a gated candidate cell — discovery
-    /// timing and the spatially-correlated companion check — from the
-    /// cell's private run stream. Shared verbatim by the direct path and
-    /// the `PreparedRun` replay so the two stay bit-identical. Two bad
-    /// bits in one word: instant UE.
-    pub(crate) fn manifest_cell(
-        &self,
-        cell: &GatedCell,
-        rank_run_seed: u64,
-        p_companion_unit: f64,
-    ) -> Option<Candidate> {
-        let mut run_rng =
-            SimRng::seed_from_u64(mix_seed(rank_run_seed, cell.cell_key, CELL_RUN_SALT, 2));
-        let t =
-            discovery_time(self.device.physics(), cell.read_rate, self.duration_s, &mut run_rng)?;
-        let p_companion =
-            (p_companion_unit * self.companion_fraction_by_bucket[cell.bucket]).clamp(0.0, 1.0);
-        let companion = run_rng.gen_bool(p_companion);
-        Some(Candidate { t_s: t, word: cell.word, lane: cell.lane, companion })
-    }
-
-    /// Realizes one chunk of a rank's population into frozen
-    /// `PreparedCell`s: the `PreparedRun` analogue of `population_chunk`.
-    /// Cells that can never manifest anywhere in the prepared envelope —
-    /// data-gated, or refresh-gated even at the group's longest refresh
-    /// period (`t_eff` grows with TREFP, so failing at the envelope means
-    /// failing at every set-point below it) — are dropped here and never
-    /// revisited by replays.
-    pub(crate) fn prepare_chunk(
-        &self,
-        rank_index: usize,
-        chunk: u64,
-    ) -> Vec<crate::prepared::PreparedCell> {
-        let expected = self.expected_weak_cells(rank_index);
-        if expected <= 0.0 || self.q_cap <= 0.0 {
-            return Vec::new();
-        }
-        // Not pre-sized, for the reasons given in `population_chunk`.
-        let mut out = Vec::new();
-        self.for_each_realized_cell(rank_index, chunk, expected, |q, cell_key, retention, rng| {
-            if let Some(attrs) = self.sample_cell_attrs(rank_index, retention, rng) {
-                out.push(crate::prepared::PreparedCell {
-                    q,
-                    retention,
-                    word: attrs.word,
-                    cell_key,
-                    read_rate: self.word_read_rate(attrs.word),
-                    lane: attrs.lane,
-                    bucket: attrs.bucket as u8,
-                });
-            }
-        });
-        out
+        Some(GatedCell { bucket, word, lane, cell_key })
     }
 
     /// The three rank-level channels that are cheap after thinning:
@@ -751,13 +990,11 @@ impl<'a> RunContext<'a> {
             * (physics.disturb_alpha_per_s * (op.trefp_s - 2.283)).exp()
             * factor;
         let disturb_flips = sample_poisson(disturb_mean, &mut rng_disturb);
+        // A shared sequential stream: every flip draws every discovery term,
+        // because the next flip's draws start where this one's end.
+        let words = &self.word_samplers[rank_index];
         for _ in 0..disturb_flips {
-            let word = sample_word_on_rank(
-                profile.footprint_words,
-                rank_index,
-                self.ranks,
-                &mut rng_disturb,
-            );
+            let word = words.sample(&mut rng_disturb);
             let lane = rng_disturb.gen_range(0..72u8);
             let read_rate_word = self.word_read_rate(word);
             if let Some(t) =
@@ -939,22 +1176,58 @@ fn sample_word_on_rank<R: RngCore>(
     ranks: usize,
     rng: &mut R,
 ) -> u64 {
-    if footprint_words == 0 {
-        return 0;
+    WordSampler::new(footprint_words, rank_index, ranks).sample(rng)
+}
+
+/// [`sample_word_on_rank`] for one rank, with the number of lines on the
+/// rank (a division) computed once instead of per draw.
+#[derive(Debug, Clone, Copy)]
+struct WordSampler {
+    footprint_words: u64,
+    rank: u64,
+    stride: u64,
+    lines_on_rank: u64,
+}
+
+impl WordSampler {
+    fn new(footprint_words: u64, rank_index: usize, ranks: usize) -> Self {
+        let lines = footprint_words.div_ceil(8);
+        let rank = rank_index as u64;
+        let stride = ranks as u64;
+        // Number of lines landing on this rank: l = i·stride + rank < lines.
+        let lines_on_rank = if lines > rank { (lines - rank).div_ceil(stride) } else { 0 };
+        Self { footprint_words, rank, stride, lines_on_rank }
     }
-    let lines = footprint_words.div_ceil(8);
-    let rank = rank_index as u64;
-    let stride = ranks as u64;
-    // Number of lines landing on this rank: l = i·stride + rank < lines.
-    let lines_on_rank = if lines > rank { (lines - rank).div_ceil(stride) } else { 0 };
-    if lines_on_rank == 0 {
-        return rng.gen_range(0..footprint_words);
+
+    fn sample<R: RngCore>(&self, rng: &mut R) -> u64 {
+        if self.footprint_words == 0 {
+            return 0;
+        }
+        if self.lines_on_rank == 0 {
+            return rng.gen_range(0..self.footprint_words);
+        }
+        let line = rng.gen_range(0..self.lines_on_rank) * self.stride + self.rank;
+        let base = line * 8;
+        // The footprint's final line may be partial.
+        let width = 8u64.min(self.footprint_words - base);
+        base + rng.gen_range(0..width)
     }
-    let line = rng.gen_range(0..lines_on_rank) * stride + rank;
-    let base = line * 8;
-    // The footprint's final line may be partial.
-    let width = 8u64.min(footprint_words - base);
-    base + rng.gen_range(0..width)
+}
+
+/// The reuse bucket of a cell from its `u_never` and `u_reuse` draws:
+/// `REUSE_BUCKETS` for a never-reused cell, else the same floor mapping as
+/// `ReuseQuantiles::sample_at`, which is itself a 16-point lookup — the
+/// bucket tables are an exact refactoring of a per-cell computation, not a
+/// coarsening.
+#[inline]
+fn reuse_bucket(u_never: f64, u_reuse: f64, never_reused_fraction: f64) -> usize {
+    let reused =
+        ((u_reuse.clamp(0.0, 0.999_999) * REUSE_BUCKETS as f64) as usize).min(REUSE_BUCKETS - 1);
+    if u_never < never_reused_fraction {
+        REUSE_BUCKETS
+    } else {
+        reused
+    }
 }
 
 fn sample_poisson<R: RngCore>(mean: f64, rng: &mut R) -> u64 {
@@ -972,6 +1245,19 @@ fn sample_exp<R: RngCore>(rate_hz: f64, rng: &mut R) -> f64 {
     }
     let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     -u.ln() / rate_hz
+}
+
+/// [`sample_exp`], except that a uniform draw below `u_floor` returns
+/// `None` without taking the `ln`. Draws exactly what `sample_exp` draws.
+fn sample_exp_unless_below<R: RngCore>(rate_hz: f64, u_floor: f64, rng: &mut R) -> Option<f64> {
+    if rate_hz <= 0.0 {
+        return Some(f64::INFINITY);
+    }
+    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    if u < u_floor {
+        return None;
+    }
+    Some(-u.ln() / rate_hz)
 }
 
 /// Environment bits for the *population* seed: temperature and voltage only

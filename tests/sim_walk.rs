@@ -3,7 +3,11 @@
 //! replaced the per-cell one, and must stay bit-identical to the kept
 //! per-cell reference, `ErrorSim::run_reference`, on any pool width.
 
-use wade::dram::{DramDevice, DramUsageProfile, ErrorSim, OperatingPoint, RunResult};
+use std::collections::BTreeSet;
+use wade::dram::{
+    DramDevice, DramUsageProfile, ErrorPhysics, ErrorSim, OperatingPoint, RetentionLaw,
+    ReuseQuantiles, RunResult, ServerGeometry,
+};
 use wade::fleet::{FleetOutcome, FleetSpec, FleetSweep};
 
 /// 64-bit FNV-1a over a byte stream.
@@ -45,10 +49,40 @@ fn high_entropy() -> DramUsageProfile {
     p
 }
 
+/// Reuse times spread from 0.15 to 2.4 s, all reaching DRAM: implicit
+/// refresh decides a large share of the cells below the thinning cap, so
+/// the refresh gate's quantile brackets fall inside the walked population.
+/// (With the synthetic profile's 16.7 s reuse the gate's threshold is the
+/// thinning cap itself.)
+fn reused() -> DramUsageProfile {
+    let mut p = uniform();
+    p.reuse = ReuseQuantiles::new((1..=16).map(|i| 0.15 * i as f64).collect());
+    p.dram_filter = 1.0;
+    p
+}
+
+/// Reads so frequent that discovery follows failure onset almost at once:
+/// cells whose onset falls just inside the run end are discovered, which
+/// puts the early exit's onset floor to the test.
+fn fast_reads() -> DramUsageProfile {
+    let mut p = high_entropy();
+    p.dram_read_rate_hz = 1.0e11;
+    p
+}
+
+fn named_profile(name: &str) -> DramUsageProfile {
+    match name {
+        "uniform" => uniform(),
+        "high_entropy" => high_entropy(),
+        "reused" => reused(),
+        _ => unreachable!("unknown profile {name}"),
+    }
+}
+
 /// `ErrorSim::run` digests recorded with the per-cell walk, per (device,
 /// profile, run length), each over 50/60/70 °C × TREFP 0.618/1.450/2.283 s
 /// in that order (run seed 3).
-const PINNED_RUNS: [(u64, &str, f64, &str); 8] = [
+const PINNED_RUNS: [(u64, &str, f64, &str); 12] = [
     (39, "uniform", 900.0, "c16b946fe4b11884"),
     (39, "uniform", 7200.0, "dfeeb9b3dd0fec40"),
     (39, "high_entropy", 900.0, "f5d0bb5b55b1de44"),
@@ -57,6 +91,10 @@ const PINNED_RUNS: [(u64, &str, f64, &str); 8] = [
     (42, "uniform", 7200.0, "36422ecf7f3d2a24"),
     (42, "high_entropy", 900.0, "6f3751bb061ce6e1"),
     (42, "high_entropy", 7200.0, "1a1d9f3b41cc81ba"),
+    (39, "reused", 900.0, "c8535829e8b8ac7c"),
+    (39, "reused", 7200.0, "d155885dda975833"),
+    (42, "reused", 900.0, "effa94d7bd9c7581"),
+    (42, "reused", 7200.0, "e382afa1fb62ac05"),
 ];
 
 /// `devices_json()` digest of the small fleet below, recorded with the
@@ -70,7 +108,7 @@ fn runs_match_the_digests_recorded_with_the_per_cell_walk() {
     for (seed, name, duration_s, _) in PINNED_RUNS {
         let device = DramDevice::with_seed(seed);
         let sim = ErrorSim::new(&device);
-        let profile = if name == "uniform" { uniform() } else { high_entropy() };
+        let profile = named_profile(name);
         let runs: Vec<RunResult> = [50.0, 60.0, 70.0]
             .into_iter()
             .flat_map(|temp| {
@@ -95,4 +133,126 @@ fn small_fleet_matches_the_digest_recorded_with_the_per_cell_walk() {
     let devices = (0..spec.devices).map(|k| sweep.device_history(k)).collect();
     let json = FleetOutcome { spec, seed: 7, devices }.devices_json();
     assert_eq!(format!("{:016x}", fnv1a(json.bytes())), PINNED_FLEET);
+}
+
+fn pool(threads: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap()
+}
+
+/// The segments a run at `op` walks: those starting below the thinning cap
+/// `fraction_below(TREFP / coupling)`.
+fn walked_segments(device: &DramDevice, profile: &DramUsageProfile, op: OperatingPoint) -> usize {
+    let coupling = 1.0
+        - device.physics().entropy_coupling * (profile.entropy_bits / 32.0).clamp(0.0, 1.0);
+    let q_cap = device.retention_law().fraction_below(op.trefp_s / coupling.max(1e-9));
+    (0..32).take_while(|&s| (s as f64) / 32.0 < q_cap).count()
+}
+
+/// A full-entropy profile whose footprint puts `rank`'s expected
+/// population at 256 cells per segment at `op`: one block exactly, so the
+/// Poisson counts of its segments straddle the block size.
+fn one_block_per_segment(device: &DramDevice, rank: usize, op: OperatingPoint) -> DramUsageProfile {
+    let base = 1u64 << 27;
+    let per_segment = device.expected_weak_cells(rank, base, op.temp_c, op.vdd_v) / 32.0;
+    let mut p = high_entropy();
+    p.footprint_words = ((base as f64 * 256.0 / per_segment).round() as u64).max(1 << 12);
+    p
+}
+
+/// The blocked walk behind `ErrorSim::run` (and `PreparedRun`
+/// realization) against the per-cell reference walk, on a 1- and an
+/// 8-thread pool. The cases cover segments of 0, 1, 255, 256 and 257
+/// cells (asserted from `segment_cell_counts`), entropy 0 and 32, reuse
+/// times that put the refresh gate inside the population, reads fast
+/// enough that onsets just inside the run are discovered, a device without
+/// disturbance, thinning caps below and at 1, and both run
+/// lengths.
+#[test]
+fn blocked_walk_matches_the_per_cell_reference_at_1_and_8_threads() {
+    let (one, eight) = (pool(1), pool(8));
+    let devices = [
+        DramDevice::with_seed(39),
+        DramDevice::with_seed(42),
+        DramDevice::with_parts(
+            39,
+            ServerGeometry::x_gene2(),
+            ErrorPhysics::calibrated().without_disturbance(),
+        ),
+    ];
+    let mut plain = uniform();
+    plain.entropy_bits = 0.0;
+    let mut cases = Vec::new();
+    for device in &devices {
+        for profile in [plain.clone(), high_entropy(), reused(), fast_reads()] {
+            for temp in [50.0, 60.0, 70.0] {
+                for trefp in [0.618, 2.283] {
+                    for duration_s in [900.0, 7200.0] {
+                        let op = OperatingPoint::relaxed(trefp, temp);
+                        cases.push((device, profile.clone(), op, duration_s));
+                    }
+                }
+            }
+        }
+    }
+    let at_cap = OperatingPoint::relaxed(2.283, 60.0);
+    for rank in 0..8 {
+        let profile = one_block_per_segment(&devices[0], rank, at_cap);
+        cases.push((&devices[0], profile, at_cap, 900.0));
+    }
+
+    let mut counts_walked = BTreeSet::new();
+    for (i, (device, profile, op, duration_s)) in cases.iter().enumerate() {
+        let (op, duration_s, seed) = (*op, *duration_s, i as u64);
+        let sim = ErrorSim::new(device);
+        let reference = sim.run_reference(profile, op, duration_s, seed);
+        let case = format!("case {i}: device {}, {op}, {duration_s} s", device.seed());
+        assert_eq!(one.install(|| sim.run(profile, op, duration_s, seed)), reference, "{case}");
+        assert_eq!(eight.install(|| sim.run(profile, op, duration_s, seed)), reference, "{case}");
+        let prepared = sim.prepare(profile, &[op]);
+        assert_eq!(prepared.run(op, duration_s, seed), reference, "{case}, prepared");
+        let walked = walked_segments(device, profile, op);
+        for counts in sim.segment_cell_counts(profile, op) {
+            counts_walked.extend(counts[..walked].iter().copied());
+        }
+    }
+    for count in [0, 1, 255, 256, 257] {
+        assert!(counts_walked.contains(&count), "no walked segment of {count} cells");
+    }
+    assert!(counts_walked.iter().any(|&c| c > 512), "no segment of three blocks");
+}
+
+/// The refresh gate's quantile bracket never decides against the exact
+/// comparison: at each edge, its neighbouring floats, a window of quantiles
+/// around both edges and a spread across `[0, 1)`, every `q < lo` passes
+/// and every `q ≥ hi` fails. The bracket is narrow, and parameters outside
+/// its monotone case decide nothing.
+#[test]
+fn quantile_bracket_agrees_with_the_exact_gate_on_and_around_its_edges() {
+    let law = RetentionLaw::from_physics(&ErrorPhysics::calibrated());
+    let ulps = |q: f64, k: i64| f64::from_bits((q.to_bits() as i64 + k).max(0) as u64);
+    for coupling in [1.0, 0.886, 0.7, 0.3, 1e-12] {
+        for t in [0.0, 1e-3, 0.05, 0.618, 1.45, 2.283, 2.999, 3.0, 3.5, 10.0] {
+            let exact = |q: f64| law.retention_at_fraction(q) * coupling < t;
+            let (lo, hi) = law.quantile_bracket(coupling, t);
+            assert!(lo <= hi, "coupling {coupling}, t {t}: ({lo}, {hi})");
+            let mut qs: Vec<f64> = (-300..=300).flat_map(|k| [ulps(lo, k), ulps(hi, k)]).collect();
+            qs.extend([lo.next_down(), lo.next_up(), hi.next_down(), hi.next_up()]);
+            qs.extend((0..=2000).map(|i| i as f64 / 2000.0));
+            qs.extend([0.0, f64::MIN_POSITIVE, 1.0f64.next_down()]);
+            for q in qs.into_iter().filter(|q| q.is_finite()) {
+                if q < lo {
+                    assert!(exact(q), "coupling {coupling}, t {t}: q {q} < lo {lo} must pass");
+                }
+                if q >= hi {
+                    assert!(!exact(q), "coupling {coupling}, t {t}: q {q} >= hi {hi} must fail");
+                }
+            }
+            if lo > 0.0 && hi < 1.0 {
+                assert!(hi / lo - 1.0 < 1e-6, "coupling {coupling}, t {t}: ({lo}, {hi}) too wide");
+            }
+        }
+    }
+    for (coupling, t) in [(0.0, 1.0), (-0.5, 1.0), (f64::NAN, 1.0), (1.0, f64::NAN), (1.0, f64::INFINITY)] {
+        assert_eq!(law.quantile_bracket(coupling, t), (0.0, f64::INFINITY), "({coupling}, {t})");
+    }
 }
