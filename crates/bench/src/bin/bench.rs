@@ -38,14 +38,16 @@
 //! * `bench store torture [--seed N] [--ops M] [--threads T]
 //!   [--fault-rate F]` — drive a *scratch* store (never the real one)
 //!   through a deterministic fault schedule and assert the no-corruption
-//!   invariant (exit 1 on any wrong-value read)
+//!   invariant (exit 1 on any wrong-value read); T must be in `1..=64`
+//!   and F in `[0, 1]`, or it exits 2
 //!
 //! Serving subcommand:
 //!
 //! * `bench serve load [--threads T] [--requests N] [--seed S]` — drive
 //!   the seeded load generator against a live in-process wade-serve
 //!   instance and verify every response byte-for-byte against direct
-//!   `predict_rows` (exit 1 on any error or mismatch)
+//!   `predict_rows` (exit 1 on any error or mismatch); T must be in
+//!   `1..=64`, or it exits 2
 //!
 //! Fleet subcommands (`--store-dir` selects the slice store):
 //!
@@ -889,6 +891,20 @@ fn flag_num<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> T {
     v.trim().parse().unwrap_or_else(|_| usage_error(&format!("{name} expects a number, got {v:?}")))
 }
 
+/// The most threads `--threads` may ask `store torture` or `serve load`
+/// to start.
+const MAX_THREADS: usize = 64;
+
+/// `--threads` (default 4), exiting with status 2 and the usage line,
+/// before any thread starts, unless it is in `1..=MAX_THREADS`.
+fn flag_threads(args: &Args) -> usize {
+    let threads = flag_num(args, "--threads", 4usize);
+    if !(1..=MAX_THREADS).contains(&threads) {
+        usage_error(&format!("--threads must be in 1..={MAX_THREADS}, got {threads}"));
+    }
+    threads
+}
+
 /// `bench store <ls|gc|clear|torture>`: maintenance and chaos-testing of
 /// the shared artifact store (`--store-dir` / `WADE_STORE_DIR` /
 /// `target/wade-store`). `torture` deliberately ignores `--store-dir` and
@@ -934,9 +950,13 @@ fn store_command(action: Option<&str>, args: &Args) {
             let config = wade_store::torture::TortureConfig {
                 seed: flag_num(args, "--seed", 1u64),
                 ops: flag_num(args, "--ops", 5_000u64),
-                threads: flag_num(args, "--threads", 4usize),
+                threads: flag_threads(args),
                 fault_rate: flag_num(args, "--fault-rate", 0.10f64),
             };
+            // NaN injects nothing and would still print OK.
+            if !(0.0..=1.0).contains(&config.fault_rate) {
+                usage_error(&format!("--fault-rate must be in [0, 1], got {}", config.fault_rate));
+            }
             let root = std::env::temp_dir().join(format!(
                 "wade-torture-{}-{}",
                 std::process::id(),
@@ -1027,7 +1047,7 @@ fn serve_load(
 fn serve_command(action: Option<&str>, args: &Args) {
     match action {
         Some("load") => {
-            let threads = flag_num(args, "--threads", 4usize);
+            let threads = flag_threads(args);
             let requests = flag_num(args, "--requests", 256u64);
             let seed = flag_num(args, "--seed", 11u64);
             eprintln!("[serve] load: {threads} threads × {requests} total requests, seed {seed}");

@@ -10,9 +10,12 @@
 //! | 2              | detected, uncorrected | UE    |
 //! | ≥3             | may be miscorrected   | SDC   |
 //!
-//! This crate implements the full codec used by the WADE simulator: an
+//! This crate implements the one codec the WADE workspace uses: an
 //! extended-Hamming (72,64) code with syndrome decoding, plus the error
-//! classification the rest of the workspace builds on.
+//! classification the rest of the workspace builds on. The CE/UE/SDC
+//! taxonomy above depends only on how many bits a word lost, not on the
+//! code's construction, so the pipeline, Table I and the benchmarks all
+//! share this [`Secded`].
 //!
 //! ```
 //! use wade_ecc::{Secded, DecodeOutcome};
@@ -33,12 +36,10 @@
 
 mod classify;
 mod hamming;
-mod hsiao;
 mod secded;
 mod word;
 
 pub use classify::{classify_flip_count, ErrorClass};
 pub use hamming::{HammingLayout, CODE_BITS, DATA_BITS};
-pub use hsiao::HsiaoSecded;
 pub use secded::{DecodeOutcome, Secded};
 pub use word::Codeword;

@@ -118,52 +118,6 @@ impl RandomAccess {
     }
 }
 
-/// Zipfian-popularity accesses, approximating key-value caching traffic
-/// (memcached-style): few hot keys, long cold tail.
-#[derive(Debug, Clone)]
-pub struct ZipfianAccess {
-    /// Number of 64-bit words (one word ≈ one object slot).
-    pub words: u64,
-    /// Total accesses.
-    pub accesses: u64,
-    /// Zipf exponent (≈0.99 for memcached-like traffic).
-    pub exponent: f64,
-    /// Fraction of accesses that are stores.
-    pub write_fraction: f64,
-    /// Non-memory instructions between accesses.
-    pub gap: u64,
-}
-
-impl ZipfianAccess {
-    /// Runs the generator into `sink`.
-    ///
-    /// Uses the rejection-inversion-free approximation: rank sampled via
-    /// `u^( -1/(exponent-1) )`-style inversion over the harmonic CDF,
-    /// adequate for workload modelling.
-    pub fn run<S: AccessSink>(&self, sink: &mut S, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = self.words.max(1) as f64;
-        let s = self.exponent;
-        for i in 0..self.accesses {
-            // Inverse-CDF sampling of a bounded Pareto rank in [1, n].
-            let u: f64 = rng.gen_range(0.0..1.0);
-            let rank = if (s - 1.0).abs() < 1e-9 {
-                n.powf(u)
-            } else {
-                let a = 1.0 - s;
-                ((n.powf(a) - 1.0) * u + 1.0).powf(1.0 / a)
-            };
-            let word = (rank.floor() as u64).clamp(1, self.words.max(1)) - 1;
-            if rng.gen_bool(self.write_fraction.clamp(0.0, 1.0)) {
-                sink.on_access(MemAccess::write(word * 8, rng.gen(), 0));
-            } else {
-                sink.on_access(MemAccess::read(word * 8, 0));
-            }
-            sink.on_instructions(self.gap + (i % 3));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,18 +169,6 @@ mod tests {
         .run(&mut t, 7);
         assert_eq!(t.report().entropy_bits, 0.0);
         assert_eq!(t.report().one_density, 0.0);
-    }
-
-    #[test]
-    fn zipfian_concentrates_accesses() {
-        let mut t = Tracer::new();
-        ZipfianAccess { words: 10_000, accesses: 50_000, exponent: 0.99, write_fraction: 0.1, gap: 1 }
-            .run(&mut t, 3);
-        let r = t.report();
-        // Hot keys dominate: far fewer unique words than accesses, and the
-        // mean reuse distance is short relative to a uniform sweep.
-        assert!(r.unique_words < 10_000);
-        assert!(r.mean_reuse_distance < 20_000.0);
     }
 
     #[test]

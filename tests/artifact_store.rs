@@ -11,7 +11,9 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use wade_core::{Campaign, CampaignConfig, EvalGrid, MlKind, ProfileCache, SimulatedServer};
+use wade_core::{
+    AccuracyReport, Campaign, CampaignConfig, EvalGrid, MlKind, ProfileCache, SimulatedServer,
+};
 use wade_features::FeatureSet;
 use wade_store::ArtifactStore;
 use wade_workloads::{BoxedWorkload, Scale, WorkloadId};
@@ -68,13 +70,19 @@ fn evaluate(store: &Arc<ArtifactStore>, data: &wade_core::CampaignData) -> EvalG
     )
 }
 
+/// `(workload, bit pattern)` of each per-workload error: f64 `==` would
+/// let −0.0 match 0.0 and never match NaN.
+fn workload_bits(report: &AccuracyReport) -> Vec<(&str, u64)> {
+    report.per_workload.iter().map(|(name, mpe)| (name.as_str(), mpe.to_bits())).collect()
+}
+
 /// Bitwise equality of two evaluated grids over the full cell range.
 fn assert_grids_identical(a: &EvalGrid, b: &EvalGrid) {
     for kind in MlKind::ALL {
         for set in FeatureSet::ALL {
             let (ra, rb) = (a.wer_report(kind, set), b.wer_report(kind, set));
             assert_eq!(ra.average.to_bits(), rb.average.to_bits(), "{kind}/{set} average");
-            assert_eq!(ra.per_workload, rb.per_workload, "{kind}/{set} per-workload");
+            assert_eq!(workload_bits(ra), workload_bits(rb), "{kind}/{set} per-workload");
             assert_eq!(ra.per_rank.len(), rb.per_rank.len());
             for (x, y) in ra.per_rank.iter().zip(rb.per_rank.iter()) {
                 assert_eq!(x.map(f64::to_bits), y.map(f64::to_bits), "{kind}/{set} rank");

@@ -15,7 +15,9 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
-use wade_core::{Campaign, CampaignConfig, EvalGrid, MlKind, ProfileCache, SimulatedServer};
+use wade_core::{
+    AccuracyReport, Campaign, CampaignConfig, EvalGrid, MlKind, ProfileCache, SimulatedServer,
+};
 use wade_features::FeatureSet;
 use wade_store::torture::{self, TortureConfig};
 use wade_store::{ArtifactStore, FaultPlan, FaultyFs, RealFs};
@@ -63,13 +65,19 @@ fn evaluate(store: Option<Arc<ArtifactStore>>, data: &wade_core::CampaignData) -
     EvalGrid::evaluate_targets_with(store, data, &KINDS, &SETS, true, true)
 }
 
+/// `(workload, bit pattern)` of each per-workload error: f64 `==` would
+/// let −0.0 match 0.0 and never match NaN.
+fn workload_bits(report: &AccuracyReport) -> Vec<(&str, u64)> {
+    report.per_workload.iter().map(|(name, mpe)| (name.as_str(), mpe.to_bits())).collect()
+}
+
 /// Bitwise equality of two evaluated grids over the tested sub-grid.
 fn assert_grids_identical(a: &EvalGrid, b: &EvalGrid, ctx: &str) {
     for kind in KINDS {
         for set in SETS {
             let (ra, rb) = (a.wer_report(kind, set), b.wer_report(kind, set));
             assert_eq!(ra.average.to_bits(), rb.average.to_bits(), "{ctx}: {kind}/{set} avg");
-            assert_eq!(ra.per_workload, rb.per_workload, "{ctx}: {kind}/{set} per-workload");
+            assert_eq!(workload_bits(ra), workload_bits(rb), "{ctx}: {kind}/{set} per-workload");
             for (x, y) in ra.per_rank.iter().zip(rb.per_rank.iter()) {
                 assert_eq!(x.map(f64::to_bits), y.map(f64::to_bits), "{ctx}: {kind}/{set} rank");
             }

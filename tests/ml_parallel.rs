@@ -4,7 +4,7 @@
 //! same determinism contract the simulator, campaign and profiling layers
 //! already carry (`sim.rs` module docs, ARCHITECTURE.md §3/§10).
 
-use wade::core::{Campaign, CampaignConfig, EvalGrid, MlKind, SimulatedServer};
+use wade::core::{AccuracyReport, Campaign, CampaignConfig, EvalGrid, MlKind, SimulatedServer};
 use wade::features::FeatureSet;
 use wade::ml::{leave_one_group_out, Dataset, ForestTrainer, KnnTrainer, Regressor, Trainer};
 use wade::workloads::{Scale, WorkloadId};
@@ -73,6 +73,12 @@ fn knn_batch_prediction_is_byte_identical_across_thread_counts() {
     assert_eq!(b, serial, "8-thread batch diverged from the serial loop");
 }
 
+/// `(workload, bit pattern)` of each per-workload error: f64 `==` would
+/// let −0.0 match 0.0 and never match NaN.
+fn workload_bits(report: &AccuracyReport) -> Vec<(&str, u64)> {
+    report.per_workload.iter().map(|(name, mpe)| (name.as_str(), mpe.to_bits())).collect()
+}
+
 fn small_campaign() -> wade::core::CampaignData {
     let suite = vec![
         WorkloadId::Backprop.instantiate(1, Scale::Test),
@@ -104,7 +110,7 @@ fn eval_grid_is_byte_identical_across_thread_counts() {
                     other => panic!("{kind}/{set} rank divergence: {other:?}"),
                 }
             }
-            assert_eq!(ra.per_workload, rb.per_workload, "{kind}/{set} per-workload");
+            assert_eq!(workload_bits(ra), workload_bits(rb), "{kind}/{set} per-workload");
             assert_eq!(
                 a.pue_error(kind, set).to_bits(),
                 b.pue_error(kind, set).to_bits(),
