@@ -180,6 +180,7 @@ fn perf_snapshot(out_path: &str, smoke: bool) {
             ("store_fault", store_fault(smoke)),
             ("serving", serving(&quick, smoke)),
             ("prediction_hot_path", prediction_hot_path(&quick, ref_samples, cur_samples)),
+            ("predict_rows_batches", predict_rows_batches(&quick)),
             ("fleet", fleet(smoke, cur_samples)),
             ("fleet_incremental", fleet_incremental(smoke)),
         ]
@@ -606,7 +607,7 @@ fn store_fault(smoke: bool) -> Value {
 /// byte-for-byte against serializing the registry's own `predict_rows` on
 /// the same rows.
 fn serving(data: &CampaignData, smoke: bool) -> Value {
-    eprintln!("[bench] serving: seeded load over live HTTP vs direct predict_batch …");
+    eprintln!("[bench] serving: seeded load over live HTTP vs direct predict_rows …");
     let (threads, requests) = if smoke { (4usize, 64u64) } else { (8, 256) };
     let seed = 11u64;
     let (report, hist) = serve_load(data, threads, requests, seed);
@@ -630,6 +631,8 @@ fn serving(data: &CampaignData, smoke: bool) -> Value {
 /// streaming warm read against the tree-building deserializer, and the
 /// store's exact-codec read of the same model against the streaming
 /// decimal read — with byte-identity of every pair asserted (untimed).
+/// Both sides of each prediction pair are serial per-row maps on the
+/// calling thread, so the ratios measure the layout, not the pool.
 ///
 /// The forest pair runs on a seeded synthetic dataset sized like a
 /// production serving model (hundreds of rows → ~50k arena nodes): a
@@ -663,7 +666,8 @@ fn prediction_hot_path(data: &CampaignData, ref_samples: usize, cur_samples: usi
         std::hint::black_box(out);
     });
     let arena_ms = median_ms(cur_samples, || {
-        std::hint::black_box(arena_forest.predict_batch(&queries));
+        let out: Vec<f64> = queries.iter().map(|q| arena_forest.predict(q)).collect();
+        std::hint::black_box(out);
     });
     // KNN gets correlated features (low intrinsic dimension): campaign
     // features all ride the same temperature/voltage operating point, and
@@ -694,7 +698,8 @@ fn prediction_hot_path(data: &CampaignData, ref_samples: usize, cur_samples: usi
         std::hint::black_box(out);
     });
     let knn_pruned_ms = median_ms(cur_samples, || {
-        std::hint::black_box(knn_model.predict_batch(&knn_queries));
+        let out: Vec<f64> = knn_queries.iter().map(|q| knn_model.predict(q)).collect();
+        std::hint::black_box(out);
     });
     let payload = train_error_model(data, MlKind::Rdf, FeatureSet::Set1).to_json().unwrap();
     let warm_tree_ms = median_ms(ref_samples, || {
@@ -711,9 +716,9 @@ fn prediction_hot_path(data: &CampaignData, ref_samples: usize, cur_samples: usi
     });
     let identical = {
         let bits = |preds: Vec<f64>| preds.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-        let arena = bits(arena_forest.predict_batch(&queries));
+        let arena = bits(queries.iter().map(|q| arena_forest.predict(q)).collect());
         let pointer = bits(queries.iter().map(|q| pointer_forest.predict(q)).collect());
-        let pruned = bits(knn_model.predict_batch(&knn_queries));
+        let pruned = bits(knn_queries.iter().map(|q| knn_model.predict(q)).collect());
         let exhaustive =
             bits(knn_queries.iter().map(|q| knn_model.predict_exhaustive(q)).collect());
         let treed = serde_json::from_str_value::<ErrorModel>(&payload).unwrap();
@@ -742,6 +747,49 @@ fn prediction_hot_path(data: &CampaignData, ref_samples: usize, cur_samples: usi
         ("speedup_exact_vs_streaming", speedup(warm_streaming_ms, warm_exact_ms)),
         ("byte_identical", Value::Bool(identical)),
     ])
+}
+
+/// `predict_rows_batches`: µs per row of `ErrorModel::predict_rows` for
+/// each learner (quick campaign, Set 1) at batch sizes 1, 2, 8 and 32,
+/// inside a 1-thread pool and on the default pool. `predict_rows` is one
+/// serial pass, so the pool must not lose to one thread (CI bounds it at
+/// 1.2×). Each figure is the minimum of 9 sweeps over 256 rows. The two
+/// sides alternate batch by batch, so a shift in the host's speed lands on
+/// both alike, and take turns going first, since the second call finds
+/// the batch in cache.
+fn predict_rows_batches(data: &CampaignData) -> Value {
+    eprintln!("[bench] predict_rows by batch size: 1 thread vs the pool …");
+    let rows: Vec<_> = data.rows.iter().map(|r| (r.features.clone(), r.op)).collect();
+    let single = pool(1);
+    let learners = MlKind::ALL.map(|kind| {
+        let model = train_error_model(data, kind, FeatureSet::Set1);
+        let sizes = [1usize, 2, 8, 32].map(|size| {
+            let batches: Vec<Vec<_>> = (0..256 / size)
+                .map(|b| (0..size).map(|i| rows[(b * size + i) % rows.len()].clone()).collect())
+                .collect();
+            let mut best = [f64::INFINITY; 2]; // [1-thread pool, default pool]
+            for _ in 0..9 {
+                let mut sweep = [0.0; 2];
+                for (i, batch) in batches.iter().enumerate() {
+                    for side in [i % 2, 1 - i % 2] {
+                        let start = Instant::now();
+                        let run = || std::hint::black_box(model.predict_rows(batch));
+                        let _ = if side == 0 { single.install(run) } else { run() };
+                        sweep[side] += start.elapsed().as_secs_f64();
+                    }
+                }
+                best = [best[0].min(sweep[0]), best[1].min(sweep[1])];
+            }
+            let us_per_row = |side: usize| ms(best[side] * 1e6 / 256.0);
+            let entry = map([
+                ("one_thread_us_per_row", us_per_row(0)),
+                ("pool_us_per_row", us_per_row(1)),
+            ]);
+            (format!("batch_{size}"), entry)
+        });
+        (kind.label().to_string(), Value::Map(sizes.into()))
+    });
+    Value::Map(learners.into())
 }
 
 /// `fleet` (ARCHITECTURE.md §15): a heterogeneous device population swept
@@ -1070,7 +1118,7 @@ fn serve_command(action: Option<&str>, args: &Args) {
                 eprintln!("serve load: FAIL — served bytes diverged from direct predictions");
                 std::process::exit(1);
             }
-            println!("serve load: OK — byte-identical to direct predict_batch");
+            println!("serve load: OK — byte-identical to direct predict_rows");
         }
         other => wade_bench::cli::exit_usage(
             &format!("expected a serve action, got {other:?}"),

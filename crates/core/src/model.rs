@@ -3,6 +3,7 @@
 use crate::campaign::CampaignData;
 use crate::collect::{build_pue_dataset, build_wer_dataset, op_augmented_row};
 use crate::predictor::{dataset_id, fold_model, model_store_key, pue_key, wer_key};
+use std::ops::Range;
 use wade_dram::{OperatingPoint, RANK_COUNT};
 use wade_features::{FeatureSet, FeatureVector};
 use serde::{Deserialize, Serialize};
@@ -95,17 +96,6 @@ impl Regressor for AnyModel {
             AnyModel::Rdf(m) => m.predict(features),
         }
     }
-
-    fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        // Delegate so batches reach the inner models' own fan-out policy
-        // (the default trait impl would re-dispatch per row through the
-        // enum match instead).
-        match self {
-            AnyModel::Knn(m) => m.predict_batch(rows),
-            AnyModel::Svr(m) => m.predict_batch(rows),
-            AnyModel::Rdf(m) => m.predict_batch(rows),
-        }
-    }
 }
 
 /// The trained prediction function
@@ -142,69 +132,58 @@ impl ErrorModel {
     /// operating point. Returns 0 when the rank never produced trainable
     /// samples (an error-free rank).
     pub fn predict_wer(&self, features: &FeatureVector, op: OperatingPoint, rank: usize) -> f64 {
-        match &self.wer_models[rank] {
-            Some(model) => {
-                let row = op_augmented_row(features, self.set, op);
-                10f64.powf(model.predict(&row))
-            }
-            None => 0.0,
-        }
+        self.predict_row(features, op, rank..rank + 1, false).wer_per_rank[rank]
     }
 
     /// Server-aggregate WER: sum of the per-rank predictions (per-rank WER
     /// shares the full-footprint denominator, so the sum is the total).
     pub fn predict_wer_total(&self, features: &FeatureVector, op: OperatingPoint) -> f64 {
-        (0..RANK_COUNT).map(|r| self.predict_wer(features, op, r)).sum()
+        self.predict_row(features, op, 0..RANK_COUNT, false).wer_total
     }
 
     /// Predicts the probability of an uncorrectable error for a 2-hour run.
     pub fn predict_pue(&self, features: &FeatureVector, op: OperatingPoint) -> f64 {
-        match &self.pue_model {
-            Some(model) => {
-                let row = op_augmented_row(features, self.set, op);
-                model.predict(&row).clamp(0.0, 1.0)
-            }
-            None => 0.0,
-        }
+        self.predict_row(features, op, 0..0, true).pue
     }
 
-    /// Predicts a whole batch of rows through [`Regressor::predict_batch`]
-    /// (one batched call per trained rank model plus one for the PUE
-    /// model), byte-identical to calling [`ErrorModel::predict_wer`] /
-    /// [`ErrorModel::predict_pue`] row by row: rows are independent, and
-    /// `predict_batch` is byte-identical to the serial per-row map
-    /// (`tests/ml_parallel.rs`), so a row's prediction does not depend on
-    /// which other rows share its batch — the contract the serving layer's
-    /// micro-batching queue rests on.
+    /// Predicts every rank's WER and the PUE of each row, in one serial
+    /// pass on the calling thread. Rows are independent, so a row's
+    /// prediction does not depend on which other rows share its batch and
+    /// equals [`ErrorModel::predict_wer`] / [`ErrorModel::predict_pue`]
+    /// bit for bit — the contract the serving layer's micro-batching queue
+    /// rests on (`tests/ml_parallel.rs`).
     pub fn predict_rows(&self, rows: &[(FeatureVector, OperatingPoint)]) -> Vec<Prediction> {
-        let augmented: Vec<Vec<f64>> =
-            rows.iter().map(|(f, op)| op_augmented_row(f, self.set, *op)).collect();
-        let per_rank: Vec<Option<Vec<f64>>> = self
+        rows.iter()
+            .map(|(features, op)| self.predict_row(features, *op, 0..RANK_COUNT, true))
+            .collect()
+    }
+
+    /// The one per-row prediction: augments the row once, runs it through
+    /// the trained rank models in `ranks` (de-logged; every other rank
+    /// reads 0) and, when `with_pue`, the PUE model (clamped to `[0, 1]`;
+    /// 0 otherwise), and sums the ranks.
+    fn predict_row(
+        &self,
+        features: &FeatureVector,
+        op: OperatingPoint,
+        ranks: Range<usize>,
+        with_pue: bool,
+    ) -> Prediction {
+        let row = op_augmented_row(features, self.set, op);
+        let wer_per_rank: Vec<f64> = self
             .wer_models
             .iter()
-            .map(|m| {
-                m.as_ref().map(|model| {
-                    model.predict_batch(&augmented).iter().map(|p| 10f64.powf(*p)).collect()
-                })
+            .enumerate()
+            .map(|(rank, model)| match model {
+                Some(model) if ranks.contains(&rank) => 10f64.powf(model.predict(&row)),
+                _ => 0.0,
             })
             .collect();
-        let pue: Option<Vec<f64>> = self
-            .pue_model
-            .as_ref()
-            .map(|m| m.predict_batch(&augmented).iter().map(|p| p.clamp(0.0, 1.0)).collect());
-        (0..rows.len())
-            .map(|i| {
-                let wer_per_rank: Vec<f64> = per_rank
-                    .iter()
-                    .map(|r| r.as_ref().map_or(0.0, |v| v[i]))
-                    .collect();
-                Prediction {
-                    wer_total: wer_per_rank.iter().sum(),
-                    wer_per_rank,
-                    pue: pue.as_ref().map_or(0.0, |v| v[i]),
-                }
-            })
-            .collect()
+        let pue = match &self.pue_model {
+            Some(model) if with_pue => model.predict(&row).clamp(0.0, 1.0),
+            _ => 0.0,
+        };
+        Prediction { wer_total: wer_per_rank.iter().sum(), wer_per_rank, pue }
     }
 }
 
@@ -273,24 +252,16 @@ pub fn train_error_model_stored(
     kind: MlKind,
     set: FeatureSet,
 ) -> ErrorModel {
-    let train_via_store = |slot: u64, ds: &Dataset| -> AnyModel {
-        // `dataset_id` serializes the whole dataset: only paid with a store.
-        let key = store.and_then(|_| dataset_id(slot, ds)).map(|id| model_store_key(kind, &id, ""));
-        fold_model(store.zip(key.as_deref()), || kind.train_any(&ds.features(), &ds.targets())).0
-    };
-    let mut wer_models = Vec::with_capacity(RANK_COUNT);
-    for rank in 0..RANK_COUNT {
-        let ds = build_wer_dataset(data, set, rank);
-        if ds.len() < 4 {
-            wer_models.push(None);
-        } else {
-            wer_models.push(Some(train_via_store(wer_key(set, rank), &ds)));
-        }
-    }
-    let pue_ds = build_pue_dataset(data, set);
-    let pue_model =
-        if pue_ds.len() < 4 { None } else { Some(train_via_store(pue_key(set), &pue_ds)) };
-    ErrorModel { kind, set, wer_models, pue_model }
+    let mut models: Vec<Option<AnyModel>> = targets(data, kind, set, store.is_some())
+        .map(|target| {
+            target.map(|(dataset, key)| {
+                let train = || kind.train_any(&dataset.features(), &dataset.targets());
+                fold_model(store.zip(key.as_deref()), train).0
+            })
+        })
+        .collect();
+    let pue_model = models.pop().flatten();
+    ErrorModel { kind, set, wer_models: models, pue_model }
 }
 
 /// The canonical store keys (kind [`crate::MODEL_KIND`]) of the artifacts
@@ -301,19 +272,33 @@ pub fn train_error_model_stored(
 /// these entries (through the [`StoreFs`](wade_store::StoreFs) seam) to
 /// detect model swaps and hot-reload.
 pub fn serving_model_keys(data: &CampaignData, kind: MlKind, set: FeatureSet) -> Vec<String> {
-    let mut keys = Vec::new();
-    let mut push = |slot: u64, ds: &Dataset| {
-        if ds.len() >= 4 {
-            if let Some(id) = dataset_id(slot, ds) {
-                keys.push(model_store_key(kind, &id, ""));
-            }
-        }
-    };
-    for rank in 0..RANK_COUNT {
-        push(wer_key(set, rank), &build_wer_dataset(data, set, rank));
-    }
-    push(pue_key(set), &build_pue_dataset(data, set));
-    keys
+    targets(data, kind, set, true).flatten().filter_map(|(_, key)| key).collect()
+}
+
+/// The error model's training targets in model order — the per-rank WER
+/// datasets, then the PUE dataset — each `None` when its dataset has fewer
+/// than 4 samples (the training guard), else with its canonical store key
+/// when `keyed`. A key serializes and hashes the whole dataset
+/// (`dataset_id`), so it is only paid with a store; a dataset whose
+/// identity fails to serialize gets no key and trains in-process.
+fn targets(
+    data: &CampaignData,
+    kind: MlKind,
+    set: FeatureSet,
+    keyed: bool,
+) -> impl Iterator<Item = Option<(Dataset, Option<String>)>> + '_ {
+    let wer =
+        (0..RANK_COUNT).map(move |rank| (wer_key(set, rank), build_wer_dataset(data, set, rank)));
+    let pue = std::iter::once_with(move || (pue_key(set), build_pue_dataset(data, set)));
+    wer.chain(pue).map(move |(slot, dataset)| {
+        (dataset.len() >= 4).then(|| {
+            let key = keyed
+                .then(|| dataset_id(slot, &dataset))
+                .flatten()
+                .map(|id| model_store_key(kind, &id, ""));
+            (dataset, key)
+        })
+    })
 }
 
 #[cfg(test)]

@@ -252,7 +252,7 @@ fn evaluate_folds(
                     }
                     GroupCvOutcome {
                         group: group.clone(),
-                        predictions: model.predict_batch(&test_x),
+                        predictions: test_x.iter().map(|row| model.predict(row)).collect(),
                         actuals: actuals.clone(),
                     }
                 })

@@ -45,7 +45,7 @@ pub fn leave_one_group_out<T: Trainer + Sync>(data: &Dataset, trainer: &T) -> Ve
                 return None;
             }
             let model = trainer.train(&train.features(), &train.targets());
-            let predictions = model.predict_batch(&test.features());
+            let predictions = test.features().iter().map(|r| model.predict(r)).collect();
             Some(GroupCvOutcome { group, predictions, actuals: test.targets() })
         })
         .collect::<Vec<_>>()

@@ -189,13 +189,6 @@ impl Regressor for ForestRegressor {
         }
         sum / self.roots.len() as f64
     }
-
-    /// Query rows are independent, so the batch fans out on the shared
-    /// rayon pool (order-stable merge — byte-identical to the serial loop
-    /// at any thread count).
-    fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        rows.par_iter().map(|r| self.predict(r)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -288,7 +281,7 @@ mod tests {
         let trainer = ForestTrainer::new(5);
         let arena = trainer.train(&x, &y);
         let reference = ForestRegressor::from_pointer(&trainer.train_pointer(&x, &y));
-        let batch = arena.predict_batch(&x);
+        let batch: Vec<f64> = x.iter().map(|r| arena.predict(r)).collect();
         let serial: Vec<f64> = x.iter().map(|r| reference.predict(r)).collect();
         assert_eq!(batch.len(), serial.len());
         for (a, b) in batch.iter().zip(serial.iter()) {

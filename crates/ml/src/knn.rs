@@ -2,7 +2,6 @@
 
 use crate::model::{validate_training_input, Regressor, Trainer};
 use crate::scale::StandardScaler;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// KNN trainer (hyper-parameter: `k`).
@@ -233,13 +232,6 @@ impl Regressor for KnnRegressor {
         best.sort_unstable_by(by_distance_then_index);
         weighted_prediction(&best)
     }
-
-    /// Query rows are independent, so the batch fans out on the shared
-    /// rayon pool (order-stable merge — byte-identical to the serial loop
-    /// at any thread count).
-    fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        rows.par_iter().map(|r| self.predict(r)).collect()
-    }
 }
 
 /// The worst (maximum) entry of the current k-set under the
@@ -328,16 +320,6 @@ mod tests {
         let model = KnnTrainer::new(2).train(&x, &y);
         let pred = model.predict(&[0.0, 0.0]);
         assert_eq!(pred, 15.0, "expected the mean of samples 0 and 1");
-    }
-
-    #[test]
-    fn batch_prediction_matches_the_serial_loop() {
-        let (x, y) = grid_xy();
-        let model = KnnTrainer::new(4).train(&x, &y);
-        let queries: Vec<Vec<f64>> =
-            (0..40).map(|i| vec![i as f64 * 0.31, (40 - i) as f64 * 0.27]).collect();
-        let serial: Vec<f64> = queries.iter().map(|q| model.predict(q)).collect();
-        assert_eq!(model.predict_batch(&queries), serial);
     }
 
     #[test]

@@ -4,11 +4,6 @@
 pub trait Regressor {
     /// Predicts the target for one feature vector.
     fn predict(&self, features: &[f64]) -> f64;
-
-    /// Predicts a batch (convenience; object-safe).
-    fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        rows.iter().map(|r| self.predict(r)).collect()
-    }
 }
 
 /// A training procedure producing a [`Regressor`].
@@ -44,20 +39,6 @@ pub(crate) fn validate_training_input(x: &[Vec<f64>], y: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct MeanModel(f64);
-
-    impl Regressor for MeanModel {
-        fn predict(&self, _features: &[f64]) -> f64 {
-            self.0
-        }
-    }
-
-    #[test]
-    fn batch_prediction_uses_predict() {
-        let m = MeanModel(7.0);
-        assert_eq!(m.predict_batch(&[vec![1.0], vec![2.0]]), vec![7.0, 7.0]);
-    }
 
     #[test]
     fn validation_accepts_good_input() {

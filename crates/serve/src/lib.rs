@@ -13,8 +13,8 @@
 //! * **Byte-identity.** A `POST /predict` response is byte-identical to
 //!   serializing [`wade_core::ErrorModel::predict_rows`] on the same rows:
 //!   rows are predicted independently, so the micro-batching queue (which
-//!   concatenates rows from concurrent requests into one
-//!   `predict_batch` call per model) is invisible in the output —
+//!   concatenates rows from concurrent requests into one serial
+//!   `predict_rows` call per model kind) is invisible in the output —
 //!   `tests/serving.rs` asserts this at 1 and 8 client threads, cold and
 //!   warm store, for all three model kinds.
 //! * **Store-backed models.** On boot, models load from the artifact

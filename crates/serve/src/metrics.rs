@@ -53,7 +53,7 @@ impl Metrics {
         self.latency_us_max.fetch_max(latency_us, Ordering::Relaxed);
     }
 
-    /// Records one batched `predict_batch` dispatch of `rows` rows.
+    /// Records one micro-batch of `rows` rows: one `predict_rows` call.
     pub fn record_batch(&self, rows: u64) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         let bucket = BATCH_BUCKETS

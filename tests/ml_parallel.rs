@@ -1,11 +1,15 @@
 //! Thread-count byte-identity of the ML training/evaluation engine: forest
-//! training, LOGO cross-validation, batch prediction and the full
+//! training, LOGO cross-validation, `ErrorModel::predict_rows` and the full
 //! `EvalGrid` must produce bit-identical results on 1 and 8 threads — the
 //! same determinism contract the simulator, campaign and profiling layers
 //! already carry (`sim.rs` module docs, ARCHITECTURE.md §3/§10).
 
-use wade::core::{AccuracyReport, Campaign, CampaignConfig, EvalGrid, MlKind, SimulatedServer};
-use wade::features::FeatureSet;
+use wade::core::{
+    train_error_model, AccuracyReport, Campaign, CampaignConfig, EvalGrid, MlKind, Prediction,
+    SimulatedServer,
+};
+use wade::dram::{OperatingPoint, RANK_COUNT};
+use wade::features::{FeatureSet, FeatureVector};
 use wade::ml::{leave_one_group_out, Dataset, ForestTrainer, KnnTrainer, Regressor, Trainer};
 use wade::workloads::{Scale, WorkloadId};
 
@@ -60,19 +64,6 @@ fn logo_cv_is_byte_identical_across_thread_counts() {
     assert_eq!(rdf_a, rdf_b);
 }
 
-#[test]
-fn knn_batch_prediction_is_byte_identical_across_thread_counts() {
-    let (x, y) = synthetic(100, 5);
-    let model = KnnTrainer::paper_default().train(&x, &y);
-    let queries: Vec<Vec<f64>> =
-        (0..64).map(|i| (0..5).map(|j| ((i * 13 + j * 7) % 31) as f64 / 3.1).collect()).collect();
-    let serial: Vec<f64> = queries.iter().map(|q| model.predict(q)).collect();
-    let a = on_pool(1, || model.predict_batch(&queries));
-    let b = on_pool(8, || model.predict_batch(&queries));
-    assert_eq!(a, serial, "1-thread batch diverged from the serial loop");
-    assert_eq!(b, serial, "8-thread batch diverged from the serial loop");
-}
-
 /// `(workload, bit pattern)` of each per-workload error: f64 `==` would
 /// let −0.0 match 0.0 and never match NaN.
 fn workload_bits(report: &AccuracyReport) -> Vec<(&str, u64)> {
@@ -116,6 +107,53 @@ fn eval_grid_is_byte_identical_across_thread_counts() {
                 b.pue_error(kind, set).to_bits(),
                 "{kind}/{set} PUE"
             );
+        }
+    }
+}
+
+/// One row's prediction bundle as bit patterns — per-rank WERs, total WER,
+/// PUE: f64 `==` would let −0.0 match 0.0 and never match NaN.
+type PredictionBits = (Vec<u64>, u64, u64);
+
+fn prediction_bits(p: &Prediction) -> PredictionBits {
+    (p.wer_per_rank.iter().map(|w| w.to_bits()).collect(), p.wer_total.to_bits(), p.pue.to_bits())
+}
+
+#[test]
+fn predict_rows_equals_per_row_prediction_across_thread_counts() {
+    // The serving layer's micro-batching rests on this: a row's prediction
+    // does not depend on the batch it shares or on the pool's width.
+    let data = small_campaign();
+    let rows: Vec<(FeatureVector, OperatingPoint)> =
+        data.rows.iter().map(|r| (r.features.clone(), r.op)).collect();
+    for kind in MlKind::ALL {
+        let model = train_error_model(&data, kind, FeatureSet::Set1);
+        assert!(!model.trained_ranks().is_empty(), "{kind}: no rank model to compare");
+        let per_row: Vec<PredictionBits> = rows
+            .iter()
+            .map(|(features, op)| {
+                let ranks = (0..RANK_COUNT)
+                    .map(|r| model.predict_wer(features, *op, r).to_bits())
+                    .collect();
+                let total = model.predict_wer_total(features, *op).to_bits();
+                (ranks, total, model.predict_pue(features, *op).to_bits())
+            })
+            .collect();
+        for threads in [1, 8] {
+            let batched = |size: usize| -> Vec<PredictionBits> {
+                on_pool(threads, || {
+                    rows.chunks(size)
+                        .flat_map(|batch| model.predict_rows(batch))
+                        .collect::<Vec<_>>()
+                })
+                .iter()
+                .map(prediction_bits)
+                .collect()
+            };
+            assert!(on_pool(threads, || model.predict_rows(&[])).is_empty(), "{kind}: empty batch");
+            for size in [1, 2, rows.len()] {
+                assert_eq!(batched(size), per_row, "{kind}, {threads} threads, batches of {size}");
+            }
         }
     }
 }
