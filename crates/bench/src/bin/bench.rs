@@ -75,7 +75,9 @@ use wade_core::{
 };
 use wade_dram::{DramDevice, DramUsageProfile, ErrorSim, OperatingPoint, RANK_COUNT};
 use wade_features::FeatureSet;
-use wade_ml::{DecisionTree, ForestTrainer, KnnTrainer, Regressor, Trainer, TreeParams};
+use wade_ml::{
+    DecisionTree, FeatureColumns, ForestTrainer, KnnTrainer, Regressor, Trainer, TreeParams,
+};
 use wade_workloads::{full_suite, paper_suite, Scale};
 
 /// Every flag that takes a value (`--flag VALUE` or `--flag=VALUE`) in
@@ -445,7 +447,9 @@ fn campaign_quick_grid(samples: usize, threads: usize) -> Value {
 /// forest trainer's split search: 100 seeded trees grown on the calling
 /// thread by the pruned search and by the exhaustive reference scan, on
 /// the quick campaign's largest Set-3 WER dataset with the forest's
-/// bootstrap and `mtry`; the two forests must serialize byte-identically.
+/// bootstrap and `mtry`. Each timed forest builds its `FeatureColumns`
+/// once and grows all 100 trees on them, as `train_pointer` does; the two
+/// forests must serialize byte-identically.
 fn ml_training(data: &CampaignData, samples: usize) -> Value {
     eprintln!("[bench] ml training/evaluation grid …");
     let evaluate =
@@ -480,11 +484,12 @@ fn ml_training(data: &CampaignData, samples: usize) -> Value {
     let mtry = ((x[0].len() as f64).sqrt().ceil() as usize).max(1);
     let params = TreeParams { mtry, ..TreeParams::default() };
     let grow_forest = |grow: TreeGrower| -> Vec<DecisionTree> {
+        let columns = FeatureColumns::new(&x);
         (0..100)
             .map(|seed| {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let idx: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-                grow(&x, &y, &idx, params, &mut rng)
+                grow(&columns, &y, &idx, params, &mut rng)
             })
             .collect()
     };
@@ -512,7 +517,7 @@ fn ml_training(data: &CampaignData, samples: usize) -> Value {
 
 /// The signature shared by `DecisionTree::grow` and its exhaustive
 /// reference.
-type TreeGrower = fn(&[Vec<f64>], &[f64], &[usize], TreeParams, &mut StdRng) -> DecisionTree;
+type TreeGrower = fn(&FeatureColumns, &[f64], &[usize], TreeParams, &mut StdRng) -> DecisionTree;
 
 /// `artifact_store`: one cold pass (collect the quick campaign and
 /// evaluate the grid, publishing profiles, campaign data and models into

@@ -252,16 +252,33 @@ pub fn train_error_model_stored(
     kind: MlKind,
     set: FeatureSet,
 ) -> ErrorModel {
+    train_error_model_keyed(store, data, kind, set).0
+}
+
+/// [`train_error_model_stored`] that also returns the store keys it read
+/// and wrote, the same list [`serving_model_keys`] computes, in one pass
+/// over the datasets: each dataset is serialized and hashed for its key
+/// once, not once per call. Without a store no key is computed and the
+/// list is empty.
+pub fn train_error_model_keyed(
+    store: Option<&ArtifactStore>,
+    data: &CampaignData,
+    kind: MlKind,
+    set: FeatureSet,
+) -> (ErrorModel, Vec<String>) {
+    let mut keys = Vec::new();
     let mut models: Vec<Option<AnyModel>> = targets(data, kind, set, store.is_some())
         .map(|target| {
             target.map(|(dataset, key)| {
                 let train = || kind.train_any(&dataset.features(), &dataset.targets());
-                fold_model(store.zip(key.as_deref()), train).0
+                let model = fold_model(store.zip(key.as_deref()), train).0;
+                keys.extend(key);
+                model
             })
         })
         .collect();
     let pue_model = models.pop().flatten();
-    ErrorModel { kind, set, wer_models: models, pue_model }
+    (ErrorModel { kind, set, wer_models: models, pue_model }, keys)
 }
 
 /// The canonical store keys (kind [`crate::MODEL_KIND`]) of the artifacts
@@ -375,5 +392,20 @@ mod tests {
             assert_eq!(model.kind(), kind);
             assert_eq!(model.kind().label().len(), 3);
         }
+    }
+
+    #[test]
+    fn keyed_training_returns_the_serving_keys_and_none_without_a_store() {
+        let d = data();
+        let dir = std::env::temp_dir().join(format!("wade-core-keyed-{}", std::process::id()));
+        let store = ArtifactStore::open(&dir);
+        let (kind, set) = (MlKind::Knn, FeatureSet::Set1);
+        let (stored, keys) = train_error_model_keyed(Some(&store), &d, kind, set);
+        let (plain, no_keys) = train_error_model_keyed(None, &d, kind, set);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(!keys.is_empty());
+        assert_eq!(keys, serving_model_keys(&d, kind, set));
+        assert!(no_keys.is_empty());
+        assert_eq!(stored.to_json().unwrap(), plain.to_json().unwrap());
     }
 }

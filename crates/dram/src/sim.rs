@@ -72,14 +72,15 @@
 //!
 //! **Blocked walk.** Most cells below the cap are rejected by the data or
 //! refresh gate, so the walk is built to reject them cheaply. Each
-//! segment's cells go through in blocks of 256 held in stack arrays (no
-//! buffer grows with the Poisson count), in three passes that each compact
-//! their survivors without branching on the coin-flip gate outcomes: the
-//! cap, the data gate, then the refresh gate. The refresh gate is tested
-//! in quantile space: per reuse bucket, [`RetentionLaw::quantile_bracket`]
-//! gives `(lo, hi)` such that every `q < lo` passes and every `q ≥ hi`
-//! fails, so the retention `ln` is taken only inside the bracket (a few
-//! parts in 10⁸ of `q` wide). Only the survivors draw word and lane, and
+//! segment's cells go through in blocks of 256 held in per-thread arrays
+//! (no buffer grows with the Poisson count, and none is refilled per
+//! chunk), in three passes that each compact their survivors without
+//! branching on the coin-flip gate outcomes: the cap, the data gate, then
+//! the refresh gate. The refresh gate is tested in quantile space: per
+//! reuse bucket, [`RetentionLaw::quantile_bracket`] gives `(lo, hi)` such
+//! that every `q < lo` passes and every `q ≥ hi` fails, so the retention
+//! `ln` is taken only inside the bracket (a few parts in 10⁸ of `q`
+//! wide). Only the survivors draw word and lane, and
 //! `RunContext::manifest_cell` stops once the partial discovery time
 //! exceeds the run: a uniform onset draw below a precomputed floor exits
 //! before any `ln`. Stopping early is sound only on a stream private to
@@ -119,6 +120,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_distr::{Distribution, Poisson};
 use rayon::prelude::*;
+use std::cell::Cell;
 
 /// The simulator's pseudo-random generator: SplitMix64 behind an alias so
 /// the choice is recorded (and swappable) in exactly one place. See the
@@ -473,9 +475,27 @@ pub(crate) struct RunContext<'a> {
 }
 
 /// Cells per block of the blocked walk: each pass runs over at most this
-/// many cells held in stack arrays, so the walk allocates nothing that
+/// many cells held in fixed arrays, so the walk allocates nothing that
 /// grows with a segment's Poisson count.
 const BLOCK: usize = 256;
+
+/// The blocked walk's arrays: per cell of a block, its quantile, key,
+/// private attribute stream and reuse bucket. Every pass writes an entry
+/// before it reads it, so what an earlier block left behind never
+/// matters.
+struct WalkBlock {
+    q: [f64; BLOCK],
+    key: [u64; BLOCK],
+    attr: [SimRng; BLOCK],
+    bucket: [u8; BLOCK],
+}
+
+thread_local! {
+    /// Each thread's [`WalkBlock`], set up by its first walk and reused by
+    /// every later chunk. Filling ~6 KB of arrays per chunk cost more than
+    /// walking a short run's few cells.
+    static WALK_BLOCK: Cell<Option<Box<WalkBlock>>> = const { Cell::new(None) };
+}
 
 /// Number of quantile points in `ReuseQuantiles`.
 const REUSE_BUCKETS: usize = 16;
@@ -639,7 +659,7 @@ impl<'a> RunContext<'a> {
     /// by the direct path and `PreparedRun` realization.
     ///
     /// Each segment's cells go through in blocks of [`BLOCK`]; every pass
-    /// compacts its survivors to the front of the block's stack arrays
+    /// compacts its survivors to the front of the thread's block arrays
     /// without a branch on the (unpredictable) gate outcome:
     /// 1. draw each cell's quantile from the segment stream and keep those
     ///    below the thinning cap — the stream is shared by the segment's
@@ -660,7 +680,7 @@ impl<'a> RunContext<'a> {
         // Analytic thinning: a segment that starts at or beyond the cap
         // holds no cell that can fail at this operating point, and
         // skipping it cannot perturb any other cell (independent streams).
-        // Most chunks end here, before their block arrays are set up.
+        // Most chunks end here, before they take the block arrays.
         if expected <= 0.0 || seg_lo as f64 / SEGMENTS as f64 >= self.q_cap {
             return;
         }
@@ -673,10 +693,15 @@ impl<'a> RunContext<'a> {
         let one_density = self.profile.one_density.clamp(0.0, 1.0);
         let never_reused = self.profile.never_reused_fraction;
         let words = &self.word_samplers[rank_index];
-        let mut q = [0.0f64; BLOCK];
-        let mut key = [0u64; BLOCK];
-        let mut attr = [SimRng::seed_from_u64(0); BLOCK];
-        let mut bucket = [0u8; BLOCK];
+        let mut block = WALK_BLOCK.take().unwrap_or_else(|| {
+            Box::new(WalkBlock {
+                q: [0.0; BLOCK],
+                key: [0; BLOCK],
+                attr: [SimRng::seed_from_u64(0); BLOCK],
+                bucket: [0; BLOCK],
+            })
+        });
+        let WalkBlock { q, key, attr, bucket } = &mut *block;
         for seg in seg_lo..seg_lo + SEGMENTS_PER_CHUNK {
             if seg as f64 / SEGMENTS as f64 >= self.q_cap {
                 break;
@@ -724,6 +749,7 @@ impl<'a> RunContext<'a> {
                 first += len as u64;
             }
         }
+        WALK_BLOCK.set(Some(block));
     }
 
     /// The refresh gate of a cell at quantile `q` in reuse bucket `bucket`:

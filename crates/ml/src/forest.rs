@@ -7,9 +7,14 @@
 //! independent units that fan out on the shared rayon pool and merge back
 //! in index order. The trained forest is byte-identical at any thread
 //! count (`tests/ml_parallel.rs` pins this).
+//!
+//! Training builds one [`FeatureColumns`] from the training matrix
+//! before the fan-out: the column-major, rank-coded copy every tree's
+//! split search reads. Trees only read it, so it is shared by reference
+//! and built once per forest, not once per tree.
 
 use crate::model::{validate_training_input, Regressor, Trainer};
-use crate::tree::{DecisionTree, TreeParams, ARENA_LEAF};
+use crate::tree::{DecisionTree, FeatureColumns, TreeParams, ARENA_LEAF};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -54,19 +59,20 @@ impl ForestTrainer {
             self.params.mtry
         };
         let params = TreeParams { mtry, ..self.params };
+        let columns = FeatureColumns::new(x);
 
         // Per-tree derived seed streams (see the module docs): each tree's
         // bootstrap and feature subsampling come from its own generator, so
         // the trees are order-independent parallel units and the vendored
         // pool's input-order merge makes the ensemble byte-identical on 1
-        // and N threads.
+        // and N threads. All trees read the one set of columns.
         let trees = (0..self.trees)
             .into_par_iter()
             .map(|t| {
                 let mut rng = StdRng::seed_from_u64(tree_seed(self.seed, t as u64));
                 // Bootstrap sample (with replacement).
                 let idx: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-                DecisionTree::grow(x, y, &idx, params, &mut rng)
+                DecisionTree::grow(&columns, y, &idx, params, &mut rng)
             })
             .collect();
         PointerForest { trees }
@@ -270,6 +276,28 @@ mod tests {
                 arena.predict(row).to_bits(),
                 pointer.predict(row).to_bits(),
                 "arena and pointer walks diverged on {row:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn forest_trees_match_exhaustive_trees_from_the_same_seeds() {
+        let x: Vec<Vec<f64>> = (0..45)
+            .map(|i| (0..9).map(|j| ((i * (j + 3) * 7) % (5 + 2 * j)) as f64 - 2.0).collect())
+            .collect();
+        let y: Vec<f64> = x.iter().map(|r| r[0] - 0.5 * r[4] + (r[8] * 0.3).sin()).collect();
+        let trainer = ForestTrainer::new(25);
+        let forest = trainer.train_pointer(&x, &y);
+        let params = TreeParams { mtry: 3, ..trainer.params };
+        let columns = FeatureColumns::new(&x);
+        assert!(forest.trees().iter().all(|t| t.depth() >= 2), "precondition: trees split");
+        for (t, tree) in forest.trees().iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(tree_seed(trainer.seed, t as u64));
+            let idx: Vec<usize> = (0..x.len()).map(|_| rng.gen_range(0..x.len())).collect();
+            let reference = DecisionTree::grow_exhaustive(&columns, &y, &idx, params, &mut rng);
+            assert!(
+                tree.bit_identical(&reference),
+                "tree {t} diverged from its exhaustive reference"
             );
         }
     }

@@ -59,4 +59,4 @@ pub use knn::{KnnRegressor, KnnTrainer};
 pub use model::{Regressor, Trainer};
 pub use scale::StandardScaler;
 pub use svr::{SvrRegressor, SvrTrainer};
-pub use tree::{DecisionTree, TreeParams};
+pub use tree::{DecisionTree, FeatureColumns, TreeParams};

@@ -1,8 +1,69 @@
 //! CART regression trees (variance-reduction splits).
+//!
+//! A tree grows on [`FeatureColumns`]: the training matrix stored column
+//! by column, each value beside its rank among the column's distinct
+//! values. A forest builds the columns once and shares them read-only
+//! with all its trees. Each node groups a feature's rows into runs of
+//! equal values by bucketing their rank codes, so no node searches or
+//! sorts, and partitions its row indices in place, stably, so every
+//! child sees its rows in the parent's order (ARCHITECTURE.md §14).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
+
+/// A training matrix stored column by column, with each value's rank
+/// code: one per feature, the values in row order, a `u32` per row
+/// giving its value's rank among the column's distinct values, and those
+/// distinct values in ascending order. Values that compare `==` share a
+/// code, so `-0.0` and `0.0` do; every NaN keeps a code of its own, and
+/// the NaNs rank at the ends (`f64::total_cmp` order). Built once per
+/// forest and read by every tree grown on it, whatever rows each tree's
+/// bootstrap draws.
+#[derive(Debug, Clone)]
+pub struct FeatureColumns {
+    columns: Vec<Column>,
+}
+
+#[derive(Debug, Clone)]
+struct Column {
+    values: Vec<f64>,
+    codes: Vec<u32>,
+    distinct: Vec<f64>,
+}
+
+impl FeatureColumns {
+    /// Builds the columns of the row-major matrix `x`; every row must be
+    /// as long as the first.
+    pub fn new(x: &[Vec<f64>]) -> Self {
+        let dim = x.first().map_or(0, Vec::len);
+        assert!(x.iter().all(|row| row.len() == dim), "ragged feature matrix");
+        let rows = u32::try_from(x.len()).expect("row count exceeds u32 rank codes");
+        let mut order: Vec<u32> = (0..rows).collect();
+        let columns = (0..dim)
+            .map(|feat| {
+                let values: Vec<f64> = x.iter().map(|row| row[feat]).collect();
+                order.sort_unstable_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
+                let mut codes = vec![0u32; values.len()];
+                let mut distinct: Vec<f64> = Vec::new();
+                for &row in &order {
+                    let v = values[row as usize];
+                    if distinct.last() != Some(&v) {
+                        distinct.push(v);
+                    }
+                    codes[row as usize] = distinct.len() as u32 - 1;
+                }
+                Column { values, codes, distinct }
+            })
+            .collect();
+        Self { columns }
+    }
+
+    /// Number of features.
+    pub(crate) fn dim(&self) -> usize {
+        self.columns.len()
+    }
+}
 
 /// Tree growth parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,34 +102,42 @@ pub struct DecisionTree {
 }
 
 impl DecisionTree {
-    /// Grows a tree on the index subset `idx` of `(x, y)` using `rng` for
-    /// feature subsampling. Each node's split comes from the pruned split
-    /// search (ARCHITECTURE.md §14), which evaluates exactly only the
-    /// candidates an error bound cannot rule out and so picks exactly the
-    /// split [`DecisionTree::grow_exhaustive`] picks.
-    pub fn grow(x: &[Vec<f64>], y: &[f64], idx: &[usize], params: TreeParams, rng: &mut StdRng) -> Self {
-        Self::grow_with(x, y, idx, params, rng, Search::Pruned)
-    }
-
-    /// The bit-compare reference for [`DecisionTree::grow`]: the same tree
-    /// grown by the historical exhaustive scan, which evaluates every
-    /// candidate threshold of every considered feature exactly. It draws
-    /// the same rng values in the same order, so for the same `rng` state
-    /// the two trees serialize byte-identically (`tests/ml_hot_path.rs`
-    /// pins this); the pruned search also falls back to this scan for any
-    /// node whose error bound is not finite.
-    pub fn grow_exhaustive(
-        x: &[Vec<f64>],
+    /// Grows a tree on the row subset `idx` of `(columns, y)` (rows may
+    /// repeat, as in a bootstrap) using `rng` for feature subsampling.
+    /// Each node's split comes from the pruned split search
+    /// (ARCHITECTURE.md §14), which evaluates exactly only the candidates
+    /// an error bound cannot rule out and so picks exactly the split
+    /// [`DecisionTree::grow_exhaustive`] picks.
+    pub fn grow(
+        columns: &FeatureColumns,
         y: &[f64],
         idx: &[usize],
         params: TreeParams,
         rng: &mut StdRng,
     ) -> Self {
-        Self::grow_with(x, y, idx, params, rng, Search::Exhaustive)
+        Self::grow_with(columns, y, idx, params, rng, Search::Pruned)
+    }
+
+    /// The bit-compare reference for [`DecisionTree::grow`]: the same tree
+    /// grown by the historical exhaustive scan, which evaluates every
+    /// candidate threshold of every considered feature exactly and reads
+    /// only the columns' values, never their rank codes. It draws the
+    /// same rng values in the same order, so for the same `rng` state
+    /// the two trees serialize byte-identically (`tests/ml_hot_path.rs`
+    /// pins this); the pruned search also falls back to this scan for any
+    /// node whose error bound is not finite.
+    pub fn grow_exhaustive(
+        columns: &FeatureColumns,
+        y: &[f64],
+        idx: &[usize],
+        params: TreeParams,
+        rng: &mut StdRng,
+    ) -> Self {
+        Self::grow_with(columns, y, idx, params, rng, Search::Exhaustive)
     }
 
     fn grow_with(
-        x: &[Vec<f64>],
+        columns: &FeatureColumns,
         y: &[f64],
         idx: &[usize],
         params: TreeParams,
@@ -76,8 +145,9 @@ impl DecisionTree {
         search: Search,
     ) -> Self {
         assert!(!idx.is_empty(), "cannot grow a tree on no samples");
+        let mut idx = idx.to_vec();
         let mut scratch = Scratch::default();
-        let root = build(x, y, idx, params, rng, 0, search, &mut scratch);
+        let root = build(columns, y, &mut idx, params, rng, 0, search, &mut scratch);
         Self { root }
     }
 
@@ -135,6 +205,32 @@ impl DecisionTree {
     }
 }
 
+#[cfg(test)]
+impl DecisionTree {
+    /// Bit-for-bit tree equality: same shape, same features, and the same
+    /// threshold and leaf bits (so `-0.0` and `0.0` differ).
+    pub(crate) fn bit_identical(&self, other: &Self) -> bool {
+        fn same_node(a: &Node, b: &Node) -> bool {
+            match (a, b) {
+                (Node::Leaf { value: va }, Node::Leaf { value: vb }) => {
+                    va.to_bits() == vb.to_bits()
+                }
+                (
+                    Node::Split { feature: fa, threshold: ta, left: la, right: ra },
+                    Node::Split { feature: fb, threshold: tb, left: lb, right: rb },
+                ) => {
+                    fa == fb
+                        && ta.to_bits() == tb.to_bits()
+                        && same_node(la, lb)
+                        && same_node(ra, rb)
+                }
+                _ => false,
+            }
+        }
+        same_node(&self.root, &other.root)
+    }
+}
+
 /// Sentinel feature index marking a leaf in the flat-arena encoding.
 pub(crate) const ARENA_LEAF: u16 = u16::MAX;
 
@@ -180,40 +276,37 @@ enum Search {
     Exhaustive,
 }
 
-/// Per-tree buffers reused at every node: the shuffled feature subset
-/// and, for the pruned search, the node's centred targets in `idx`
-/// order, one feature's `(value, centred target)` pairs for sorting, its
-/// runs of equal values, and the node's candidates as `(feature,
-/// threshold, approximate gain)`.
+/// Per-tree buffers reused at every node: the shuffled feature subset,
+/// the spill buffer of the in-place partition and, for the pruned
+/// search, the node's centred targets in `idx` order, one bucket per
+/// rank code, one feature's runs of equal values, and the node's
+/// candidates as `(feature, threshold, approximate gain)`.
 #[derive(Default)]
 struct Scratch {
     features: Vec<usize>,
+    spill: Vec<usize>,
     centred: Vec<f64>,
-    pairs: Vec<(f64, f64)>,
+    buckets: Vec<Bucket>,
     runs: Vec<Run>,
     candidates: Vec<(usize, f64, Option<f64>)>,
 }
 
+/// The rows of one rank code in a node: `(rows, Σc, Σc²)` over their
+/// centred targets `c`. Every bucket is empty between uses.
+type Bucket = (usize, f64, f64);
+
 /// A run of equal feature values in a node: `(value, rows, Σc, Σc²)` over
 /// the run's centred targets `c`.
 type Run = (f64, usize, f64, f64);
-
-/// Up to this many distinct values, a feature's runs are collected by
-/// linear search instead of by sorting its pairs. Nodes are small and
-/// campaign features take few values per node: in the test-scale
-/// `repro_all` grid every node holds at most 127 rows, and 93% of the
-/// (node, feature) pairs the search visits hold at most 8 distinct
-/// values, which this groups in `O(8m)` without a sort.
-const FEW_VALUES: usize = 8;
 
 /// A candidate split: `(feature, threshold, gain)`.
 type Split = (usize, f64, f64);
 
 #[allow(clippy::too_many_arguments)]
 fn build(
-    x: &[Vec<f64>],
+    columns: &FeatureColumns,
     y: &[f64],
-    idx: &[usize],
+    idx: &mut [usize],
     params: TreeParams,
     rng: &mut StdRng,
     depth: usize,
@@ -229,7 +322,7 @@ fn build(
         return Node::Leaf { value: node_mean };
     }
 
-    let dim = x[0].len();
+    let dim = columns.dim();
     let consider = if params.mtry == 0 { dim } else { params.mtry.min(dim) };
     let features = &mut scratch.features;
     features.clear();
@@ -238,29 +331,48 @@ fn build(
     features.truncate(consider);
 
     let best = match search {
-        Search::Pruned => scan_pruned(x, y, idx, node_mean, parent_sse, scratch),
-        Search::Exhaustive => scan_exhaustive(x, y, idx, &scratch.features, parent_sse),
+        Search::Pruned => scan_pruned(columns, y, idx, node_mean, parent_sse, scratch),
+        Search::Exhaustive => scan_exhaustive(columns, y, idx, &scratch.features, parent_sse),
     };
 
     match best {
         Some((feature, threshold, gain)) if gain > 1e-12 => {
-            let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
-            for &i in idx {
-                if x[i][feature] <= threshold {
-                    left_idx.push(i);
-                } else {
-                    right_idx.push(i);
-                }
-            }
+            let values = &columns.columns[feature].values;
+            let split = partition(idx, |i| values[i] <= threshold, &mut scratch.spill);
+            let (left, right) = idx.split_at_mut(split);
             Node::Split {
                 feature,
                 threshold,
-                left: Box::new(build(x, y, &left_idx, params, rng, depth + 1, search, scratch)),
-                right: Box::new(build(x, y, &right_idx, params, rng, depth + 1, search, scratch)),
+                left: Box::new(build(columns, y, left, params, rng, depth + 1, search, scratch)),
+                right: Box::new(build(columns, y, right, params, rng, depth + 1, search, scratch)),
             }
         }
         _ => Node::Leaf { value: node_mean },
     }
+}
+
+/// Moves the rows for which `goes_left` holds to the front of `idx` and
+/// the rest behind them, each side in its original order, and returns
+/// the left side's length. The right side waits in `spill`, which keeps
+/// its capacity for the next node.
+fn partition(
+    idx: &mut [usize],
+    goes_left: impl Fn(usize) -> bool,
+    spill: &mut Vec<usize>,
+) -> usize {
+    spill.clear();
+    let mut left = 0;
+    for k in 0..idx.len() {
+        let i = idx[k];
+        if goes_left(i) {
+            idx[left] = i;
+            left += 1;
+        } else {
+            spill.push(i);
+        }
+    }
+    idx[left..].copy_from_slice(spill);
+    left
 }
 
 /// Offers a candidate to the running best. Duplicate gains break ties on
@@ -317,10 +429,22 @@ fn exact_gain(
     Some(parent_sse - sse_l - sse_r)
 }
 
+/// The node's `(feature value, target)` pairs of feature `feat`, in `idx`
+/// order.
+fn node_pairs<'a>(
+    columns: &'a FeatureColumns,
+    y: &'a [f64],
+    idx: &'a [usize],
+    feat: usize,
+) -> impl Iterator<Item = (f64, f64)> + Clone + 'a {
+    let values = &columns.columns[feat].values;
+    idx.iter().map(move |&i| (values[i], y[i]))
+}
+
 /// The exhaustive scan: every midpoint of sorted unique values of every
 /// considered feature, each evaluated exactly.
 fn scan_exhaustive(
-    x: &[Vec<f64>],
+    columns: &FeatureColumns,
     y: &[f64],
     idx: &[usize],
     features: &[usize],
@@ -328,7 +452,7 @@ fn scan_exhaustive(
 ) -> Option<Split> {
     let mut best = None;
     for &feat in features {
-        let pairs: Vec<(f64, f64)> = idx.iter().map(|&i| (x[i][feat], y[i])).collect();
+        let pairs: Vec<(f64, f64)> = node_pairs(columns, y, idx, feat).collect();
         // Candidate thresholds: midpoints of sorted unique values.
         let mut vals: Vec<f64> = pairs.iter().map(|&(v, _)| v).collect();
         vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -407,14 +531,14 @@ fn scan_exhaustive(
 /// not finite (a NaN target), the node runs [`scan_exhaustive`] instead.
 /// So does a NaN feature value, on which the exhaustive scan panics.
 fn scan_pruned(
-    x: &[Vec<f64>],
+    columns: &FeatureColumns,
     y: &[f64],
     idx: &[usize],
     centre: f64,
     parent_sse: f64,
     scratch: &mut Scratch,
 ) -> Option<Split> {
-    let Scratch { features, centred, pairs, runs, candidates } = scratch;
+    let Scratch { features, centred, buckets, runs, candidates, .. } = scratch;
     let m = idx.len();
     centred.clear();
     centred.extend(idx.iter().map(|&i| y[i] - centre));
@@ -424,19 +548,19 @@ fn scan_pruned(
     let n_m = (m + 2) as f64 * max_abs;
     let scale = n_m * n_m;
     if !(8.0 * scale).is_finite() {
-        return scan_exhaustive(x, y, idx, features, parent_sse);
+        return scan_exhaustive(columns, y, idx, features, parent_sse);
     }
     let bound = 256.0 * f64::EPSILON * scale;
 
     let mut floor = f64::NEG_INFINITY;
     candidates.clear();
     for &feat in features.iter() {
-        collect_runs(x, idx, feat, centred, pairs, runs);
-        // Sorting with `total_cmp` puts NaNs at the ends; the exhaustive
-        // scan panics on them, and so must this search.
+        collect_runs(&columns.columns[feat], idx, centred, buckets, runs);
+        // NaNs rank at the ends of a column's codes; the exhaustive scan
+        // panics on them, and so must this search.
         let nan_at = |run: Option<&Run>| run.is_some_and(|r| r.0.is_nan());
         if nan_at(runs.first()) || nan_at(runs.last()) {
-            return scan_exhaustive(x, y, idx, features, parent_sse);
+            return scan_exhaustive(columns, y, idx, features, parent_sse);
         }
         let (mut k, mut s, mut q) = (0usize, 0.0f64, 0.0f64);
         for w in runs.windows(2) {
@@ -451,7 +575,7 @@ fn scan_pruned(
                     - (q - s * s / k as f64)
                     - ((q_all - q) - s_r * s_r / (m - k) as f64);
                 if !g.is_finite() {
-                    return scan_exhaustive(x, y, idx, features, parent_sse);
+                    return scan_exhaustive(columns, y, idx, features, parent_sse);
                 }
                 floor = floor.max(g - bound);
                 Some(g)
@@ -465,7 +589,7 @@ fn scan_pruned(
     let mut best = None;
     for &(feat, threshold, approx) in candidates.iter() {
         if approx.is_none_or(|g| g + bound >= floor) {
-            let pairs = idx.iter().map(|&i| (x[i][feat], y[i]));
+            let pairs = node_pairs(columns, y, idx, feat);
             if let Some(gain) = exact_gain(pairs, threshold, parent_sse) {
                 offer(&mut best, feat, threshold, gain);
             }
@@ -474,49 +598,37 @@ fn scan_pruned(
     best
 }
 
-/// Collects feature `feat`'s runs of equal values over the node, in
-/// ascending value order (`-0.0` and `0.0` share a run: they are equal,
-/// and a zero's sign never changes a midpoint with a non-zero value).
-/// A feature with at most [`FEW_VALUES`] distinct values is grouped by
-/// linear search; any other is sorted first.
+/// Collects a column's runs of equal values over the node, in ascending
+/// value order, by adding each row's centred target into the bucket of
+/// its rank code and emitting the non-empty buckets in code order. Codes
+/// merge `-0.0` and `0.0` (a zero's sign never changes a midpoint with a
+/// non-zero value), so they share a run. Only the codes between the
+/// node's lowest and highest are visited, and every bucket is left empty.
 fn collect_runs(
-    x: &[Vec<f64>],
+    column: &Column,
     idx: &[usize],
-    feat: usize,
     centred: &[f64],
-    pairs: &mut Vec<(f64, f64)>,
+    buckets: &mut Vec<Bucket>,
     runs: &mut Vec<Run>,
 ) {
-    runs.clear();
-    let few = idx.iter().zip(centred).all(|(&i, &c)| {
-        let v = x[i][feat];
-        if let Some(run) = runs.iter_mut().find(|run| run.0 == v) {
-            run.1 += 1;
-            run.2 += c;
-            run.3 += c * c;
-        } else if runs.len() < FEW_VALUES {
-            runs.push((v, 1, c, c * c));
-        } else {
-            return false;
-        }
-        true
-    });
-    if few {
-        runs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-        return;
+    if buckets.len() < column.distinct.len() {
+        buckets.resize(column.distinct.len(), (0, 0.0, 0.0));
     }
-    pairs.clear();
-    pairs.extend(idx.iter().zip(centred).map(|(&i, &c)| (x[i][feat], c)));
-    pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let (mut lo, mut hi) = (usize::MAX, 0);
+    for (&i, &c) in idx.iter().zip(centred) {
+        let code = column.codes[i] as usize;
+        let bucket = &mut buckets[code];
+        bucket.0 += 1;
+        bucket.1 += c;
+        bucket.2 += c * c;
+        lo = lo.min(code);
+        hi = hi.max(code);
+    }
     runs.clear();
-    for &(v, c) in pairs.iter() {
-        match runs.last_mut() {
-            Some(run) if run.0 == v => {
-                run.1 += 1;
-                run.2 += c;
-                run.3 += c * c;
-            }
-            _ => runs.push((v, 1, c, c * c)),
+    for (code, bucket) in buckets[lo..=hi].iter_mut().enumerate() {
+        if bucket.0 > 0 {
+            let (rows, s, q) = std::mem::replace(bucket, (0, 0.0, 0.0));
+            runs.push((column.distinct[lo + code], rows, s, q));
         }
     }
 }
@@ -535,7 +647,13 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let y: Vec<f64> = (0..20).map(|i| if i < 10 { 1.0 } else { 5.0 }).collect();
         let idx: Vec<usize> = (0..20).collect();
-        let tree = DecisionTree::grow(&x, &y, &idx, TreeParams::default(), &mut rng());
+        let tree = DecisionTree::grow(
+            &FeatureColumns::new(&x),
+            &y,
+            &idx,
+            TreeParams::default(),
+            &mut rng(),
+        );
         assert_eq!(tree.predict(&[3.0]), 1.0);
         assert_eq!(tree.predict(&[15.0]), 5.0);
     }
@@ -546,7 +664,7 @@ mod tests {
         let y: Vec<f64> = (0..64).map(|i| i as f64).collect();
         let idx: Vec<usize> = (0..64).collect();
         let tree = DecisionTree::grow(
-            &x,
+            &FeatureColumns::new(&x),
             &y,
             &idx,
             TreeParams { max_depth: 3, min_split: 2, mtry: 0 },
@@ -560,7 +678,13 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
         let y = vec![2.0; 10];
         let idx: Vec<usize> = (0..10).collect();
-        let tree = DecisionTree::grow(&x, &y, &idx, TreeParams::default(), &mut rng());
+        let tree = DecisionTree::grow(
+            &FeatureColumns::new(&x),
+            &y,
+            &idx,
+            TreeParams::default(),
+            &mut rng(),
+        );
         assert_eq!(tree.depth(), 0);
         assert_eq!(tree.predict(&[100.0]), 2.0);
     }
@@ -575,7 +699,13 @@ mod tests {
             y.push(if i % 2 == 0 { 0.0 } else { 10.0 });
         }
         let idx: Vec<usize> = (0..30).collect();
-        let tree = DecisionTree::grow(&x, &y, &idx, TreeParams::default(), &mut rng());
+        let tree = DecisionTree::grow(
+            &FeatureColumns::new(&x),
+            &y,
+            &idx,
+            TreeParams::default(),
+            &mut rng(),
+        );
         assert_eq!(tree.predict(&[5.0, 0.0]), 0.0);
         assert_eq!(tree.predict(&[5.0, 1.0]), 10.0);
     }
@@ -590,7 +720,13 @@ mod tests {
         let idx: Vec<usize> = (0..16).collect();
         for seed in 0..32 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let tree = DecisionTree::grow(&x, &y, &idx, TreeParams::default(), &mut rng);
+            let tree = DecisionTree::grow(
+                &FeatureColumns::new(&x),
+                &y,
+                &idx,
+                TreeParams::default(),
+                &mut rng,
+            );
             match tree.root_split() {
                 Some((feature, threshold)) => {
                     assert_eq!(feature, 0, "seed {seed} split on the higher twin");
@@ -601,30 +737,29 @@ mod tests {
         }
     }
 
-    /// Bit-for-bit node equality: same shape, same features, and the same
-    /// threshold and leaf bits (so `-0.0` and `0.0` differ).
-    fn same_node(a: &Node, b: &Node) -> bool {
-        match (a, b) {
-            (Node::Leaf { value: va }, Node::Leaf { value: vb }) => va.to_bits() == vb.to_bits(),
-            (
-                Node::Split { feature: fa, threshold: ta, left: la, right: ra },
-                Node::Split { feature: fb, threshold: tb, left: lb, right: rb },
-            ) => fa == fb && ta.to_bits() == tb.to_bits() && same_node(la, lb) && same_node(ra, rb),
-            _ => false,
-        }
-    }
-
     /// Grows `(x, y)` both ways from the same seeds and asserts the trees
     /// are bit-identical; returns the number of split nodes grown.
     fn assert_matches_exhaustive(x: &[Vec<f64>], y: &[f64], params: TreeParams) -> usize {
         let idx: Vec<usize> = (0..x.len()).collect();
+        assert_matches_exhaustive_on(x, y, &idx, params)
+    }
+
+    /// [`assert_matches_exhaustive`] on the rows `idx` of columns built
+    /// over the whole of `x`.
+    fn assert_matches_exhaustive_on(
+        x: &[Vec<f64>],
+        y: &[f64],
+        idx: &[usize],
+        params: TreeParams,
+    ) -> usize {
+        let columns = FeatureColumns::new(x);
         let mut splits = 0;
         for seed in 0..8 {
-            let pruned = DecisionTree::grow(x, y, &idx, params, &mut StdRng::seed_from_u64(seed));
-            let exhaustive =
-                DecisionTree::grow_exhaustive(x, y, &idx, params, &mut StdRng::seed_from_u64(seed));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pruned = DecisionTree::grow(&columns, y, idx, params, &mut rng.clone());
+            let exhaustive = DecisionTree::grow_exhaustive(&columns, y, idx, params, &mut rng);
             assert!(
-                same_node(&pruned.root, &exhaustive.root),
+                pruned.bit_identical(&exhaustive),
                 "seed {seed}: pruned {pruned:?} != exhaustive {exhaustive:?}"
             );
             splits += pruned.depth().min(1);
@@ -644,10 +779,9 @@ mod tests {
 
     #[test]
     fn few_values_boundary_matches_exhaustive() {
-        // Around `FEW_VALUES` distinct values a column's runs switch from
-        // linear search to sorting; zeros of both signs share a run, and a
-        // duplicate column makes every gain tie its twin.
-        for d in FEW_VALUES - 1..=FEW_VALUES + 2 {
+        // Columns of 7 to 10 distinct values; zeros of both signs share a
+        // rank code, and a duplicate column makes every gain tie its twin.
+        for d in 7..=10 {
             let n = 5 * d + 3;
             let x: Vec<Vec<f64>> = (0..n)
                 .map(|i| {
@@ -660,6 +794,119 @@ mod tests {
             let params = TreeParams { max_depth: 6, min_split: 2, mtry: 0 };
             assert!(assert_matches_exhaustive(&x, &y, params) > 0, "{d} values grew no split");
         }
+    }
+
+    /// A splitmix64 stream of `n` values in `[0, 1)`.
+    fn units(seed: u64, n: usize) -> Vec<f64> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+            })
+            .collect()
+    }
+
+    #[test]
+    fn codes_rank_distinct_values_in_ascending_order() {
+        let nan = f64::NAN;
+        let x: Vec<Vec<f64>> =
+            [3.0, -0.0, 1.0, 0.0, nan, 3.0, -nan, -2.0, nan].iter().map(|&v| vec![v]).collect();
+        let column = &FeatureColumns::new(&x).columns[0];
+        // -NaN ranks first and every NaN keeps its own code (the two
+        // NaNs with equal bits take the top two in either order); ±0
+        // share one.
+        let mut codes = column.codes.clone();
+        assert!(matches!((codes[4], codes[8]), (5, 6) | (6, 5)), "{codes:?}");
+        (codes[4], codes[8]) = (5, 6);
+        assert_eq!(codes, [4, 2, 3, 2, 5, 4, 0, 1, 6]);
+        let bits: Vec<u64> = column.values.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, x.iter().map(|r| r[0].to_bits()).collect::<Vec<_>>());
+        assert_eq!(column.distinct.len(), 7);
+        assert!(column.distinct[1..5].windows(2).all(|w| w[0] < w[1]));
+        for (row, &code) in column.codes.iter().enumerate() {
+            let (v, d) = (column.values[row], column.distinct[code as usize]);
+            assert!(v == d || (v.is_nan() && d.to_bits() == v.to_bits()), "row {row}");
+        }
+    }
+
+    #[test]
+    fn partition_keeps_each_side_in_row_order() {
+        let mut idx = vec![9, 2, 7, 2, 4, 11, 0, 7, 5];
+        let mut spill = Vec::new();
+        let left = partition(&mut idx, |i| i % 2 == 0, &mut spill);
+        assert_eq!(left, 4);
+        assert_eq!(idx, [2, 2, 4, 0, 9, 7, 11, 7, 5]);
+        assert_eq!(partition(&mut idx[..left], |_| true, &mut spill), 4);
+        assert_eq!(partition(&mut idx[left..], |_| false, &mut spill), 0);
+        assert_eq!(idx, [2, 2, 4, 0, 9, 7, 11, 7, 5]);
+    }
+
+    #[test]
+    fn bootstrap_rows_over_whole_matrix_columns_match_exhaustive() {
+        // Columns built over all 60 rows; trees grow on bootstraps that
+        // repeat rows and miss others, so nodes skip codes, and on a
+        // narrow slice that holds only some of each column's values.
+        let n = 60;
+        let u = units(17, n * 4);
+        let x: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let r = &u[i * 4..i * 4 + 4];
+                vec![
+                    (r[0] * 25.0).floor(),
+                    (r[1] * 6.0).floor() - 2.0,
+                    r[2],
+                    (r[3] * 40.0).floor() / 8.0,
+                ]
+            })
+            .collect();
+        let y: Vec<f64> = x.iter().map(|r| r[0] * 0.3 - r[1] * r[1] + r[3]).collect();
+        let params = TreeParams { max_depth: 8, min_split: 2, mtry: 2 };
+        let draws = units(29, 3 * n);
+        for boot in draws.chunks(n) {
+            let idx: Vec<usize> = boot.iter().map(|&d| (d * n as f64) as usize).collect();
+            let mut seen = idx.clone();
+            seen.sort_unstable();
+            seen.dedup();
+            assert!(seen.len() < n, "precondition: the bootstrap misses some rows");
+            assert!(assert_matches_exhaustive_on(&x, &y, &idx, params) > 0);
+        }
+        let slice: Vec<usize> = (n / 2..n).chain(n / 2..n / 2 + 8).collect();
+        assert!(assert_matches_exhaustive_on(&x, &y, &slice, params) > 0);
+    }
+
+    #[test]
+    fn signed_zeros_in_one_column_match_exhaustive() {
+        // Zeros of both signs spread over one column, with targets that
+        // reward the cut just above zero: the zeros must form one run, or
+        // a spurious cut at `(-0.0 + 0.0) / 2` ties the real one.
+        let vals = [-1.0, -0.0, 0.0, 1.0, 2.0];
+        let x: Vec<Vec<f64>> = (0..40).map(|i| vec![vals[(i * 3) % 5], (i % 4) as f64]).collect();
+        let y: Vec<f64> =
+            x.iter().map(|r| if r[0] <= 0.0 { 0.0 } else { 6.0 } + r[1] * 0.1).collect();
+        let columns = FeatureColumns::new(&x);
+        assert_eq!((x[2][0].to_bits(), x[4][0].to_bits()), ((-0.0f64).to_bits(), 0));
+        assert_eq!(columns.columns[0].codes[2], columns.columns[0].codes[4], "±0 share a code");
+        let params = TreeParams { max_depth: 4, min_split: 2, mtry: 0 };
+        assert!(assert_matches_exhaustive(&x, &y, params) > 0);
+        let idx: Vec<usize> = (0..40).collect();
+        let tree = DecisionTree::grow(&columns, &y, &idx, params, &mut rng());
+        assert_eq!(tree.root_split().map(|(f, t)| (f, t.to_bits())), Some((0, 0.5f64.to_bits())));
+    }
+
+    #[test]
+    fn wide_rows_with_mtry_16_match_exhaustive() {
+        // Set 3's shape: 252 features, 16 drawn per node.
+        let (n, dim) = (48, 252);
+        let u = units(31, n * dim);
+        let x: Vec<Vec<f64>> =
+            u.chunks(dim).map(|r| r.iter().map(|v| (v * 16.0).floor()).collect()).collect();
+        let y: Vec<f64> = x.iter().map(|r| r[0] - 0.5 * r[126] + 0.25 * r[251]).collect();
+        let params = TreeParams { mtry: 16, ..TreeParams::default() };
+        assert!(assert_matches_exhaustive(&x, &y, params) > 0);
     }
 
     #[test]
@@ -724,9 +971,10 @@ mod tests {
                 (0..m).map(|_| vec![(unit() * 6.0).floor(), (unit() * 4.0).floor()]).collect();
             let y: Vec<f64> = (0..m).map(|_| (unit() * 2.0 - 1.0) * scale).collect();
             let idx: Vec<usize> = (0..m).collect();
-            let pruned = DecisionTree::grow(&x, &y, &idx, params, &mut rng());
-            let exhaustive = DecisionTree::grow_exhaustive(&x, &y, &idx, params, &mut rng());
-            assert!(same_node(&pruned.root, &exhaustive.root), "trial {trial} diverged");
+            let columns = FeatureColumns::new(&x);
+            let pruned = DecisionTree::grow(&columns, &y, &idx, params, &mut rng());
+            let exhaustive = DecisionTree::grow_exhaustive(&columns, &y, &idx, params, &mut rng());
+            assert!(pruned.bit_identical(&exhaustive), "trial {trial} diverged");
         }
     }
 
@@ -736,7 +984,7 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..12).map(|i| vec![if i == 5 { f64::NAN } else { i as f64 }]).collect();
         let y: Vec<f64> = (0..12).map(|i| i as f64).collect();
         let idx: Vec<usize> = (0..12).collect();
-        DecisionTree::grow(&x, &y, &idx, TreeParams::default(), &mut rng());
+        DecisionTree::grow(&FeatureColumns::new(&x), &y, &idx, TreeParams::default(), &mut rng());
     }
 
     #[test]
@@ -747,7 +995,13 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
         let y: Vec<f64> = (0..10).map(|i| (i as f64).exp()).collect();
         let idx: Vec<usize> = (0..10).collect();
-        let tree = DecisionTree::grow(&x, &y, &idx, TreeParams::default(), &mut rng());
+        let tree = DecisionTree::grow(
+            &FeatureColumns::new(&x),
+            &y,
+            &idx,
+            TreeParams::default(),
+            &mut rng(),
+        );
         assert_eq!(tree.predict(&[100.0]), tree.predict(&[9.0]));
     }
 }

@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::SystemTime;
 
 use wade_core::{
-    serving_model_keys, train_error_model_stored, CampaignData, ErrorModel, MlKind, MODEL_KIND,
+    train_error_model_keyed, train_error_model_stored, CampaignData, ErrorModel, MlKind, MODEL_KIND,
 };
 use wade_features::FeatureSet;
 use wade_store::ArtifactStore;
@@ -34,14 +34,16 @@ pub struct ModelRegistry {
 impl ModelRegistry {
     /// Boots the registry: loads every family's models from `store`
     /// (training and publishing them when the store is cold or absent)
-    /// and records the artifacts' initial mtimes.
+    /// and records the artifacts' initial mtimes. Each dataset's store key
+    /// is computed once, by the load itself, and not at all without a
+    /// store, which has nothing to poll.
     pub fn new(data: CampaignData, set: FeatureSet, store: Option<Arc<ArtifactStore>>) -> Self {
         let mut models = Vec::new();
         let mut keys = Vec::new();
         for kind in MlKind::ALL {
-            let model = train_error_model_stored(store.as_deref(), &data, kind, set);
+            let (model, model_keys) = train_error_model_keyed(store.as_deref(), &data, kind, set);
             models.push(RwLock::new(Arc::new(model)));
-            keys.push(serving_model_keys(&data, kind, set));
+            keys.push(model_keys);
         }
         let registry = Self { store, set, data, models, keys, stamps: Mutex::new(HashMap::new()) };
         registry.refresh_stamps();

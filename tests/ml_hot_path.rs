@@ -20,8 +20,8 @@ use wade::core::{
 };
 use wade::features::FeatureSet;
 use wade::ml::{
-    Dataset, DecisionTree, ForestTrainer, KnnTrainer, PointerForest, Regressor, Trainer,
-    TreeParams,
+    Dataset, DecisionTree, FeatureColumns, ForestTrainer, KnnTrainer, PointerForest, Regressor,
+    Trainer, TreeParams,
 };
 use wade::store::ArtifactStore;
 use wade::workloads::{Scale, WorkloadId};
@@ -95,8 +95,10 @@ fn pruned_knn_is_byte_identical_to_exhaustive() {
 }
 
 /// Grows one tree per seed both ways — the same seeded rng, the same
-/// bootstrap of `bootstrap` rows — asserts the serialized trees are
-/// byte-identical, and returns the number of nodes compared.
+/// bootstrap of `bootstrap` rows, on one set of columns built over all
+/// of `x`, so each tree's rows repeat some rows, miss others and leave
+/// rank codes unused — asserts the serialized trees are byte-identical,
+/// and returns the number of nodes compared.
 fn grow_both_ways(
     x: &[Vec<f64>],
     y: &[f64],
@@ -104,12 +106,13 @@ fn grow_both_ways(
     params: TreeParams,
     seeds: std::ops::Range<u64>,
 ) -> usize {
+    let columns = FeatureColumns::new(x);
     let mut nodes = 0;
     for seed in seeds {
         let mut rng = StdRng::seed_from_u64(seed);
         let idx: Vec<usize> = (0..bootstrap).map(|_| rng.gen_range(0..x.len())).collect();
-        let pruned = DecisionTree::grow(x, y, &idx, params, &mut rng.clone());
-        let exhaustive = DecisionTree::grow_exhaustive(x, y, &idx, params, &mut rng);
+        let pruned = DecisionTree::grow(&columns, y, &idx, params, &mut rng.clone());
+        let exhaustive = DecisionTree::grow_exhaustive(&columns, y, &idx, params, &mut rng);
         let a = serde_json::to_string(&pruned).unwrap();
         let b = serde_json::to_string(&exhaustive).unwrap();
         assert_eq!(a, b, "seed {seed}: pruned split search diverged from the exhaustive scan");
