@@ -637,7 +637,9 @@ fn serving(data: &CampaignData, smoke: bool) -> Value {
 /// store's exact-codec read of the same model against the streaming
 /// decimal read — with byte-identity of every pair asserted (untimed).
 /// Both sides of each prediction pair are serial per-row maps on the
-/// calling thread, so the ratios measure the layout, not the pool.
+/// calling thread, so the ratios measure the layout, not the pool. The
+/// forest pair is timed interleaved ([`interleaved_min_ms`], 8 batches of
+/// 250 rows), so a change in the host's speed cannot favour one side.
 ///
 /// The forest pair runs on a seeded synthetic dataset sized like a
 /// production serving model (hundreds of rows → ~50k arena nodes): a
@@ -666,12 +668,13 @@ fn prediction_hot_path(data: &CampaignData, ref_samples: usize, cur_samples: usi
     let trainer = ForestTrainer::paper_default();
     let pointer_forest = trainer.train_pointer(&forest_x, &forest_y);
     let arena_forest = trainer.train(&forest_x, &forest_y);
-    let pointer_ms = median_ms(ref_samples, || {
-        let out: Vec<f64> = queries.iter().map(|q| pointer_forest.predict(q)).collect();
-        std::hint::black_box(out);
-    });
-    let arena_ms = median_ms(cur_samples, || {
-        let out: Vec<f64> = queries.iter().map(|q| arena_forest.predict(q)).collect();
+    let batches: Vec<&[Vec<f64>]> = queries.chunks(250).collect();
+    let [pointer_ms, arena_ms] = interleaved_min_ms(&batches, |side, batch| {
+        let out: Vec<f64> = if side == 0 {
+            batch.iter().map(|q| pointer_forest.predict(q)).collect()
+        } else {
+            batch.iter().map(|q| arena_forest.predict(q)).collect()
+        };
         std::hint::black_box(out);
     });
     // KNN gets correlated features (low intrinsic dimension): campaign
@@ -758,10 +761,8 @@ fn prediction_hot_path(data: &CampaignData, ref_samples: usize, cur_samples: usi
 /// each learner (quick campaign, Set 1) at batch sizes 1, 2, 8 and 32,
 /// inside a 1-thread pool and on the default pool. `predict_rows` is one
 /// serial pass, so the pool must not lose to one thread (CI bounds it at
-/// 1.2×). Each figure is the minimum of 9 sweeps over 256 rows. The two
-/// sides alternate batch by batch, so a shift in the host's speed lands on
-/// both alike, and take turns going first, since the second call finds
-/// the batch in cache.
+/// 1.2×). Each figure is the fastest of [`interleaved_min_ms`]'s sweeps
+/// over 256 rows.
 fn predict_rows_batches(data: &CampaignData) -> Value {
     eprintln!("[bench] predict_rows by batch size: 1 thread vs the pool …");
     let rows: Vec<_> = data.rows.iter().map(|r| (r.features.clone(), r.op)).collect();
@@ -772,20 +773,12 @@ fn predict_rows_batches(data: &CampaignData) -> Value {
             let batches: Vec<Vec<_>> = (0..256 / size)
                 .map(|b| (0..size).map(|i| rows[(b * size + i) % rows.len()].clone()).collect())
                 .collect();
-            let mut best = [f64::INFINITY; 2]; // [1-thread pool, default pool]
-            for _ in 0..9 {
-                let mut sweep = [0.0; 2];
-                for (i, batch) in batches.iter().enumerate() {
-                    for side in [i % 2, 1 - i % 2] {
-                        let start = Instant::now();
-                        let run = || std::hint::black_box(model.predict_rows(batch));
-                        let _ = if side == 0 { single.install(run) } else { run() };
-                        sweep[side] += start.elapsed().as_secs_f64();
-                    }
-                }
-                best = [best[0].min(sweep[0]), best[1].min(sweep[1])];
-            }
-            let us_per_row = |side: usize| ms(best[side] * 1e6 / 256.0);
+            // [1-thread pool, default pool]
+            let best = interleaved_min_ms(&batches, |side, batch| {
+                let run = || std::hint::black_box(model.predict_rows(batch));
+                let _ = if side == 0 { single.install(run) } else { run() };
+            });
+            let us_per_row = |side: usize| ms(best[side] * 1e3 / 256.0);
             let entry = map([
                 ("one_thread_us_per_row", us_per_row(0)),
                 ("pool_us_per_row", us_per_row(1)),
@@ -1319,6 +1312,28 @@ fn fleet_command(action: Option<&str>, args: &Args) {
              [--extend-to E2] [--seed K] [--store-dir DIR]",
         ),
     }
+}
+
+/// Times two sides of a comparison over the same batches, alternating
+/// batch by batch so a shift in the host's speed lands on both alike. The
+/// side that goes first flips with every batch and every sweep, since the
+/// second call finds the batch in cache. Returns each side's fastest of 9
+/// sweeps over all batches, in ms.
+fn interleaved_min_ms<B>(batches: &[B], mut run: impl FnMut(usize, &B)) -> [f64; 2] {
+    let mut best = [f64::INFINITY; 2];
+    for s in 0..9 {
+        let mut sweep = [0.0; 2];
+        for (i, batch) in batches.iter().enumerate() {
+            let first = (s + i) % 2;
+            for side in [first, 1 - first] {
+                let start = Instant::now();
+                run(side, batch);
+                sweep[side] += start.elapsed().as_secs_f64() * 1e3;
+            }
+        }
+        best = [best[0].min(sweep[0]), best[1].min(sweep[1])];
+    }
+    best
 }
 
 fn median_ms(samples: usize, mut f: impl FnMut()) -> f64 {

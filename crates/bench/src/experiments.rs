@@ -401,7 +401,7 @@ fn simulate(
 
 /// Fig. 2 — WER over time for memcached, backprop and the random
 /// data-pattern micro-benchmark (TREFP = 2.283 s, VDD = 1.428 V, 70 °C), at
-/// [`scale`].
+/// `scale()`.
 ///
 /// Paper shape: backprop converges ~3.5× above the random micro, memcached
 /// far below both — real workloads can both exceed and undercut the

@@ -85,7 +85,7 @@ impl Lab {
         (Self { store, cache }, args)
     }
 
-    /// The full-suite campaign data at the paper's grid ([`scale`]-sized),
+    /// The full-suite campaign data at the paper's grid (`scale()`-sized),
     /// served through the store so every figure binary — and every
     /// repeated invocation — shares one collection pass; a cold collection
     /// profiles through the cache. The store key is explicit: (campaign
@@ -122,7 +122,7 @@ pub fn run(figure: fn(&Lab, &mut dyn Write) -> io::Result<()>) -> io::Result<()>
 /// `WADE_SCALE=test` asks for the reduced CI-friendly inputs. The store
 /// keys fold the scale in through the suite, so Test- and Full-scale
 /// artifacts never collide.
-pub fn scale() -> Scale {
+pub(crate) fn scale() -> Scale {
     match std::env::var("WADE_SCALE") {
         Ok(v) if v.eq_ignore_ascii_case("test") => Scale::Test,
         _ => Scale::Full,
@@ -132,12 +132,12 @@ pub fn scale() -> Scale {
 /// The workload suite used by the experiments: the paper's 14 configs plus
 /// the Fig. 13 extras (lulesh ×2 and the random data-pattern micro), at
 /// [`scale`].
-pub fn experiment_suite() -> Vec<Box<dyn Workload>> {
+pub(crate) fn experiment_suite() -> Vec<Box<dyn Workload>> {
     full_suite(scale())
 }
 
 /// Formats a WER in the paper's scientific style.
-pub fn fmt_wer(wer: f64) -> String {
+pub(crate) fn fmt_wer(wer: f64) -> String {
     if wer == 0.0 {
         "0".to_string()
     } else {

@@ -198,11 +198,6 @@ impl Campaign {
         self
     }
 
-    /// The server under test.
-    pub fn server(&self) -> &SimulatedServer {
-        &self.server
-    }
-
     /// Profiles one workload (Fig. 3's profiling phase).
     pub fn profile(&self, workload: &dyn Workload, seed: u64) -> ProfiledWorkload {
         (*self.profile_shared(workload, seed)).clone()
@@ -210,7 +205,11 @@ impl Campaign {
 
     /// [`Campaign::profile`] returning the shared frozen profile: a cache
     /// hit hands back the same allocation instead of cloning the reports.
-    pub fn profile_shared(&self, workload: &dyn Workload, seed: u64) -> Arc<ProfiledWorkload> {
+    pub(crate) fn profile_shared(
+        &self,
+        workload: &dyn Workload,
+        seed: u64,
+    ) -> Arc<ProfiledWorkload> {
         match &self.profile_cache {
             Some(cache) => cache.profile(&self.server, workload, seed),
             None => Arc::new(self.server.profile_workload(workload, seed)),

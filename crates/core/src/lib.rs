@@ -48,8 +48,8 @@ pub use collect::{
 };
 pub use error::WadeError;
 pub use model::{
-    serving_model_keys, train_error_model, train_error_model_keyed, train_error_model_stored,
-    AnyModel, ErrorModel, MlKind, Prediction, TRAINER_CONFIG_VERSION,
+    train_error_model, train_error_model_stored, AnyModel, ErrorModel, MlKind, Prediction,
+    TRAINER_CONFIG_VERSION,
 };
 pub use predictor::{AccuracyReport, EvalGrid, MODEL_KIND};
 pub use profile_cache::ProfileCache;

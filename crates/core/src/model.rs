@@ -114,11 +114,6 @@ pub struct ErrorModel {
 }
 
 impl ErrorModel {
-    /// The learner used.
-    pub fn kind(&self) -> MlKind {
-        self.kind
-    }
-
     /// Ranks with a trained WER model (had measurable errors).
     pub fn trained_ranks(&self) -> Vec<usize> {
         self.wer_models
@@ -208,14 +203,6 @@ impl ErrorModel {
     pub fn to_json(&self) -> Result<String, crate::WadeError> {
         Ok(serde_json::to_string(self)?)
     }
-
-    /// Restores a trained model from JSON.
-    ///
-    /// # Errors
-    /// Returns [`crate::WadeError::Persistence`] on malformed input.
-    pub fn from_json(json: &str) -> Result<Self, crate::WadeError> {
-        Ok(serde_json::from_str(json)?)
-    }
 }
 
 impl core::fmt::Debug for ErrorModel {
@@ -233,7 +220,7 @@ impl core::fmt::Debug for ErrorModel {
 /// rank (log₁₀-space) plus one PUE regressor, with no persistence —
 /// [`train_error_model_stored`] without a store.
 pub fn train_error_model(data: &CampaignData, kind: MlKind, set: FeatureSet) -> ErrorModel {
-    train_error_model_stored(None, data, kind, set)
+    train_error_model_stored(None, data, kind, set).0
 }
 
 /// Trains the full error model, through `store` when one is given: every
@@ -243,24 +230,18 @@ pub fn train_error_model(data: &CampaignData, kind: MlKind, set: FeatureSet) -> 
 /// trained on all samples — the same scheme [`crate::EvalGrid`] uses for
 /// fold models) and only trained on a miss, after which the trained model
 /// is published best-effort. A degraded, faulty or absent store falls back
-/// to in-process training, so the result is **always** byte-identical to
-/// the store-free model (the store round-trips `f64` exactly);
+/// to in-process training, so the model is **always** byte-identical to
+/// the store-free one (the store round-trips `f64` exactly);
 /// `tests/serving.rs` asserts this cold and warm.
+///
+/// Also returns the store keys it read and wrote: one per trainable rank
+/// (in rank order) plus the PUE model, skipping targets whose dataset
+/// fails the training guard or whose identity fails to serialize. The
+/// serving layer polls exactly these entries (through the
+/// [`StoreFs`](wade_store::StoreFs) seam) to detect model swaps and
+/// hot-reload. Each dataset is serialized and hashed for its key once;
+/// without a store no key is computed and the list is empty.
 pub fn train_error_model_stored(
-    store: Option<&ArtifactStore>,
-    data: &CampaignData,
-    kind: MlKind,
-    set: FeatureSet,
-) -> ErrorModel {
-    train_error_model_keyed(store, data, kind, set).0
-}
-
-/// [`train_error_model_stored`] that also returns the store keys it read
-/// and wrote, the same list [`serving_model_keys`] computes, in one pass
-/// over the datasets: each dataset is serialized and hashed for its key
-/// once, not once per call. Without a store no key is computed and the
-/// list is empty.
-pub fn train_error_model_keyed(
     store: Option<&ArtifactStore>,
     data: &CampaignData,
     kind: MlKind,
@@ -279,17 +260,6 @@ pub fn train_error_model_keyed(
         .collect();
     let pue_model = models.pop().flatten();
     (ErrorModel { kind, set, wer_models: models, pue_model }, keys)
-}
-
-/// The canonical store keys (kind [`crate::MODEL_KIND`]) of the artifacts
-/// a [`train_error_model_stored`] call reads and writes for this `(data,
-/// kind, set)` combination: one per trainable rank (in rank order) plus
-/// the PUE model, skipping targets whose dataset fails the training guard
-/// or whose identity fails to serialize. The serving layer polls exactly
-/// these entries (through the [`StoreFs`](wade_store::StoreFs) seam) to
-/// detect model swaps and hot-reload.
-pub fn serving_model_keys(data: &CampaignData, kind: MlKind, set: FeatureSet) -> Vec<String> {
-    targets(data, kind, set, true).flatten().filter_map(|(_, key)| key).collect()
 }
 
 /// The error model's training targets in model order — the per-rank WER
@@ -371,7 +341,7 @@ mod tests {
         let d = data();
         let model = train_error_model(&d, MlKind::Knn, FeatureSet::Set1);
         let json = model.to_json().expect("serialise");
-        let restored = ErrorModel::from_json(&json).expect("restore");
+        let restored: ErrorModel = serde_json::from_str(&json).expect("restore");
         let row = &d.rows[0];
         assert_eq!(
             model.predict_wer_total(&row.features, row.op),
@@ -381,7 +351,7 @@ mod tests {
             model.predict_pue(&row.features, OperatingPoint::relaxed(2.283, 70.0)),
             restored.predict_pue(&row.features, OperatingPoint::relaxed(2.283, 70.0))
         );
-        assert_eq!(restored.kind(), MlKind::Knn);
+        assert_eq!(restored.kind, MlKind::Knn);
     }
 
     #[test]
@@ -389,8 +359,8 @@ mod tests {
         let d = data();
         for kind in MlKind::ALL {
             let model = train_error_model(&d, kind, FeatureSet::Set1);
-            assert_eq!(model.kind(), kind);
-            assert_eq!(model.kind().label().len(), 3);
+            assert_eq!(model.kind, kind);
+            assert_eq!(model.kind.label().len(), 3);
         }
     }
 
@@ -398,13 +368,22 @@ mod tests {
     fn keyed_training_returns_the_serving_keys_and_none_without_a_store() {
         let d = data();
         let dir = std::env::temp_dir().join(format!("wade-core-keyed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let store = ArtifactStore::open(&dir);
         let (kind, set) = (MlKind::Knn, FeatureSet::Set1);
-        let (stored, keys) = train_error_model_keyed(Some(&store), &d, kind, set);
-        let (plain, no_keys) = train_error_model_keyed(None, &d, kind, set);
+        let (stored, mut keys) = train_error_model_stored(Some(&store), &d, kind, set);
+        let (plain, no_keys) = train_error_model_stored(None, &d, kind, set);
+        let mut listed: Vec<String> = store
+            .ls()
+            .into_iter()
+            .filter(|meta| meta.kind == crate::MODEL_KIND)
+            .filter_map(|meta| meta.key)
+            .collect();
+        listed.sort();
         let _ = std::fs::remove_dir_all(&dir);
         assert!(!keys.is_empty());
-        assert_eq!(keys, serving_model_keys(&d, kind, set));
+        keys.sort();
+        assert_eq!(keys, listed);
         assert!(no_keys.is_empty());
         assert_eq!(stored.to_json().unwrap(), plain.to_json().unwrap());
     }

@@ -74,7 +74,7 @@ impl SimulatedServer {
     /// exactly as 8 GB working sets overflow the real 8 MiB L3. Only
     /// *relative* cache-filter behaviour across workloads matters to the
     /// model.
-    pub fn profiling_soc_config() -> SocConfig {
+    pub(crate) fn profiling_soc_config() -> SocConfig {
         SocConfig {
             l1d: CacheConfig { capacity_bytes: 4 << 10, ways: 4, line_bytes: 64 },
             l2: CacheConfig { capacity_bytes: 16 << 10, ways: 8, line_bytes: 64 },
@@ -93,19 +93,14 @@ impl SimulatedServer {
         &self.device
     }
 
-    /// The SoC configuration profiling runs execute against.
-    pub fn soc_config(&self) -> &SocConfig {
-        &self.soc_config
-    }
-
-    /// Precomputed order-stable hash of [`SimulatedServer::soc_config`];
-    /// part of the profile-cache key.
+    /// Precomputed order-stable hash of the SoC configuration profiling
+    /// runs execute against; part of the profile-cache key.
     pub fn soc_fingerprint(&self) -> u64 {
         self.soc_fingerprint
     }
 
     /// The thermal testbed (mutable: campaigns set temperatures).
-    pub fn thermal_mut(&mut self) -> &mut ThermalTestbed {
+    pub(crate) fn thermal_mut(&mut self) -> &mut ThermalTestbed {
         &mut self.thermal
     }
 
@@ -246,7 +241,7 @@ mod tests {
         assert_eq!(p.name, "backprop");
         assert!(p.profile.validate().is_ok(), "{:?}", p.profile.validate());
         assert!(p.features.values().iter().all(|v| v.is_finite()));
-        assert!(p.profile.dram_access_rate_hz() > 0.0);
+        assert!(p.profile.dram_read_rate_hz + p.profile.dram_write_rate_hz > 0.0);
     }
 
     #[test]

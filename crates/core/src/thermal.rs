@@ -19,13 +19,13 @@ pub struct PidController {
 
 impl PidController {
     /// Creates a controller with the given gains and output saturation.
-    pub fn new(kp: f64, ki: f64, kd: f64, output_limit: f64) -> Self {
+    pub(crate) fn new(kp: f64, ki: f64, kd: f64, output_limit: f64) -> Self {
         Self { kp, ki, kd, integral: 0.0, last_error: None, output_limit }
     }
 
     /// One control step: returns the actuation (heater watts) for the
     /// current error, advancing internal state by `dt` seconds.
-    pub fn step(&mut self, error: f64, dt: f64) -> f64 {
+    pub(crate) fn step(&mut self, error: f64, dt: f64) -> f64 {
         self.integral += error * dt;
         // Anti-windup: clamp the integral to what the actuator can express.
         let i_cap = self.output_limit / self.ki.max(1e-9);
@@ -40,7 +40,7 @@ impl PidController {
     }
 
     /// Resets integral/derivative state (new setpoint).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.integral = 0.0;
         self.last_error = None;
     }
@@ -61,7 +61,7 @@ pub struct ThermalTestbed {
 
 impl ThermalTestbed {
     /// Builds the testbed at ambient temperature (server inlet ~35 °C).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let ambient = 35.0;
         Self {
             temps_c: [ambient; 4],
@@ -77,21 +77,21 @@ impl ThermalTestbed {
     ///
     /// # Panics
     /// Panics if `dimm >= 4`.
-    pub fn set_target(&mut self, dimm: usize, target_c: f64) {
+    pub(crate) fn set_target(&mut self, dimm: usize, target_c: f64) {
         assert!(dimm < 4, "dimm {dimm} out of range");
         self.targets_c[dimm] = target_c;
         self.controllers[dimm].reset();
     }
 
     /// Sets all DIMMs to the same target (the campaign's usual mode).
-    pub fn set_all_targets(&mut self, target_c: f64) {
+    pub(crate) fn set_all_targets(&mut self, target_c: f64) {
         for d in 0..4 {
             self.set_target(d, target_c);
         }
     }
 
     /// Advances the plant by `dt` seconds.
-    pub fn step(&mut self, dt: f64) {
+    pub(crate) fn step(&mut self, dt: f64) {
         for d in 0..4 {
             let error = self.targets_c[d] - self.temps_c[d];
             let power = self.controllers[d].step(error, dt);
@@ -103,7 +103,7 @@ impl ThermalTestbed {
 
     /// Steps until every DIMM is within `tol_c` of target (or the time
     /// budget runs out). Returns the simulated seconds elapsed.
-    pub fn settle(&mut self, tol_c: f64, max_seconds: f64) -> f64 {
+    pub(crate) fn settle(&mut self, tol_c: f64, max_seconds: f64) -> f64 {
         let dt = 1.0;
         let mut elapsed = 0.0;
         while elapsed < max_seconds {
@@ -119,11 +119,6 @@ impl ThermalTestbed {
             elapsed += dt;
         }
         elapsed
-    }
-
-    /// Current DIMM temperatures (°C).
-    pub fn temperatures_c(&self) -> [f64; 4] {
-        self.temps_c
     }
 }
 
@@ -143,7 +138,7 @@ mod tests {
         bed.set_all_targets(70.0);
         let t = bed.settle(0.5, 3600.0);
         assert!(t < 3600.0, "did not settle");
-        for temp in bed.temperatures_c() {
+        for temp in bed.temps_c {
             assert!((temp - 70.0).abs() <= 0.5, "temp {temp}");
         }
     }
@@ -154,7 +149,7 @@ mod tests {
         bed.set_target(0, 50.0);
         bed.set_target(3, 70.0);
         bed.settle(0.5, 3600.0);
-        let temps = bed.temperatures_c();
+        let temps = bed.temps_c;
         assert!((temps[0] - 50.0).abs() < 1.0);
         assert!((temps[3] - 70.0).abs() < 1.0);
         assert!(temps[3] > temps[0] + 15.0);
@@ -167,7 +162,7 @@ mod tests {
         let mut max_temp: f64 = 0.0;
         for _ in 0..3600 {
             bed.step(1.0);
-            max_temp = max_temp.max(bed.temperatures_c()[0]);
+            max_temp = max_temp.max(bed.temps_c[0]);
         }
         assert!(max_temp < 66.0, "overshoot to {max_temp}");
     }
@@ -177,7 +172,7 @@ mod tests {
         let mut bed = ThermalTestbed::new();
         bed.set_all_targets(10.0); // below ambient: unreachable
         bed.settle(0.5, 600.0);
-        for temp in bed.temperatures_c() {
+        for temp in bed.temps_c {
             assert!(temp >= 34.0, "temp {temp} below ambient");
         }
     }

@@ -33,7 +33,7 @@ pub struct AddressScrambler {
 
 impl AddressScrambler {
     /// Derives a scrambler from the manufacturing seed and DIMM index.
-    pub fn new(device_seed: u64, dimm: u8) -> Self {
+    pub(crate) fn new(device_seed: u64, dimm: u8) -> Self {
         let key = device_seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add((dimm as u64 + 1).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
@@ -42,7 +42,7 @@ impl AddressScrambler {
 
     /// Scrambles a word index within a rank (bijective over any power-of-two
     /// domain `2^bits`).
-    pub fn scramble(&self, word: u64, bits: u32) -> u64 {
+    pub(crate) fn scramble(&self, word: u64, bits: u32) -> u64 {
         let mask = (1u64 << bits) - 1;
         let mut x = word & mask;
         // Two Feistel-ish XOR-rotate rounds confined to the domain.
@@ -50,20 +50,6 @@ impl AddressScrambler {
         x = x.rotate_left(bits / 2) & mask | (x >> (bits - bits / 2));
         x &= mask;
         x ^= (self.key >> 23) & mask;
-        x & mask
-    }
-
-    /// Inverts [`AddressScrambler::scramble`].
-    pub fn unscramble(&self, word: u64, bits: u32) -> u64 {
-        let mask = (1u64 << bits) - 1;
-        let mut x = word & mask;
-        x ^= (self.key >> 23) & mask;
-        // Invert the rotate-merge: reconstruct the pre-rotation value.
-        let low_bits = bits / 2;
-        let high = (x & ((1 << (bits - low_bits)) - 1)) << low_bits;
-        let low = x >> (bits - low_bits);
-        x = (high | low) & mask;
-        x ^= (self.key >> 7) & mask;
         x & mask
     }
 }
@@ -119,12 +105,26 @@ mod tests {
         }
     }
 
+    /// Inverts [`AddressScrambler::scramble`].
+    fn unscramble(s: &AddressScrambler, word: u64, bits: u32) -> u64 {
+        let mask = (1u64 << bits) - 1;
+        let mut x = word & mask;
+        x ^= (s.key >> 23) & mask;
+        // Invert the rotate-merge: reconstruct the pre-rotation value.
+        let low_bits = bits / 2;
+        let high = (x & ((1 << (bits - low_bits)) - 1)) << low_bits;
+        let low = x >> (bits - low_bits);
+        x = (high | low) & mask;
+        x ^= (s.key >> 7) & mask;
+        x & mask
+    }
+
     #[test]
     fn unscramble_inverts_scramble() {
         let s = AddressScrambler::new(1234, 0);
         for bits in [10u32, 16, 20] {
             for w in (0..(1u64 << bits)).step_by(97) {
-                assert_eq!(s.unscramble(s.scramble(w, bits), bits), w, "bits {bits} word {w}");
+                assert_eq!(unscramble(&s, s.scramble(w, bits), bits), w, "bits {bits} word {w}");
             }
         }
     }

@@ -131,7 +131,7 @@ impl ErrorPhysics {
 
     /// Expected weak-cell density per bit within the retention window at
     /// the given temperature (°C) and supply voltage (V).
-    pub fn weak_density(&self, temp_c: f64, vdd_v: f64) -> f64 {
+    pub(crate) fn weak_density(&self, temp_c: f64, vdd_v: f64) -> f64 {
         let temp_factor = (self.beta_per_c * (temp_c - 50.0)).exp();
         let vdd_factor =
             (self.kappa_vdd * (crate::OperatingPoint::VDD_NOMINAL - vdd_v).max(0.0) / crate::OperatingPoint::VDD_NOMINAL).exp();

@@ -44,11 +44,6 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Effective observation window (until crash or completion).
-    pub fn effective_duration_s(&self) -> f64 {
-        self.ue.map_or(self.duration_s, |ue| ue.t_s.min(self.duration_s))
-    }
-
     /// The word error rate, eq. 2: unique CE words / footprint words.
     pub fn wer(&self) -> f64 {
         self.ce_events.len() as f64 / self.footprint_words as f64
@@ -121,13 +116,18 @@ mod tests {
         assert!((sum - r.wer()).abs() < 1e-12);
     }
 
+    /// Effective observation window (until crash or completion).
+    fn effective_duration_s(r: &RunResult) -> f64 {
+        r.ue.map_or(r.duration_s, |ue| ue.t_s.min(r.duration_s))
+    }
+
     #[test]
     fn crash_truncates_duration() {
         let mut r = sample();
         assert!(!r.crashed());
-        assert_eq!(r.effective_duration_s(), 7200.0);
+        assert_eq!(effective_duration_s(&r), 7200.0);
         r.ue = Some(UeEvent { t_s: 3600.0, rank: RankId::from_index(2) });
         assert!(r.crashed());
-        assert_eq!(r.effective_duration_s(), 3600.0);
+        assert_eq!(effective_duration_s(&r), 3600.0);
     }
 }

@@ -84,11 +84,6 @@ impl ServerGeometry {
         self.dimms as usize * self.ranks_per_dimm as usize
     }
 
-    /// Total capacity in bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.dimms as u64 * self.dimm_bytes
-    }
-
     /// Which rank a 64-bit word of an allocation lands on. Cache lines
     /// interleave across channels (one DIMM per channel) and then across
     /// ranks, so consecutive lines round-robin the 8 ranks.
@@ -96,11 +91,6 @@ impl ServerGeometry {
         // 8 words per 64-byte line; lines round-robin ranks.
         let line = word_index / 8;
         RankId::from_index((line % self.total_ranks() as u64) as usize)
-    }
-
-    /// Number of DRAM rows spanned by `footprint_words` 64-bit words.
-    pub fn rows_for_words(&self, footprint_words: u64) -> u64 {
-        (footprint_words * 8).div_ceil(self.row_bytes).max(1)
     }
 }
 
@@ -119,7 +109,7 @@ mod tests {
         let g = ServerGeometry::x_gene2();
         assert_eq!(g.total_chips(), 72);
         assert_eq!(g.total_ranks(), RANK_COUNT);
-        assert_eq!(g.total_bytes(), 32 << 30);
+        assert_eq!(g.dimms as u64 * g.dimm_bytes, 32 << 30);
     }
 
     #[test]
@@ -160,10 +150,12 @@ mod tests {
 
     #[test]
     fn rows_for_words() {
+        // Number of DRAM rows spanned by `words` 64-bit words.
+        let rows = |g: &ServerGeometry, words: u64| (words * 8).div_ceil(g.row_bytes).max(1);
         let g = ServerGeometry::x_gene2();
-        assert_eq!(g.rows_for_words(1024), 1); // 8 KiB exactly
-        assert_eq!(g.rows_for_words(1025), 2);
-        assert_eq!(g.rows_for_words(0), 1);
+        assert_eq!(rows(&g, 1024), 1); // 8 KiB exactly
+        assert_eq!(rows(&g, 1025), 2);
+        assert_eq!(rows(&g, 0), 1);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub struct OperatingPoint {
 
 impl OperatingPoint {
     /// Nominal DDR3 operation: 64 ms refresh, 1.5 V, 50 °C.
-    pub fn nominal() -> Self {
+    pub(crate) fn nominal() -> Self {
         Self { trefp_s: 0.064, vdd_v: Self::VDD_NOMINAL, temp_c: 50.0 }
     }
 
@@ -54,7 +54,7 @@ impl OperatingPoint {
     /// Returns a description when the point is outside the modelled range
     /// (non-positive refresh, voltage below the functional minimum, or
     /// temperature outside 0–110 °C).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(self.trefp_s > 0.0 && self.trefp_s <= 10.0) {
             return Err(format!("refresh period {} s out of modelled range", self.trefp_s));
         }

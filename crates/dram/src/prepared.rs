@@ -146,18 +146,6 @@ pub struct LiveCellIndex {
     live: Vec<Vec<u32>>,
 }
 
-impl LiveCellIndex {
-    /// The operating point this index gates for.
-    pub fn op(&self) -> OperatingPoint {
-        self.op
-    }
-
-    /// Total live cells across all ranks at this set-point.
-    pub fn live_cells(&self) -> usize {
-        self.live.iter().map(Vec::len).sum()
-    }
-}
-
 impl<'d> PreparedRun<'d> {
     /// Realizes the population shared by `ops` (all at one temperature and
     /// voltage) from its derived streams. See [`crate::ErrorSim::prepare`].
@@ -226,16 +214,6 @@ impl<'d> PreparedRun<'d> {
         static STAMP: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let stamp = STAMP.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Self { device, profile: profile.clone(), temp_c, vdd_v, max_trefp_s, stamp, ranks }
-    }
-
-    /// The device this population was realized against.
-    pub fn device(&self) -> &'d DramDevice {
-        self.device
-    }
-
-    /// The usage profile the population was realized for.
-    pub fn profile(&self) -> &DramUsageProfile {
-        &self.profile
     }
 
     /// The operating-point checks shared by every replay entry point.
@@ -353,11 +331,6 @@ impl<'d> PreparedRun<'d> {
         out
     }
 
-    /// Total frozen cells across all ranks (benchmark footprint + OS).
-    pub fn frozen_cells(&self) -> usize {
-        self.ranks.iter().map(|r| r.cells.len() + r.os_cells.len()).sum()
-    }
-
     /// Replays one characterization run against the frozen population:
     /// gates it at `op` ([`PreparedRun::live_index`]), then plays out
     /// discovery/companion/disturbance/burst randomness from the `(op, run
@@ -383,6 +356,16 @@ mod tests {
 
     fn device() -> DramDevice {
         DramDevice::with_seed(39)
+    }
+
+    /// Total live cells across all ranks at the index's set-point.
+    fn live_cells(index: &LiveCellIndex) -> usize {
+        index.live.iter().map(Vec::len).sum()
+    }
+
+    /// Total frozen cells across all ranks (benchmark footprint + OS).
+    fn frozen_cells(prepared: &PreparedRun) -> usize {
+        prepared.ranks.iter().map(|r| r.cells.len() + r.os_cells.len()).sum()
     }
 
     fn profile() -> DramUsageProfile {
@@ -460,8 +443,8 @@ mod tests {
             let prepared = sim.prepare(&p, &ops);
             for op in ops {
                 let index = prepared.live_index(op);
-                assert!(index.live_cells() <= prepared.frozen_cells());
-                assert_eq!(index.op(), op);
+                assert!(live_cells(&index) <= frozen_cells(&prepared));
+                assert_eq!(index.op, op);
                 for seed in 0..3 {
                     assert_eq!(
                         prepared.run_indexed(&index, 7200.0, seed),
@@ -484,7 +467,8 @@ mod tests {
             OperatingPoint::relaxed(2.283, 60.0),
         ];
         let prepared = ErrorSim::new(&d).prepare(&profile(), &ops);
-        let counts: Vec<usize> = ops.iter().map(|&op| prepared.live_index(op).live_cells()).collect();
+        let counts: Vec<usize> =
+            ops.iter().map(|&op| live_cells(&prepared.live_index(op))).collect();
         assert!(counts[0] <= counts[1] && counts[1] <= counts[2], "{counts:?}");
         assert!(counts[2] > 0);
     }
@@ -525,8 +509,8 @@ mod tests {
     fn prepared_arena_is_nonempty_and_reported() {
         let d = device();
         let prepared = ErrorSim::new(&d).prepare(&profile(), &[OperatingPoint::relaxed(2.283, 60.0)]);
-        assert!(prepared.frozen_cells() > 0);
-        assert_eq!(prepared.profile().footprint_words, profile().footprint_words);
+        assert!(frozen_cells(&prepared) > 0);
+        assert_eq!(prepared.profile.footprint_words, profile().footprint_words);
     }
 
     #[test]

@@ -27,12 +27,12 @@ impl ReuseQuantiles {
     }
 
     /// A degenerate distribution: every word reused every `t` seconds.
-    pub fn constant(t: f64) -> Self {
+    pub(crate) fn constant(t: f64) -> Self {
         Self { values: vec![t; QUANTILE_POINTS] }
     }
 
     /// Samples a reuse time by inverse-CDF lookup at `u ∈ [0,1)`.
-    pub fn sample_at(&self, u: f64) -> f64 {
+    pub(crate) fn sample_at(&self, u: f64) -> f64 {
         let idx = ((u.clamp(0.0, 0.999_999) * QUANTILE_POINTS as f64) as usize)
             .min(QUANTILE_POINTS - 1);
         self.values[idx]
@@ -41,16 +41,6 @@ impl ReuseQuantiles {
     /// Mean of the quantile values (≈ distribution mean).
     pub fn mean(&self) -> f64 {
         self.values.iter().sum::<f64>() / QUANTILE_POINTS as f64
-    }
-
-    /// Number of quantile points (16).
-    pub fn len(&self) -> usize {
-        QUANTILE_POINTS
-    }
-
-    /// Never empty; provided for API completeness.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 }
 
@@ -98,11 +88,6 @@ impl DramUsageProfile {
             entropy_bits: 28.0,
             region_shares: vec![1.0 / 64.0; 64],
         }
-    }
-
-    /// Total DRAM command rate (Hz).
-    pub fn dram_access_rate_hz(&self) -> f64 {
-        self.dram_read_rate_hz + self.dram_write_rate_hz
     }
 
     /// Validates internal consistency.

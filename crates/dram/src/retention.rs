@@ -1,7 +1,6 @@
 //! The retention-time tail law.
 
 use crate::config::ErrorPhysics;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Samples retention times for weak cells.
@@ -23,16 +22,6 @@ impl RetentionLaw {
     /// Builds the law from the physics constants.
     pub fn from_physics(physics: &ErrorPhysics) -> Self {
         Self { alpha_per_s: physics.alpha_per_s, window_s: physics.retention_window_s }
-    }
-
-    /// Samples one retention time in `(−∞, window_s]`, exponentially
-    /// weighted toward the window edge (weakest cells are rarest).
-    ///
-    /// Inverse CDF: with `u ~ U(0,1)`, `r = W + ln(u)/alpha` satisfies
-    /// `P(r < t) = exp(alpha·(t − W))` for `t ≤ W`.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        self.window_s + u.ln() / self.alpha_per_s
     }
 
     /// Fraction of window-weak cells whose retention is below `t` seconds.
@@ -86,10 +75,16 @@ impl RetentionLaw {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn law() -> RetentionLaw {
         RetentionLaw::from_physics(&ErrorPhysics::calibrated())
+    }
+
+    /// One retention time by inverse CDF: with `u ~ U(0,1)`,
+    /// `r = W + ln(u)/alpha` satisfies `P(r < t) = exp(alpha·(t − W))`.
+    fn sample(law: &RetentionLaw, rng: &mut StdRng) -> f64 {
+        law.retention_at_fraction(rng.gen_range(f64::MIN_POSITIVE..1.0))
     }
 
     #[test]
@@ -97,7 +92,7 @@ mod tests {
         let law = law();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..10_000 {
-            assert!(law.sample(&mut rng) <= law.window_s);
+            assert!(sample(&law, &mut rng) <= law.window_s);
         }
     }
 
@@ -107,7 +102,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let n = 200_000;
         let t = 1.5;
-        let below = (0..n).filter(|_| law.sample(&mut rng) < t).count();
+        let below = (0..n).filter(|_| sample(&law, &mut rng) < t).count();
         let expected = law.fraction_below(t);
         let got = below as f64 / n as f64;
         assert!(

@@ -23,7 +23,7 @@ pub struct RankVariation {
 impl RankVariation {
     /// Draws per-rank factors from `LogNormal(0, σ)`, normalised so their
     /// mean is 1 (keeping the server-average WER calibrated).
-    pub fn from_seed(seed: u64, physics: &ErrorPhysics) -> Self {
+    pub(crate) fn from_seed(seed: u64, physics: &ErrorPhysics) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ RANK_SEED_SALT);
         let dist = LogNormal::new(0.0, physics.rank_sigma).expect("valid sigma");
         let mut factors = [0.0; RANK_COUNT];
@@ -38,7 +38,7 @@ impl RankVariation {
     }
 
     /// The weak-cell density multiplier of rank `index` (`0..8`).
-    pub fn factor(&self, index: usize) -> f64 {
+    pub(crate) fn factor(&self, index: usize) -> f64 {
         self.factors[index]
     }
 

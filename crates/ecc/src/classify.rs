@@ -18,7 +18,7 @@ pub enum ErrorClass {
 
 impl ErrorClass {
     /// Short abbreviation used throughout the paper (CE / UE / SDC).
-    pub fn abbreviation(&self) -> &'static str {
+    pub(crate) fn abbreviation(&self) -> &'static str {
         match self {
             ErrorClass::Correctable => "CE",
             ErrorClass::Uncorrectable => "UE",

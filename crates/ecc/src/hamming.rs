@@ -30,7 +30,7 @@ pub struct HammingLayout {
 
 impl HammingLayout {
     /// Builds the canonical layout.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let mut data_pos = [0u8; DATA_BITS];
         let mut pos_to_lane = [0u8; CODE_BITS];
         // Check lanes: lane 64 = overall parity at position 0,
@@ -55,26 +55,15 @@ impl HammingLayout {
         Self { data_pos, pos_to_lane }
     }
 
-    /// Hamming position (1..=71) of data lane `lane` (`0..64`).
-    pub fn data_position(&self, lane: usize) -> u8 {
-        self.data_pos[lane]
-    }
-
     /// Storage lane (`0..72`) living at Hamming position `pos` (`0..72`).
-    pub fn lane_at_position(&self, pos: usize) -> u8 {
+    pub(crate) fn lane_at_position(&self, pos: usize) -> u8 {
         self.pos_to_lane[pos]
-    }
-
-    /// Whether Hamming position `pos` holds a check bit (position 0 or a
-    /// power of two).
-    pub fn is_check_position(pos: usize) -> bool {
-        pos == 0 || (pos & (pos - 1)) == 0
     }
 
     /// Computes the 7-bit Hamming syndrome contribution of the data lanes.
     ///
     /// Each set data bit at position `p` XORs `p` into the syndrome.
-    pub fn data_syndrome(&self, data: u64) -> u8 {
+    pub(crate) fn data_syndrome(&self, data: u64) -> u8 {
         let mut syn = 0u8;
         let mut remaining = data;
         while remaining != 0 {
@@ -86,7 +75,7 @@ impl HammingLayout {
     }
 
     /// Number of Hamming check bits (excluding overall parity).
-    pub fn check_count() -> usize {
+    pub(crate) fn check_count() -> usize {
         HAMMING_CHECKS
     }
 }
@@ -105,9 +94,9 @@ mod tests {
     fn data_positions_are_non_powers_in_range() {
         let layout = HammingLayout::new();
         for lane in 0..DATA_BITS {
-            let p = layout.data_position(lane) as usize;
+            let p = layout.data_pos[lane] as usize;
             assert!((3..CODE_BITS).contains(&p));
-            assert!(!HammingLayout::is_check_position(p), "lane {lane} at check pos {p}");
+            assert!(!p.is_power_of_two(), "lane {lane} at check pos {p}");
         }
     }
 
@@ -116,7 +105,7 @@ mod tests {
         let layout = HammingLayout::new();
         let mut seen = [false; CODE_BITS];
         for lane in 0..DATA_BITS {
-            let p = layout.data_position(lane) as usize;
+            let p = layout.data_pos[lane] as usize;
             assert!(!seen[p], "duplicate position {p}");
             seen[p] = true;
         }
@@ -126,7 +115,7 @@ mod tests {
     fn position_lane_mapping_is_inverse() {
         let layout = HammingLayout::new();
         for lane in 0..DATA_BITS {
-            let p = layout.data_position(lane) as usize;
+            let p = layout.data_pos[lane] as usize;
             assert_eq!(layout.lane_at_position(p) as usize, lane);
         }
         assert_eq!(layout.lane_at_position(0), 64);
@@ -140,7 +129,7 @@ mod tests {
         let layout = HammingLayout::new();
         for lane in 0..DATA_BITS {
             let syn = layout.data_syndrome(1u64 << lane);
-            assert_eq!(syn, layout.data_position(lane));
+            assert_eq!(syn, layout.data_pos[lane]);
         }
     }
 

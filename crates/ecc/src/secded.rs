@@ -64,11 +64,6 @@ impl Secded {
         Self { layout: HammingLayout::new() }
     }
 
-    /// The code layout (exposed for analysis and tests).
-    pub fn layout(&self) -> &HammingLayout {
-        &self.layout
-    }
-
     /// Encodes a 64-bit data word into a 72-bit codeword.
     pub fn encode(&self, data: u64) -> Codeword {
         let syn = self.layout.data_syndrome(data);

@@ -20,31 +20,18 @@ impl Codeword {
     ///
     /// No validity check is performed: arbitrary (possibly corrupt) bit
     /// patterns are representable on purpose.
-    pub fn from_raw(data: u64, check: u8) -> Self {
+    pub(crate) fn from_raw(data: u64, check: u8) -> Self {
         Self { data, check }
     }
 
     /// The 64 data lanes as stored (possibly corrupt).
-    pub fn data(&self) -> u64 {
+    pub(crate) fn data(&self) -> u64 {
         self.data
     }
 
     /// The 8 check lanes as stored (possibly corrupt).
     pub fn check(&self) -> u8 {
         self.check
-    }
-
-    /// Returns the stored bit at lane `lane` (`0..72`).
-    ///
-    /// # Panics
-    /// Panics if `lane >= 72`.
-    pub fn bit(&self, lane: u8) -> bool {
-        assert!(lane < 72, "codeword lane {lane} out of range");
-        if lane < 64 {
-            (self.data >> lane) & 1 == 1
-        } else {
-            (self.check >> (lane - 64)) & 1 == 1
-        }
     }
 
     /// Flips the stored bit at lane `lane` (`0..72`), modelling a DRAM cell
@@ -67,11 +54,6 @@ impl Codeword {
         self.flip_bit(lane);
         self
     }
-
-    /// Number of lanes that differ from `other` (Hamming distance).
-    pub fn distance(&self, other: &Codeword) -> u32 {
-        (self.data ^ other.data).count_ones() + (self.check ^ other.check).count_ones()
-    }
 }
 
 impl core::fmt::Display for Codeword {
@@ -84,6 +66,21 @@ impl core::fmt::Display for Codeword {
 mod tests {
     use super::*;
 
+    /// The stored bit at lane `lane` (`0..72`); panics past lane 71.
+    fn bit(w: &Codeword, lane: u8) -> bool {
+        assert!(lane < 72, "codeword lane {lane} out of range");
+        if lane < 64 {
+            (w.data >> lane) & 1 == 1
+        } else {
+            (w.check >> (lane - 64)) & 1 == 1
+        }
+    }
+
+    /// Number of lanes that differ (Hamming distance).
+    fn distance(a: &Codeword, b: &Codeword) -> u32 {
+        (a.data ^ b.data).count_ones() + (a.check ^ b.check).count_ones()
+    }
+
     #[test]
     fn flip_roundtrip_every_lane() {
         let base = Codeword::from_raw(0x0123_4567_89AB_CDEF, 0x5A);
@@ -91,7 +88,7 @@ mod tests {
             let mut w = base;
             w.flip_bit(lane);
             assert_ne!(w, base);
-            assert_eq!(w.distance(&base), 1);
+            assert_eq!(distance(&w, &base), 1);
             w.flip_bit(lane);
             assert_eq!(w, base);
         }
@@ -101,9 +98,9 @@ mod tests {
     fn bit_reads_match_flips() {
         let mut w = Codeword::default();
         for lane in (0..72).step_by(3) {
-            assert!(!w.bit(lane));
+            assert!(!bit(&w, lane));
             w.flip_bit(lane);
-            assert!(w.bit(lane));
+            assert!(bit(&w, lane));
         }
     }
 
@@ -111,13 +108,13 @@ mod tests {
     fn distance_counts_both_fields() {
         let a = Codeword::from_raw(0, 0);
         let b = Codeword::from_raw(0b1011, 0b1);
-        assert_eq!(a.distance(&b), 4);
+        assert_eq!(distance(&a, &b), 4);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn bit_out_of_range_panics() {
-        Codeword::default().bit(72);
+        bit(&Codeword::default(), 72);
     }
 
     #[test]

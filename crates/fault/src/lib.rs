@@ -59,7 +59,7 @@ impl FaultRng {
     }
 
     /// A uniform draw in `[0, 1)` (53 mantissa bits).
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -257,22 +257,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// No faults at all (the identity schedule — [`FaultyFs`] behaves
-    /// exactly like its inner backend).
-    pub fn healthy(seed: u64) -> Self {
-        Self {
-            seed,
-            read_error: 0.0,
-            read_garble: 0.0,
-            write_error: 0.0,
-            write_torn: 0.0,
-            rename_error: 0.0,
-            rename_torn: 0.0,
-            meta_error: 0.0,
-            transient_share: 0.0,
-        }
-    }
-
     /// Every fault class at probability `rate`, half of injected errors
     /// transient — the standard torture-test mix.
     pub fn uniform(seed: u64, rate: f64) -> Self {
@@ -375,16 +359,6 @@ impl FaultyFs {
             torn_renames: AtomicU64::new(0),
             meta_errors: AtomicU64::new(0),
         }
-    }
-
-    /// The schedule in force.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Filesystem operations intercepted so far (faulted or not).
-    pub fn ops(&self) -> u64 {
-        self.ops.load(Ordering::Relaxed)
     }
 
     /// The per-operation schedule draw: operation `n` gets its own derived
@@ -592,6 +566,22 @@ mod tests {
         dir
     }
 
+    /// No faults at all (the identity schedule — [`FaultyFs`] behaves
+    /// exactly like its inner backend).
+    fn healthy(seed: u64) -> FaultPlan {
+        FaultPlan {
+            seed,
+            read_error: 0.0,
+            read_garble: 0.0,
+            write_error: 0.0,
+            write_torn: 0.0,
+            rename_error: 0.0,
+            rename_torn: 0.0,
+            meta_error: 0.0,
+            transient_share: 0.0,
+        }
+    }
+
     #[test]
     fn splitmix_is_deterministic_and_well_mixed() {
         let mut a = FaultRng::seed_from_u64(9);
@@ -610,7 +600,7 @@ mod tests {
     #[test]
     fn healthy_plan_is_the_identity() {
         let dir = scratch("identity");
-        let fs = FaultyFs::new(RealFs, FaultPlan::healthy(1));
+        let fs = FaultyFs::new(RealFs, healthy(1));
         let path = dir.join("x");
         fs.write(&path, b"payload").unwrap();
         assert_eq!(fs.read(&path).unwrap(), b"payload");
@@ -652,7 +642,7 @@ mod tests {
     #[test]
     fn torn_writes_keep_a_strict_prefix() {
         let dir = scratch("torn");
-        let plan = FaultPlan { write_torn: 1.0, ..FaultPlan::healthy(3) };
+        let plan = FaultPlan { write_torn: 1.0, ..healthy(3) };
         let fs = FaultyFs::new(RealFs, plan);
         for i in 0..20 {
             let path = dir.join(format!("t{i}"));
@@ -669,7 +659,7 @@ mod tests {
     #[test]
     fn torn_renames_consume_the_source() {
         let dir = scratch("torn-rename");
-        let plan = FaultPlan { rename_torn: 1.0, ..FaultPlan::healthy(5) };
+        let plan = FaultPlan { rename_torn: 1.0, ..healthy(5) };
         let fs = FaultyFs::new(RealFs, plan);
         for i in 0..10 {
             let from = dir.join(format!("src{i}"));

@@ -18,7 +18,7 @@ pub struct ExtractionContext {
 impl ExtractionContext {
     /// Computes the deployment-scale DRAM reuse time (eq. 4, extrapolated):
     /// `Treuse = D_reuse × footprint-ratio × reuse_scale × seconds-per-instruction`.
-    pub fn treuse_seconds(&self, soc: &SocReport, trace: &TraceReport) -> f64 {
+    pub(crate) fn treuse_seconds(&self, soc: &SocReport, trace: &TraceReport) -> f64 {
         let instructions = soc.total_instructions().max(1) as f64;
         let seconds_per_instr = soc.wall_seconds() / instructions;
         let mini_words = (trace.unique_words).max(1) as f64;
@@ -147,11 +147,18 @@ pub fn extract(soc: &SocReport, trace: &TraceReport, ctx: &ExtractionContext) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wade_memsys::{Soc, SocConfig};
+    use wade_memsys::{CacheConfig, Soc, SocConfig};
     use wade_trace::{AccessSink, FanoutSink, MemAccess, Tracer};
 
     fn run_small() -> (SocReport, TraceReport) {
-        let mut fan = FanoutSink::new(Tracer::new(), Soc::new(SocConfig::tiny_for_tests()));
+        // Tiny caches, so that the small stream reaches DRAM.
+        let tiny = SocConfig {
+            l1d: CacheConfig { capacity_bytes: 1 << 10, ways: 2, line_bytes: 64 },
+            l2: CacheConfig { capacity_bytes: 4 << 10, ways: 4, line_bytes: 64 },
+            l3: CacheConfig { capacity_bytes: 16 << 10, ways: 4, line_bytes: 64 },
+            ..SocConfig::x_gene2()
+        };
+        let mut fan = FanoutSink::new(Tracer::new(), Soc::new(tiny));
         for i in 0..20_000u64 {
             let addr = (i * 64) % (1 << 18); // 4096 lines, each re-touched ~5×
             if i % 4 == 0 {

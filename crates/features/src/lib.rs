@@ -29,5 +29,5 @@ mod vector;
 
 pub use extract::{extract, ExtractionContext};
 pub use select::FeatureSet;
-pub use spearman::{spearman, rank_with_ties};
+pub use spearman::spearman;
 pub use vector::FeatureVector;

@@ -149,11 +149,6 @@ pub fn name(index: usize) -> String {
     }
 }
 
-/// All 249 feature names, in index order.
-pub fn all_names() -> Vec<String> {
-    (0..FEATURE_COUNT).map(name).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,7 +165,7 @@ mod tests {
 
     #[test]
     fn names_are_unique() {
-        let names = all_names();
+        let names: Vec<String> = (0..FEATURE_COUNT).map(name).collect();
         let mut sorted = names.clone();
         sorted.sort();
         sorted.dedup();

@@ -4,7 +4,7 @@
 //! relationships between program features and error metrics (§VI-A).
 
 /// Assigns fractional ranks (1-based, ties get the average rank).
-pub fn rank_with_ties(values: &[f64]) -> Vec<f64> {
+pub(crate) fn rank_with_ties(values: &[f64]) -> Vec<f64> {
     let n = values.len();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).unwrap_or(std::cmp::Ordering::Equal));

@@ -22,7 +22,7 @@ use wade_workloads::Scale;
 pub const FLEET_SLICE_KIND: &str = "fleet_slice";
 
 /// Version of the fleet keying/stream contract, embedded in every store
-/// key via [`FleetSpec::describe_prefix`]. v2 re-domained the seasonal
+/// key via the spec's key prefix. v2 re-domained the seasonal
 /// thermal term from "one period per spec lifetime" to the fixed
 /// [`SEASON_PERIOD_EPOCHS`] period so every per-device stream is a pure
 /// function of `(spec prefix, fleet_seed, index, epoch)` — the property
@@ -39,7 +39,7 @@ pub const SEASON_PERIOD_EPOCHS: f64 = 8.0;
 
 /// Domain salts for the per-device derived streams. Part of the fleet
 /// determinism contract: changing any of them re-manufactures the fleet,
-/// so they are folded into [`FleetSpec::fingerprint`].
+/// so they are folded into every slice key's spec prefix.
 const PHYSICS_SALT: u64 = 0xF1EE_7000_0000_0001;
 const PLAN_SALT: u64 = 0xF1EE_7000_0000_0002;
 const PHASE_SALT: u64 = 0xF1EE_7000_0000_0003;
@@ -66,9 +66,8 @@ pub struct EpochPlan {
 
 /// Specification of a simulated device fleet.
 ///
-/// The spec is embedded **verbatim** (via [`FleetSpec::describe`]) in every
-/// shard store key, so two specs can never alias an artifact; the compact
-/// [`FleetSpec::fingerprint`] exists for display and log lines only.
+/// Every field but `epochs` is embedded **verbatim** in every slice store
+/// key, so two specs can never alias an artifact.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetSpec {
     /// Number of devices manufactured.
@@ -161,7 +160,7 @@ impl FleetSpec {
     /// must re-key every slice). Two specs differing only in `epochs`
     /// share this prefix by construction — that sharing is what lets an
     /// epoch-count extension load its prefix slices warm.
-    pub fn describe_prefix(&self) -> String {
+    pub(crate) fn describe_prefix(&self) -> String {
         format!(
             "fleetv={FLEET_KEY_VERSION};devices={};shards={};vintages={};epoch_s={:016x};\
              trefp={:016x};base_c={:016x};swing_c={:016x};util_floor={:016x};workloads={};\
@@ -181,26 +180,14 @@ impl FleetSpec {
         )
     }
 
-    /// Verbatim key component: [`FleetSpec::describe_prefix`] plus the
-    /// epoch count — the full spec, for display and the spec fingerprint.
-    pub fn describe(&self) -> String {
-        format!("{};epochs={}", self.describe_prefix(), self.epochs)
-    }
-
-    /// Order-stable 64-bit digest of [`FleetSpec::describe`], for display
-    /// and log lines (store keys embed the description verbatim).
-    pub fn fingerprint(&self) -> u64 {
-        wade_store::fingerprint64(&self.describe())
-    }
-
     /// Manufacturing seed of device `index` under `fleet_seed`.
-    pub fn device_seed(&self, fleet_seed: u64, index: u32) -> u64 {
+    pub(crate) fn device_seed(&self, fleet_seed: u64, index: u32) -> u64 {
         mix64(fleet_seed ^ DEVICE_SALT, index as u64)
     }
 
     /// The generation device `index` belongs to. Vintages stripe across
     /// the index space so every shard holds a balanced mix.
-    pub fn vintage_of(&self, index: u32) -> u32 {
+    pub(crate) fn vintage_of(&self, index: u32) -> u32 {
         index % self.vintages
     }
 
@@ -208,7 +195,7 @@ impl FleetSpec {
     /// fixed 8-rank address space (`RANK_COUNT`) and vary the DIMM
     /// arrangement, capacity and row size — the axes field populations
     /// actually differ on.
-    pub fn geometry_for(&self, vintage: u32) -> ServerGeometry {
+    pub(crate) fn geometry_for(&self, vintage: u32) -> ServerGeometry {
         match vintage % 3 {
             0 => ServerGeometry::x_gene2(),
             1 => ServerGeometry {
@@ -237,7 +224,7 @@ impl FleetSpec {
     /// cross-vintage transfer matrix exists to expose. On top of the
     /// generation skew each device draws ±20 % manufacturing jitter from
     /// its own seed stream.
-    pub fn physics_for(&self, vintage: u32, device_seed: u64) -> ErrorPhysics {
+    pub(crate) fn physics_for(&self, vintage: u32, device_seed: u64) -> ErrorPhysics {
         let mut physics = ErrorPhysics::calibrated();
         let generation = (vintage % 3) as usize;
         let gen_lambda = [1.0, 1.9, 3.4][generation];
@@ -269,7 +256,7 @@ impl FleetSpec {
     /// per-epoch slice artifacts would silently stop being reusable across
     /// epoch-count extensions (the seasonal sine therefore runs on the
     /// fixed [`SEASON_PERIOD_EPOCHS`] period, not the spec lifetime).
-    pub fn epoch_plan(
+    pub(crate) fn epoch_plan(
         &self,
         fleet_seed: u64,
         index: u32,
@@ -294,7 +281,7 @@ impl FleetSpec {
 
     /// Device-index range of shard `shard` (contiguous blocks; the last
     /// shard absorbs the remainder).
-    pub fn shard_range(&self, shard: u32) -> std::ops::Range<u32> {
+    pub(crate) fn shard_range(&self, shard: u32) -> std::ops::Range<u32> {
         let per = self.devices.div_ceil(self.shards);
         let start = (shard * per).min(self.devices);
         let end = ((shard + 1) * per).min(self.devices);
@@ -305,6 +292,11 @@ impl FleetSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The full spec: the key prefix plus the epoch count.
+    fn describe(spec: &FleetSpec) -> String {
+        format!("{};epochs={}", spec.describe_prefix(), spec.epochs)
+    }
 
     #[test]
     fn test_default_validates() {
@@ -353,11 +345,12 @@ mod tests {
 
     #[test]
     fn describe_distinguishes_specs() {
+        let fingerprint = |spec: &FleetSpec| wade_store::fingerprint64(&describe(spec));
         let a = FleetSpec::test_default();
         let mut b = a;
         b.devices += 1;
-        assert_ne!(a.describe(), b.describe());
-        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_ne!(describe(&a), describe(&b));
+        assert_ne!(fingerprint(&a), fingerprint(&b));
     }
 
     #[test]
@@ -370,7 +363,7 @@ mod tests {
         let mut b = a;
         b.epochs += 4;
         assert_eq!(a.describe_prefix(), b.describe_prefix());
-        assert_ne!(a.describe(), b.describe(), "the full spec still keys the epoch count");
+        assert_ne!(describe(&a), describe(&b), "the full spec still keys the epoch count");
         for index in 0..16 {
             for epoch in 0..a.epochs {
                 assert_eq!(

@@ -5,12 +5,12 @@
 //! # Slicing / keying / merge contract (normative)
 //!
 //! - Devices are assigned to shards in **contiguous index blocks**
-//!   ([`FleetSpec::shard_range`]); the merged fleet is the concatenation of
+//!   (`FleetSpec::shard_range`); the merged fleet is the concatenation of
 //!   shards in shard order, so the merge is order-stable by construction
 //!   and the swept fleet is byte-identical at any thread count.
 //! - A device's epoch is a pure function of `(spec prefix, fleet_seed,
 //!   index, epoch)` — never of its shard, of neighbouring devices, or of
-//!   the spec's *total* epoch count ([`FleetSpec::epoch_plan`] is
+//!   the spec's *total* epoch count (`FleetSpec::epoch_plan` is
 //!   epoch-invariant by contract; `fleetv` in the key prefix versions that
 //!   contract). Every slice boundary is therefore a **replay point**: any
 //!   `(shard, epoch)` slice can be recomputed in isolation, and a single
@@ -199,11 +199,6 @@ impl FleetSweep {
         &self.spec
     }
 
-    /// The fleet seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Number of `ErrorSim` runs performed so far by this engine. Zero
     /// after a fully warm [`FleetSweep::sweep_stored`]; exactly the
     /// delta's alive device-epochs after a prefix-warm extension.
@@ -365,7 +360,7 @@ impl FleetSweep {
     /// with the alive set (a mis-keyed artifact) is treated as corrupt the
     /// same way. The fold stops early once every device of the shard has
     /// failed.
-    pub fn shard_stored(&self, store: &ArtifactStore, shard: u32) -> FleetShard {
+    pub(crate) fn shard_stored(&self, store: &ArtifactStore, shard: u32) -> FleetShard {
         let range = self.spec.shard_range(shard);
         let start = range.start;
         let mut devices: Vec<DeviceHistory> = range.map(|k| self.skeleton(k)).collect();
@@ -400,7 +395,7 @@ impl FleetSweep {
     }
 
     /// The streaming sweep: walks shards in shard order through `store`
-    /// (see [`FleetSweep::shard_stored`]) and hands each finished device
+    /// (see `FleetSweep::shard_stored`) and hands each finished device
     /// history to `visit` in fleet index order. Peak memory is one shard's
     /// histories, not the fleet's — the bounded-memory path `sweep_stored`
     /// and the streaming evaluation build on.

@@ -19,7 +19,7 @@ impl CacheConfig {
     /// # Panics
     /// Panics if the geometry is degenerate (zero ways/line, capacity not a
     /// multiple of `ways × line_bytes`, or a non-power-of-two set count).
-    pub fn sets(&self) -> u64 {
+    pub(crate) fn sets(&self) -> u64 {
         assert!(self.ways > 0 && self.line_bytes > 0, "degenerate cache geometry");
         let way_bytes = self.ways as u64 * self.line_bytes as u64;
         assert!(
@@ -47,13 +47,6 @@ pub enum AccessResult {
     },
 }
 
-impl AccessResult {
-    /// True when the access hit.
-    pub fn is_hit(&self) -> bool {
-        matches!(self, AccessResult::Hit)
-    }
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
     tag: u64,
@@ -74,14 +67,11 @@ pub struct Cache {
     set_shift: u32,
     lines: Vec<Line>,
     clock: u64,
-    hits: u64,
-    misses: u64,
-    writebacks: u64,
 }
 
 impl Cache {
     /// Builds an empty cache with the given geometry.
-    pub fn new(config: CacheConfig) -> Self {
+    pub(crate) fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
         Self {
             config,
@@ -89,15 +79,7 @@ impl Cache {
             set_shift: config.line_bytes.trailing_zeros(),
             lines: vec![Line::default(); (sets * config.ways as u64) as usize],
             clock: 0,
-            hits: 0,
-            misses: 0,
-            writebacks: 0,
         }
-    }
-
-    /// The cache geometry.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     fn set_of(&self, addr: u64) -> u64 {
@@ -109,7 +91,7 @@ impl Cache {
     }
 
     /// Accesses `addr`; `is_write` marks the line dirty on hit/fill.
-    pub fn access(&mut self, addr: u64, is_write: bool) -> AccessResult {
+    pub(crate) fn access(&mut self, addr: u64, is_write: bool) -> AccessResult {
         self.clock += 1;
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
@@ -121,12 +103,10 @@ impl Cache {
             if line.valid && line.tag == tag {
                 line.lru = self.clock;
                 line.dirty |= is_write;
-                self.hits += 1;
                 return AccessResult::Hit;
             }
         }
 
-        self.misses += 1;
         // Victim: invalid line first, else LRU.
         let mut victim = 0usize;
         let mut oldest = u64::MAX;
@@ -143,7 +123,6 @@ impl Cache {
         }
         let line = &mut self.lines[base + victim];
         let writeback = if line.valid && line.dirty {
-            self.writebacks += 1;
             // Reconstruct the victim's line address.
             let victim_addr =
                 (line.tag << (self.set_shift + self.sets.trailing_zeros())) | (set << self.set_shift);
@@ -153,36 +132,6 @@ impl Cache {
         };
         *line = Line { tag, valid: true, dirty: is_write, lru: self.clock };
         AccessResult::Miss { writeback }
-    }
-
-    /// Hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Dirty evictions so far.
-    pub fn writebacks(&self) -> u64 {
-        self.writebacks
-    }
-
-    /// Total accesses (hits + misses).
-    pub fn accesses(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Miss ratio in 0..=1 (0 when never accessed).
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.accesses();
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
     }
 }
 
@@ -195,13 +144,23 @@ mod tests {
         Cache::new(CacheConfig { capacity_bytes: 512, ways: 2, line_bytes: 64 })
     }
 
+    fn is_hit(result: AccessResult) -> bool {
+        matches!(result, AccessResult::Hit)
+    }
+
+    /// Reads `addrs` in order; returns the share that missed.
+    fn miss_rate(c: &mut Cache, addrs: impl IntoIterator<Item = u64>) -> f64 {
+        let results: Vec<bool> = addrs.into_iter().map(|a| is_hit(c.access(a, false))).collect();
+        results.iter().filter(|&&hit| !hit).count() as f64 / results.len() as f64
+    }
+
     #[test]
     fn first_access_misses_then_hits() {
         let mut c = tiny();
-        assert!(!c.access(0, false).is_hit());
-        assert!(c.access(0, false).is_hit());
-        assert!(c.access(63, false).is_hit(), "same line");
-        assert!(!c.access(64, false).is_hit(), "next line");
+        assert!(!is_hit(c.access(0, false)));
+        assert!(is_hit(c.access(0, false)));
+        assert!(is_hit(c.access(63, false)), "same line");
+        assert!(!is_hit(c.access(64, false)), "next line");
     }
 
     #[test]
@@ -215,20 +174,22 @@ mod tests {
         c.access(b, false);
         c.access(a, false); // refresh a
         c.access(d, false); // evicts b
-        assert!(c.access(a, false).is_hit());
-        assert!(!c.access(b, false).is_hit());
+        assert!(is_hit(c.access(a, false)));
+        assert!(!is_hit(c.access(b, false)));
     }
 
     #[test]
     fn dirty_eviction_reports_writeback() {
         let mut c = tiny();
-        c.access(0, true); // dirty line in set 0
-        c.access(4 * 64, false);
-        match c.access(8 * 64, false) {
-            AccessResult::Miss { writeback: Some(addr) } => assert_eq!(addr, 0),
+        // A dirty line in set 0, a clean one beside it, then a third fill.
+        let results = [c.access(0, true), c.access(4 * 64, false), c.access(8 * 64, false)];
+        match &results[2] {
+            AccessResult::Miss { writeback: Some(addr) } => assert_eq!(*addr, 0),
             other => panic!("expected writeback of line 0, got {other:?}"),
         }
-        assert_eq!(c.writebacks(), 1);
+        let writebacks =
+            results.iter().filter(|r| matches!(r, AccessResult::Miss { writeback: Some(_) }));
+        assert_eq!(writebacks.count(), 1);
     }
 
     #[test]
@@ -245,11 +206,7 @@ mod tests {
     #[test]
     fn miss_rate_tracks_ratio() {
         let mut c = tiny();
-        c.access(0, false);
-        c.access(0, false);
-        c.access(0, false);
-        c.access(0, false);
-        assert!((c.miss_rate() - 0.25).abs() < 1e-12);
+        assert!((miss_rate(&mut c, [0; 4]) - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -257,12 +214,8 @@ mod tests {
         let mut c = tiny();
         // 64 distinct lines (4 KiB) in a 512 B cache, repeated sweeps: LRU on
         // a sweep pattern yields ~100 % misses.
-        for _ in 0..4 {
-            for i in 0..64u64 {
-                c.access(i * 64, false);
-            }
-        }
-        assert!(c.miss_rate() > 0.95);
+        let sweeps = (0..4).flat_map(|_| (0..64u64).map(|i| i * 64));
+        assert!(miss_rate(&mut c, sweeps) > 0.95);
     }
 
     #[test]

@@ -47,22 +47,18 @@ impl SocConfig {
 
     /// A scaled-down configuration for fast unit tests: same shape, tiny
     /// caches so misses are easy to provoke.
-    pub fn tiny_for_tests() -> Self {
+    #[cfg(test)]
+    pub(crate) fn tiny_for_tests() -> Self {
         Self {
-            cores: 8,
-            clock_hz: 2.4e9,
             l1d: CacheConfig { capacity_bytes: 1 << 10, ways: 2, line_bytes: 64 },
             l2: CacheConfig { capacity_bytes: 4 << 10, ways: 4, line_bytes: 64 },
             l3: CacheConfig { capacity_bytes: 16 << 10, ways: 4, line_bytes: 64 },
-            l2_latency: 10,
-            l3_latency: 35,
-            dram_latency: 150,
-            stall_exposure: 0.7,
+            ..Self::x_gene2()
         }
     }
 
     /// Number of two-core modules (PMDs) sharing an L2.
-    pub fn pmds(&self) -> usize {
+    pub(crate) fn pmds(&self) -> usize {
         self.cores.div_ceil(2)
     }
 }

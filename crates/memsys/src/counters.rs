@@ -218,26 +218,6 @@ impl SocReport {
         self.mcus.iter().map(|m| m.row_activations).sum()
     }
 
-    /// Row activations per wall-clock second.
-    pub fn row_activation_rate_hz(&self) -> f64 {
-        let secs = self.wall_seconds();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.row_activations() as f64 / secs
-        }
-    }
-
-    /// DRAM accesses (commands) per wall-clock second.
-    pub fn dram_access_rate_hz(&self) -> f64 {
-        let secs = self.wall_seconds();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.dram_cmds() as f64 / secs
-        }
-    }
-
     /// Aggregate row-buffer hit rate.
     pub fn rowbuffer_hit_rate(&self) -> f64 {
         let hits: u64 = self.mcus.iter().map(|m| m.rowbuffer_hits).sum();
@@ -256,6 +236,16 @@ pub(crate) fn ratio(num: u64, den: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// DRAM accesses (commands) per wall-clock second.
+    fn dram_access_rate_hz(r: &SocReport) -> f64 {
+        let secs = r.wall_seconds();
+        if secs <= 0.0 {
+            0.0
+        } else {
+            r.dram_cmds() as f64 / secs
+        }
+    }
 
     fn sample() -> SocReport {
         let mut cores = vec![CoreCounters::default(); 8];
@@ -308,7 +298,7 @@ mod tests {
         let r = SocReport { cores: vec![CoreCounters::default(); 8], mcus: Default::default(), clock_hz: 1.0 };
         assert_eq!(r.ipc(), 0.0);
         assert_eq!(r.wall_seconds(), 0.0);
-        assert_eq!(r.dram_access_rate_hz(), 0.0);
+        assert_eq!(dram_access_rate_hz(&r), 0.0);
         assert_eq!(r.active_cores(), 0);
     }
 
@@ -316,6 +306,6 @@ mod tests {
     fn rates_use_wall_seconds() {
         let r = sample();
         let secs = 2000.0 / 2.4e9;
-        assert!((r.dram_access_rate_hz() - 6.0 / secs).abs() < 1.0);
+        assert!((dram_access_rate_hz(&r) - 6.0 / secs).abs() < 1.0);
     }
 }

@@ -32,7 +32,7 @@ pub struct Mcu {
 
 impl Mcu {
     /// A fresh channel with all banks closed.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             open_row: vec![None; BANKS],
             read_cmds: 0,
@@ -43,12 +43,12 @@ impl Mcu {
     }
 
     /// Which MCU serves the cache line at `addr` (64-byte interleave).
-    pub fn route(addr: u64) -> usize {
+    pub(crate) fn route(addr: u64) -> usize {
         ((addr >> 6) & (MCU_COUNT as u64 - 1)) as usize
     }
 
     /// Issues one DRAM command for the line at `addr`.
-    pub fn command(&mut self, addr: u64, is_write: bool) {
+    pub(crate) fn command(&mut self, addr: u64, is_write: bool) {
         if is_write {
             self.write_cmds += 1;
         } else {
@@ -68,27 +68,27 @@ impl Mcu {
     }
 
     /// Read commands issued.
-    pub fn read_cmds(&self) -> u64 {
+    pub(crate) fn read_cmds(&self) -> u64 {
         self.read_cmds
     }
 
     /// Write commands issued.
-    pub fn write_cmds(&self) -> u64 {
+    pub(crate) fn write_cmds(&self) -> u64 {
         self.write_cmds
     }
 
     /// Total commands issued.
-    pub fn total_cmds(&self) -> u64 {
+    pub(crate) fn total_cmds(&self) -> u64 {
         self.read_cmds + self.write_cmds
     }
 
     /// Row activations (row-buffer misses).
-    pub fn row_activations(&self) -> u64 {
+    pub(crate) fn row_activations(&self) -> u64 {
         self.row_activations
     }
 
     /// Row-buffer hit ratio (0 when idle).
-    pub fn rowbuffer_hit_rate(&self) -> f64 {
+    pub(crate) fn rowbuffer_hit_rate(&self) -> f64 {
         let total = self.total_cmds();
         if total == 0 {
             0.0

@@ -40,11 +40,6 @@ impl Soc {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &SocConfig {
-        &self.config
-    }
-
     fn stall(&self, penalty: u64) -> u64 {
         (penalty as f64 * self.config.stall_exposure).round() as u64
     }
@@ -177,7 +172,7 @@ impl AccessSink for Soc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wade_trace::synthetic::{RandomAccess, StridedSweep, ValuePattern};
+    use wade_trace::synthetic::{StridedSweep, ValuePattern};
 
     #[test]
     fn small_working_set_stays_in_l1() {
@@ -193,14 +188,14 @@ mod tests {
     #[test]
     fn huge_working_set_reaches_dram() {
         let mut soc = Soc::new(SocConfig::tiny_for_tests());
-        let gen = RandomAccess {
+        let sweep = StridedSweep {
             words: 1 << 18, // 2 MiB >> 16 KiB tiny L3
-            accesses: 50_000,
-            write_fraction: 0.3,
+            passes: 1,
+            stride: 8, // one access per line
             pattern: ValuePattern::Random,
             gap: 1,
         };
-        gen.run(&mut soc, 2);
+        sweep.run(&mut soc, 2);
         let r = soc.report();
         assert!(r.dram_cmds() > 10_000, "dram cmds: {}", r.dram_cmds());
         assert!(r.wait_cycle_ratio() > 0.3);

@@ -30,13 +30,8 @@ pub struct ConstantModel {
 impl ConstantModel {
     /// Builds the model around a fixed value (e.g. the WER measured with
     /// the random data-pattern micro-benchmark).
-    pub fn new(value: f64) -> Self {
+    pub(crate) fn new(value: f64) -> Self {
         Self { value }
-    }
-
-    /// The constant prediction.
-    pub fn value(&self) -> f64 {
-        self.value
     }
 }
 
@@ -60,6 +55,6 @@ mod tests {
     #[test]
     fn trainer_takes_the_mean() {
         let m = ConstantTrainer.train(&[vec![1.0], vec![2.0]], &[10.0, 20.0]);
-        assert_eq!(m.value(), 15.0);
+        assert_eq!(m.value, 15.0);
     }
 }

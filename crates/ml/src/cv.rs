@@ -20,13 +20,6 @@ pub struct GroupCvOutcome {
     pub actuals: Vec<f64>,
 }
 
-impl GroupCvOutcome {
-    /// Applies a metric function to this group's predictions.
-    pub fn score(&self, metric: impl Fn(&[f64], &[f64]) -> f64) -> f64 {
-        metric(&self.predictions, &self.actuals)
-    }
-}
-
 /// Runs leave-one-group-out CV: for every group, trains on all other
 /// groups' samples and predicts the held-out ones — exactly the paper's
 /// "copy all samples except the specific workload's into the training set"
@@ -86,7 +79,7 @@ mod tests {
         let data = smooth_dataset();
         let outcomes = leave_one_group_out(&data, &KnnTrainer::new(3));
         for o in &outcomes {
-            let mpe = o.score(mean_percentage_error);
+            let mpe = mean_percentage_error(&o.predictions, &o.actuals);
             assert!(mpe < 40.0, "group {} mpe {mpe}", o.group);
         }
     }

@@ -121,11 +121,6 @@ impl Dataset {
         }
         (train_x, train_y, test_x, test_y)
     }
-
-    /// Column `j` across all samples (for correlation studies).
-    pub fn column(&self, j: usize) -> Vec<f64> {
-        self.samples.iter().map(|s| s.features[j]).collect()
-    }
 }
 
 #[cfg(test)]
@@ -146,7 +141,8 @@ mod tests {
         assert_eq!(d.len(), 3);
         assert_eq!(d.dim(), 2);
         assert_eq!(d.groups(), vec!["a".to_string(), "b".to_string()]);
-        assert_eq!(d.column(1), vec![2.0, 4.0, 6.0]);
+        let column: Vec<f64> = d.samples.iter().map(|s| s.features[1]).collect();
+        assert_eq!(column, vec![2.0, 4.0, 6.0]);
         assert_eq!(d.targets(), vec![10.0, 20.0, 30.0]);
     }
 

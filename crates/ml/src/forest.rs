@@ -111,11 +111,6 @@ pub struct PointerForest {
 }
 
 impl PointerForest {
-    /// Number of trees in the ensemble.
-    pub fn tree_count(&self) -> usize {
-        self.trees.len()
-    }
-
     /// The individual trees (introspection and arena construction).
     pub(crate) fn trees(&self) -> &[DecisionTree] {
         &self.trees
@@ -152,7 +147,7 @@ pub struct ForestRegressor {
 impl ForestRegressor {
     /// Re-lays a pointer-tree forest into arena form (a pure re-layout:
     /// node values are copied verbatim, only the addressing changes).
-    pub fn from_pointer(forest: &PointerForest) -> Self {
+    pub(crate) fn from_pointer(forest: &PointerForest) -> Self {
         let mut node_features = Vec::new();
         let mut node_thresholds = Vec::new();
         let mut node_rights = Vec::new();
@@ -162,11 +157,6 @@ impl ForestRegressor {
             .map(|t| t.flatten_into(&mut node_features, &mut node_thresholds, &mut node_rights))
             .collect();
         Self { node_features, node_thresholds, node_rights, roots }
-    }
-
-    /// Number of trees in the ensemble.
-    pub fn tree_count(&self) -> usize {
-        self.roots.len()
     }
 
     /// Total nodes across all trees (arena length).
@@ -251,7 +241,7 @@ mod tests {
     fn tree_count_matches_config() {
         let x = vec![vec![0.0], vec![1.0], vec![2.0], vec![3.0]];
         let y = vec![0.0, 1.0, 2.0, 3.0];
-        assert_eq!(ForestTrainer::new(7).train(&x, &y).tree_count(), 7);
+        assert_eq!(ForestTrainer::new(7).train(&x, &y).roots.len(), 7);
     }
 
     #[test]
@@ -269,8 +259,8 @@ mod tests {
         let trainer = ForestTrainer::new(20);
         let pointer = trainer.train_pointer(&x, &y);
         let arena = ForestRegressor::from_pointer(&pointer);
-        assert_eq!(arena.tree_count(), pointer.tree_count());
-        assert!(arena.node_count() >= arena.tree_count());
+        assert_eq!(arena.roots.len(), pointer.trees.len());
+        assert!(arena.node_count() >= arena.roots.len());
         for row in &x {
             assert_eq!(
                 arena.predict(row).to_bits(),

@@ -119,13 +119,6 @@ pub struct SvrRegressor {
     scaler: StandardScaler,
 }
 
-impl SvrRegressor {
-    /// Number of support vectors kept.
-    pub fn support_count(&self) -> usize {
-        self.support.len()
-    }
-}
-
 impl Regressor for SvrRegressor {
     fn predict(&self, features: &[f64]) -> f64 {
         let q = self.scaler.transform(features);
@@ -158,7 +151,7 @@ mod tests {
         let y: Vec<f64> = x.iter().map(|r| 0.01 * r[0]).collect();
         let tight = SvrTrainer { epsilon: 0.001, ..SvrTrainer::paper_default() }.train(&x, &y);
         let loose = SvrTrainer { epsilon: 0.3, ..SvrTrainer::paper_default() }.train(&x, &y);
-        assert!(loose.support_count() <= tight.support_count());
+        assert!(loose.support.len() <= tight.support.len());
     }
 
     #[test]
@@ -167,7 +160,7 @@ mod tests {
         let y = vec![5.0; 10];
         let model = SvrTrainer::paper_default().train(&x, &y);
         assert!((model.predict(&[3.5]) - 5.0).abs() < 1e-6);
-        assert_eq!(model.support_count(), 0, "everything inside the ε-tube");
+        assert_eq!(model.support.len(), 0, "everything inside the ε-tube");
     }
 
     #[test]

@@ -152,7 +152,7 @@ impl DecisionTree {
     }
 
     /// Predicts the target for one row.
-    pub fn predict(&self, row: &[f64]) -> f64 {
+    pub(crate) fn predict(&self, row: &[f64]) -> f64 {
         let mut node = &self.root;
         loop {
             match node {
@@ -162,26 +162,6 @@ impl DecisionTree {
                 }
             }
         }
-    }
-
-    /// The root node's `(feature, threshold)`, or `None` if the tree is a
-    /// single leaf. Exposed for split-stability tests and introspection.
-    pub fn root_split(&self) -> Option<(usize, f64)> {
-        match &self.root {
-            Node::Leaf { .. } => None,
-            Node::Split { feature, threshold, .. } => Some((*feature, *threshold)),
-        }
-    }
-
-    /// Depth of the tree (leaves at depth 0).
-    pub fn depth(&self) -> usize {
-        fn d(n: &Node) -> usize {
-            match n {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + d(left).max(d(right)),
-            }
-        }
-        d(&self.root)
     }
 
     /// Appends this tree's nodes to the forest's SoA arena in preorder and
@@ -207,6 +187,26 @@ impl DecisionTree {
 
 #[cfg(test)]
 impl DecisionTree {
+    /// The root node's `(feature, threshold)`, or `None` if the tree is a
+    /// single leaf.
+    fn root_split(&self) -> Option<(usize, f64)> {
+        match &self.root {
+            Node::Leaf { .. } => None,
+            Node::Split { feature, threshold, .. } => Some((*feature, *threshold)),
+        }
+    }
+
+    /// Depth of the tree (leaves at depth 0).
+    pub(crate) fn depth(&self) -> usize {
+        fn d(n: &Node) -> usize {
+            match n {
+                Node::Leaf { .. } => 0,
+                Node::Split { left, right, .. } => 1 + d(left).max(d(right)),
+            }
+        }
+        d(&self.root)
+    }
+
     /// Bit-for-bit tree equality: same shape, same features, and the same
     /// threshold and leaf bits (so `-0.0` and `0.0` differ).
     pub(crate) fn bit_identical(&self, other: &Self) -> bool {

@@ -29,13 +29,13 @@ pub struct Request {
 
 impl Request {
     /// The first value of header `name` (lower-case), if present.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
     }
 
     /// Whether the client asked to close the connection after this
     /// exchange (`Connection: close`; HTTP/1.1 defaults to keep-alive).
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         self.header("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
 }
@@ -62,7 +62,10 @@ pub enum RequestError {
 /// header terminator and the full declared body have arrived. Bodies are
 /// bounded by `max_body` *before* any body byte is read, so an oversized
 /// upload costs its headers, not its payload.
-pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, RequestError> {
+pub(crate) fn read_request(
+    stream: &mut impl Read,
+    max_body: usize,
+) -> Result<Request, RequestError> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let header_end = loop {
         if let Some(end) = find_terminator(&buf) {
@@ -144,7 +147,7 @@ fn find_terminator(buf: &[u8]) -> Option<usize> {
 }
 
 /// Writes one `HTTP/1.1` response with a JSON body.
-pub fn write_response(
+pub(crate) fn write_response(
     stream: &mut impl Write,
     status: u16,
     reason: &str,

@@ -63,7 +63,6 @@ pub use loadgen::{request_for, run_load, LoadConfig, LoadReport};
 pub use metrics::{Metrics, BATCH_BUCKETS};
 pub use models::ModelRegistry;
 pub use protocol::{
-    feature_set_label, parse_feature_set, parse_model_kind, PredictRequest, PredictResponse,
-    PredictRow,
+    feature_set_label, parse_model_kind, PredictRequest, PredictResponse, PredictRow,
 };
 pub use server::{ServeConfig, Server};

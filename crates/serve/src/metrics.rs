@@ -30,12 +30,12 @@ pub struct Metrics {
 
 impl Metrics {
     /// A zeroed instance.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records one answered HTTP exchange with its response status.
-    pub fn record_request(&self, status: u16) {
+    pub(crate) fn record_request(&self, status: u16) {
         self.requests.fetch_add(1, Ordering::Relaxed);
         if (400..500).contains(&status) {
             self.errors_4xx.fetch_add(1, Ordering::Relaxed);
@@ -45,7 +45,7 @@ impl Metrics {
     }
 
     /// Records one served `POST /predict` (row count + handling latency).
-    pub fn record_predict(&self, rows: u64, latency_us: u64) {
+    pub(crate) fn record_predict(&self, rows: u64, latency_us: u64) {
         self.predict_requests.fetch_add(1, Ordering::Relaxed);
         self.rows_predicted.fetch_add(rows, Ordering::Relaxed);
         self.latency_us_count.fetch_add(1, Ordering::Relaxed);
@@ -54,7 +54,7 @@ impl Metrics {
     }
 
     /// Records one micro-batch of `rows` rows: one `predict_rows` call.
-    pub fn record_batch(&self, rows: u64) {
+    pub(crate) fn record_batch(&self, rows: u64) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         let bucket = BATCH_BUCKETS
             .iter()
@@ -64,12 +64,12 @@ impl Metrics {
     }
 
     /// Records hot-reloads of model snapshots.
-    pub fn record_reloads(&self, n: u64) {
+    pub(crate) fn record_reloads(&self, n: u64) {
         self.reloads.fetch_add(n, Ordering::Relaxed);
     }
 
     /// HTTP exchanges answered so far.
-    pub fn requests(&self) -> u64 {
+    pub(crate) fn requests(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
     }
 
@@ -89,7 +89,7 @@ impl Metrics {
     }
 
     /// Model hot-reloads so far.
-    pub fn reloads(&self) -> u64 {
+    pub(crate) fn reloads(&self) -> u64 {
         self.reloads.load(Ordering::Relaxed)
     }
 
@@ -101,7 +101,7 @@ impl Metrics {
 
     /// Renders the `GET /metrics` body (fixed key order; `degraded` is the
     /// artifact store's degradation state, `false` without a store).
-    pub fn render_json(&self, degraded: bool) -> String {
+    pub(crate) fn render_json(&self, degraded: bool) -> String {
         let hist = self.batch_histogram();
         let mut hist_fields: Vec<String> = BATCH_BUCKETS
             .iter()

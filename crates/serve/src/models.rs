@@ -12,9 +12,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::SystemTime;
 
-use wade_core::{
-    train_error_model_keyed, train_error_model_stored, CampaignData, ErrorModel, MlKind, MODEL_KIND,
-};
+use wade_core::{train_error_model_stored, CampaignData, ErrorModel, MlKind, MODEL_KIND};
 use wade_features::FeatureSet;
 use wade_store::ArtifactStore;
 
@@ -41,7 +39,7 @@ impl ModelRegistry {
         let mut models = Vec::new();
         let mut keys = Vec::new();
         for kind in MlKind::ALL {
-            let (model, model_keys) = train_error_model_keyed(store.as_deref(), &data, kind, set);
+            let (model, model_keys) = train_error_model_stored(store.as_deref(), &data, kind, set);
             models.push(RwLock::new(Arc::new(model)));
             keys.push(model_keys);
         }
@@ -64,7 +62,7 @@ impl ModelRegistry {
 
     /// Whether the backing store has tripped into degraded (in-memory)
     /// mode; `false` without a store.
-    pub fn degraded(&self) -> bool {
+    pub(crate) fn degraded(&self) -> bool {
         self.store.as_deref().is_some_and(ArtifactStore::degraded)
     }
 
@@ -96,7 +94,7 @@ impl ModelRegistry {
             }
             if dirty {
                 let model =
-                    train_error_model_stored(self.store.as_deref(), &self.data, kind, self.set);
+                    train_error_model_stored(self.store.as_deref(), &self.data, kind, self.set).0;
                 *self.models[idx].write().expect("model slot poisoned") = Arc::new(model);
                 reloaded += 1;
             }

@@ -95,14 +95,14 @@ pub fn feature_set_label(set: FeatureSet) -> &'static str {
     }
 }
 
-/// Parses a [`feature_set_label`] back into its set.
-pub fn parse_feature_set(label: &str) -> Option<FeatureSet> {
-    FeatureSet::ALL.into_iter().find(|&s| feature_set_label(s) == label)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parses a [`feature_set_label`] back into its set.
+    fn parse_feature_set(label: &str) -> Option<FeatureSet> {
+        FeatureSet::ALL.into_iter().find(|&s| feature_set_label(s) == label)
+    }
 
     #[test]
     fn request_roundtrips_through_json() {

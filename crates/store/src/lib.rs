@@ -110,14 +110,14 @@ pub const PROBE_EVERY: u64 = 32;
 
 /// The default store directory when neither `--store-dir` nor
 /// [`STORE_DIR_ENV`] is given: `<CARGO_TARGET_DIR|target>/wade-store`.
-pub fn default_dir() -> PathBuf {
+pub(crate) fn default_dir() -> PathBuf {
     let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into());
     PathBuf::from(target).join("wade-store")
 }
 
 /// Resolves the store directory with the standard precedence:
 /// explicit argument (e.g. `--store-dir`) > [`STORE_DIR_ENV`] >
-/// [`default_dir`].
+/// `default_dir()`.
 pub fn resolve_dir(explicit: Option<&str>) -> PathBuf {
     if let Some(dir) = explicit {
         return PathBuf::from(dir);
@@ -743,7 +743,7 @@ impl ArtifactStore {
     /// Per-class counts of faults the backend has injected (all zero for
     /// real backends) — surfaced next to hit/miss stats so torture runs
     /// can report schedule activity.
-    pub fn fault_counters(&self) -> FaultCounters {
+    pub(crate) fn fault_counters(&self) -> FaultCounters {
         self.fs.fault_counters()
     }
 

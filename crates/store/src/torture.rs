@@ -106,7 +106,7 @@ pub struct TorturePayload {
 
 impl TorturePayload {
     /// The unique valid payload for `(key_index, version)`.
-    pub fn expected(key_index: u64, version: u64) -> Self {
+    pub(crate) fn expected(key_index: u64, version: u64) -> Self {
         let mut rng = FaultRng::seed_from_u64(mix64(key_index ^ 0x70AD, version));
         let blob = (0..16).map(|_| rng.next_u64()).collect();
         Self { key_index, version, blob }
@@ -114,13 +114,13 @@ impl TorturePayload {
 
     /// Whether this value is internally consistent and belongs to
     /// `expected_key` — the wrong-read predicate.
-    pub fn is_valid_for(&self, expected_key: u64) -> bool {
+    pub(crate) fn is_valid_for(&self, expected_key: u64) -> bool {
         self.key_index == expected_key && *self == Self::expected(self.key_index, self.version)
     }
 }
 
 /// The canonical key string of torture key `i`.
-pub fn torture_key(i: u64) -> String {
+pub(crate) fn torture_key(i: u64) -> String {
     format!("torture-key-{i:03}")
 }
 

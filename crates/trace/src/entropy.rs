@@ -24,13 +24,8 @@ pub struct EntropyEstimator {
 }
 
 impl EntropyEstimator {
-    /// An empty estimator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one 64-bit stored value (sampled as two 32-bit words).
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         let lo = value as u32;
         let hi = (value >> 32) as u32;
         *self.counts.entry(lo).or_insert(0) += 1;
@@ -39,13 +34,8 @@ impl EntropyEstimator {
         self.one_bits += value.count_ones() as u64;
     }
 
-    /// Number of 32-bit samples recorded.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
     /// `H_DP` in bits (0 ≤ H ≤ 32). Zero when nothing was recorded.
-    pub fn entropy_bits(&self) -> f64 {
+    pub(crate) fn entropy_bits(&self) -> f64 {
         if self.samples == 0 {
             return 0.0;
         }
@@ -65,7 +55,7 @@ impl EntropyEstimator {
 
     /// Fraction of stored bits equal to one (0.5 for random data, ~0 for
     /// zero-fill). Drives the true-/anti-cell vulnerability model.
-    pub fn one_density(&self) -> f64 {
+    pub(crate) fn one_density(&self) -> f64 {
         if self.samples == 0 {
             return 0.5;
         }
@@ -73,7 +63,7 @@ impl EntropyEstimator {
     }
 
     /// Number of distinct 32-bit values observed.
-    pub fn distinct_values(&self) -> usize {
+    pub(crate) fn distinct_values(&self) -> usize {
         self.counts.len()
     }
 }
@@ -84,14 +74,14 @@ mod tests {
 
     #[test]
     fn empty_estimator_is_neutral() {
-        let e = EntropyEstimator::new();
+        let e = EntropyEstimator::default();
         assert_eq!(e.entropy_bits(), 0.0);
         assert_eq!(e.one_density(), 0.5);
     }
 
     #[test]
     fn constant_data_has_zero_entropy() {
-        let mut e = EntropyEstimator::new();
+        let mut e = EntropyEstimator::default();
         for _ in 0..100 {
             e.record(0);
         }
@@ -101,7 +91,7 @@ mod tests {
 
     #[test]
     fn two_equiprobable_values_give_one_bit() {
-        let mut e = EntropyEstimator::new();
+        let mut e = EntropyEstimator::default();
         for i in 0..100u64 {
             // Both halves identical per store; alternate between two values.
             let v = if i % 2 == 0 { 0 } else { 0xFFFF_FFFF_FFFF_FFFF };
@@ -113,8 +103,8 @@ mod tests {
 
     #[test]
     fn distinct_values_increase_entropy() {
-        let mut low = EntropyEstimator::new();
-        let mut high = EntropyEstimator::new();
+        let mut low = EntropyEstimator::default();
+        let mut high = EntropyEstimator::default();
         for i in 0..1000u64 {
             low.record(i % 4);
             high.record(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -125,7 +115,7 @@ mod tests {
 
     #[test]
     fn all_ones_density() {
-        let mut e = EntropyEstimator::new();
+        let mut e = EntropyEstimator::default();
         e.record(u64::MAX);
         assert_eq!(e.one_density(), 1.0);
     }

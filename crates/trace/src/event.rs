@@ -40,7 +40,7 @@ impl MemAccess {
     }
 
     /// The 64-bit-word index of this access (byte address / 8).
-    pub fn word_index(&self) -> u64 {
+    pub(crate) fn word_index(&self) -> u64 {
         self.addr >> 3
     }
 

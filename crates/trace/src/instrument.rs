@@ -29,11 +29,6 @@ impl Tracer {
         Self::default()
     }
 
-    /// Instructions executed so far (memory instructions included).
-    pub fn instructions(&self) -> u64 {
-        self.instructions
-    }
-
     /// The shared per-access accounting of both sink paths.
     #[inline]
     fn record(&mut self, access: MemAccess) {

@@ -32,7 +32,7 @@ pub struct RegionCounter {
 
 impl RegionCounter {
     /// Creates a counter with an initial region span of 64 KiB.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { regions: vec![RegionUse::default(); REGION_COUNT], shift: 16 }
     }
 
@@ -50,7 +50,7 @@ impl RegionCounter {
     }
 
     /// Records an access at byte address `addr`.
-    pub fn record(&mut self, addr: u64, is_write: bool) {
+    pub(crate) fn record(&mut self, addr: u64, is_write: bool) {
         self.grow_to_cover(addr);
         let idx = (addr >> self.shift) as usize;
         self.regions[idx].accesses += 1;
@@ -59,15 +59,10 @@ impl RegionCounter {
         }
     }
 
-    /// The per-region counters (fixed length [`REGION_COUNT`]).
-    pub fn regions(&self) -> &[RegionUse] {
-        &self.regions
-    }
-
     /// Normalised access share per region (sums to 1 when any access was
     /// recorded). This is the spatial access distribution handed to the DRAM
     /// simulator.
-    pub fn access_shares(&self) -> Vec<f64> {
+    pub(crate) fn access_shares(&self) -> Vec<f64> {
         let total: u64 = self.regions.iter().map(|r| r.accesses).sum();
         if total == 0 {
             return vec![0.0; REGION_COUNT];
@@ -78,7 +73,7 @@ impl RegionCounter {
     /// Shannon entropy (bits) of the spatial access distribution; a
     /// uniform sweep approaches `log2(REGION_COUNT)`, a hot-spot workload
     /// approaches zero. Exported as a program feature.
-    pub fn spatial_entropy(&self) -> f64 {
+    pub(crate) fn spatial_entropy(&self) -> f64 {
         self.access_shares()
             .iter()
             .filter(|&&p| p > 0.0)
@@ -102,9 +97,9 @@ mod tests {
         let mut c = RegionCounter::new();
         c.record(0, false);
         c.record(65536, true);
-        assert_eq!(c.regions()[0].accesses, 1);
-        assert_eq!(c.regions()[1].accesses, 1);
-        assert_eq!(c.regions()[1].writes, 1);
+        assert_eq!(c.regions[0].accesses, 1);
+        assert_eq!(c.regions[1].accesses, 1);
+        assert_eq!(c.regions[1].writes, 1);
     }
 
     #[test]
@@ -115,7 +110,7 @@ mod tests {
         }
         // Force growth far beyond the initial span.
         c.record(1 << 30, false);
-        let total: u64 = c.regions().iter().map(|r| r.accesses).sum();
+        let total: u64 = c.regions.iter().map(|r| r.accesses).sum();
         assert_eq!(total, 1001);
     }
 

@@ -49,21 +49,21 @@ impl TraceReport {
             self.mem_accesses as f64 / self.instructions as f64
         }
     }
-
-    /// Store fraction among all accesses.
-    pub fn write_fraction(&self) -> f64 {
-        if self.mem_accesses == 0 {
-            0.0
-        } else {
-            self.writes as f64 / self.mem_accesses as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reuse::ReuseHistogram;
+
+    /// Store fraction among all accesses.
+    fn write_fraction(r: &TraceReport) -> f64 {
+        if r.mem_accesses == 0 {
+            0.0
+        } else {
+            r.writes as f64 / r.mem_accesses as f64
+        }
+    }
 
     fn dummy() -> TraceReport {
         TraceReport {
@@ -88,7 +88,7 @@ mod tests {
     fn intensity_and_mix() {
         let r = dummy();
         assert!((r.access_intensity() - 0.25).abs() < 1e-12);
-        assert!((r.write_fraction() - 0.2).abs() < 1e-12);
+        assert!((write_fraction(&r) - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -97,7 +97,7 @@ mod tests {
         r.instructions = 0;
         r.mem_accesses = 0;
         assert_eq!(r.access_intensity(), 0.0);
-        assert_eq!(r.write_fraction(), 0.0);
+        assert_eq!(write_fraction(&r), 0.0);
     }
 
     #[test]

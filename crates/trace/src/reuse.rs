@@ -19,43 +19,20 @@ pub struct ReuseHistogram {
 
 impl ReuseHistogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { counts: vec![0; REUSE_BUCKETS] }
     }
 
     /// Records one reuse distance (in instructions).
-    pub fn record(&mut self, distance: u64) {
+    pub(crate) fn record(&mut self, distance: u64) {
         let bucket = (64 - distance.leading_zeros()).saturating_sub(1) as usize;
         let bucket = bucket.min(REUSE_BUCKETS - 1);
         self.counts[bucket] += 1;
     }
 
-    /// Raw bucket counts; bucket `i` spans `[2^i, 2^(i+1))` instructions.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Total recorded reuses.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Fraction of reuses with distance strictly below `threshold`
-    /// instructions (bucket-resolution approximation: a bucket is counted
-    /// when its geometric midpoint is below the threshold).
-    pub fn fraction_below(&self, threshold: f64) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let mut below = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            let midpoint = 2f64.powi(i as i32) * 1.5;
-            if midpoint < threshold {
-                below += c;
-            }
-        }
-        below as f64 / total as f64
     }
 
     /// The q-th quantile (0..=1) of the distribution, in instructions
@@ -108,7 +85,7 @@ impl ReuseTracker {
     /// An empty tracker, pre-sized so typical mini-kernel footprints
     /// (tens of thousands of words) avoid the early rehash cascade.
     /// (`Default` — what `Tracer::new` reaches through — builds this too.)
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             last_touch: FxHashMap::with_capacity_and_hasher(1 << 15, Default::default()),
             histogram: ReuseHistogram::new(),
@@ -120,7 +97,7 @@ impl ReuseTracker {
 
     /// Records a reference to `word` at instruction index `instr_now`,
     /// returning the reuse distance if the word was seen before.
-    pub fn touch(&mut self, word: u64, instr_now: u64) -> Option<u64> {
+    pub(crate) fn touch(&mut self, word: u64, instr_now: u64) -> Option<u64> {
         // One entry lookup for both the first-touch and the re-reference
         // case (the old insert-then-insert cost two hashes per new word).
         match self.last_touch.entry(word) {
@@ -145,13 +122,13 @@ impl ReuseTracker {
     }
 
     /// Number of distinct words referenced so far.
-    pub fn unique_words(&self) -> u64 {
+    pub(crate) fn unique_words(&self) -> u64 {
         self.last_touch.len() as u64
     }
 
     /// Mean reuse distance in instructions (`D_reuse` averaged over all
     /// re-references, as in eq. 4's outer average). Zero if nothing reused.
-    pub fn mean_distance(&self) -> f64 {
+    pub(crate) fn mean_distance(&self) -> f64 {
         if self.reuse_count == 0 {
             0.0
         } else {
@@ -159,14 +136,9 @@ impl ReuseTracker {
         }
     }
 
-    /// Number of re-references observed.
-    pub fn reuse_count(&self) -> u64 {
-        self.reuse_count
-    }
-
     /// Fraction of referenced words that were *never* re-referenced; these
     /// words see no implicit refresh at all.
-    pub fn never_reused_fraction(&self) -> f64 {
+    pub(crate) fn never_reused_fraction(&self) -> f64 {
         let unique = self.unique_words();
         if unique == 0 {
             return 0.0;
@@ -175,7 +147,7 @@ impl ReuseTracker {
     }
 
     /// The accumulated reuse-distance histogram.
-    pub fn histogram(&self) -> &ReuseHistogram {
+    pub(crate) fn histogram(&self) -> &ReuseHistogram {
         &self.histogram
     }
 }
@@ -183,6 +155,24 @@ impl ReuseTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fraction of reuses with distance strictly below `threshold`
+    /// instructions (bucket-resolution approximation: a bucket is counted
+    /// when its geometric midpoint is below the threshold).
+    fn fraction_below(h: &ReuseHistogram, threshold: f64) -> f64 {
+        let total = h.total();
+        if total == 0 {
+            return 0.0;
+        }
+        let mut below = 0u64;
+        for (i, &c) in h.counts.iter().enumerate() {
+            let midpoint = 2f64.powi(i as i32) * 1.5;
+            if midpoint < threshold {
+                below += c;
+            }
+        }
+        below as f64 / total as f64
+    }
 
     #[test]
     fn first_touch_has_no_distance() {
@@ -198,7 +188,7 @@ mod tests {
         t.touch(5, 100);
         assert_eq!(t.touch(5, 150), Some(50));
         assert_eq!(t.mean_distance(), 50.0);
-        assert_eq!(t.reuse_count(), 1);
+        assert_eq!(t.reuse_count, 1);
     }
 
     #[test]
@@ -209,9 +199,9 @@ mod tests {
         h.record(2);
         h.record(3);
         h.record(1024);
-        assert_eq!(h.counts()[0], 2); // 0 and 1
-        assert_eq!(h.counts()[1], 2); // 2 and 3
-        assert_eq!(h.counts()[10], 1); // 1024
+        assert_eq!(h.counts[0], 2); // 0 and 1
+        assert_eq!(h.counts[1], 2); // 2 and 3
+        assert_eq!(h.counts[10], 1); // 1024
         assert_eq!(h.total(), 5);
     }
 
@@ -224,7 +214,7 @@ mod tests {
         for _ in 0..10 {
             h.record(1 << 20);
         }
-        let f = h.fraction_below(1000.0);
+        let f = fraction_below(&h, 1000.0);
         assert!((f - 0.9).abs() < 1e-9, "{f}");
     }
 

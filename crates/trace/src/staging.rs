@@ -19,7 +19,7 @@ pub const DEFAULT_STAGING_CAPACITY: usize = 1024;
 /// therefore every instruction index a consumer derives — is exactly the
 /// original stream's.
 ///
-/// The buffer flushes when full and on [`StagingSink::finish`] (or drop), so
+/// The buffer flushes when full and on drop, so
 /// a trailing gap with no following access is still delivered.
 ///
 /// ```
@@ -49,21 +49,15 @@ impl<S: AccessSink> StagingSink<S> {
     }
 
     /// Wraps `inner` with an explicit staging capacity (≥ 1).
-    pub fn with_capacity(inner: S, capacity: usize) -> Self {
+    pub(crate) fn with_capacity(inner: S, capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self { inner, staged: Vec::with_capacity(capacity), capacity, pending_gap: 0 }
-    }
-
-    /// The wrapped sink (staged events may not have been delivered yet;
-    /// call [`StagingSink::finish`] first to observe a complete stream).
-    pub fn inner(&self) -> &S {
-        &self.inner
     }
 
     /// Delivers everything staged so far: the buffered accesses as one
     /// batch, then any trailing instruction gap. Idempotent; called
     /// automatically on drop.
-    pub fn finish(&mut self) {
+    pub(crate) fn finish(&mut self) {
         if !self.staged.is_empty() {
             self.inner.on_accesses(&self.staged);
             self.staged.clear();
@@ -72,15 +66,6 @@ impl<S: AccessSink> StagingSink<S> {
             self.inner.on_instructions(self.pending_gap);
             self.pending_gap = 0;
         }
-    }
-
-    /// Flushes and returns the wrapped sink.
-    pub fn into_inner(mut self) -> S
-    where
-        S: Default,
-    {
-        self.finish();
-        std::mem::take(&mut self.inner)
     }
 }
 
@@ -120,6 +105,12 @@ impl<S: AccessSink> AccessSink for StagingSink<S> {
 mod tests {
     use super::*;
     use crate::Tracer;
+
+    /// Flushes and returns the wrapped sink.
+    fn into_inner<S: AccessSink + Default>(mut staged: StagingSink<S>) -> S {
+        staged.finish();
+        std::mem::take(&mut staged.inner)
+    }
 
     /// Feeds `n` accesses with per-access gaps through `sink`.
     fn feed(sink: &mut impl AccessSink, n: u64) {
@@ -189,7 +180,7 @@ mod tests {
     fn into_inner_returns_a_flushed_sink() {
         let mut staged = StagingSink::new(Tracer::new());
         staged.on_access(MemAccess::read(0, 0));
-        let tracer = staged.into_inner();
+        let tracer = into_inner(staged);
         assert_eq!(tracer.report().mem_accesses, 1);
     }
 }

@@ -1,10 +1,11 @@
-//! Synthetic access-stream generators.
+//! The synthetic access stream behind the data-pattern micro-benchmarks.
 //!
-//! These drive unit tests, calibration and the data-pattern
-//! micro-benchmarks (the paper's `random` micro-benchmark that conventional
-//! retention-profiling studies rely on). Each generator emits
-//! [`MemAccess`]es into an [`AccessSink`] with a controlled spatial pattern
-//! and value distribution.
+//! [`StridedSweep`] is the classic retention-test kernel: write a
+//! [`ValuePattern`] across a buffer, then read it back. The
+//! `wade-workloads` data-pattern micros (the paper's `random`
+//! micro-benchmark that conventional retention-profiling studies rely on)
+//! run it, and the `wade-memsys` unit tests drive the cache hierarchy
+//! with it. It emits [`MemAccess`]es into an [`AccessSink`].
 
 use crate::event::MemAccess;
 use crate::sink::AccessSink;
@@ -27,7 +28,7 @@ pub enum ValuePattern {
 
 impl ValuePattern {
     /// Produces the `i`-th value of the pattern using `rng` when random.
-    pub fn value(&self, i: u64, rng: &mut StdRng) -> u64 {
+    fn value(&self, i: u64, rng: &mut StdRng) -> u64 {
         match self {
             ValuePattern::Zeros => 0,
             ValuePattern::Ones => u64::MAX,
@@ -85,39 +86,6 @@ impl StridedSweep {
     }
 }
 
-/// Uniformly random accesses over a buffer, with a configurable write
-/// fraction; models scattered pointer-heavy workloads.
-#[derive(Debug, Clone)]
-pub struct RandomAccess {
-    /// Number of 64-bit words in the buffer.
-    pub words: u64,
-    /// Total accesses to issue.
-    pub accesses: u64,
-    /// Fraction of accesses that are stores (0..=1).
-    pub write_fraction: f64,
-    /// Value pattern for stores.
-    pub pattern: ValuePattern,
-    /// Non-memory instructions between accesses.
-    pub gap: u64,
-}
-
-impl RandomAccess {
-    /// Runs the generator into `sink`.
-    pub fn run<S: AccessSink>(&self, sink: &mut S, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        for i in 0..self.accesses {
-            let word = rng.gen_range(0..self.words.max(1));
-            if rng.gen_bool(self.write_fraction.clamp(0.0, 1.0)) {
-                let v = self.pattern.value(i, &mut rng);
-                sink.on_access(MemAccess::write(word * 8, v, 0));
-            } else {
-                sink.on_access(MemAccess::read(word * 8, 0));
-            }
-            sink.on_instructions(self.gap);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,28 +113,16 @@ mod tests {
     #[test]
     fn random_pattern_has_high_entropy() {
         let mut t = Tracer::new();
-        RandomAccess {
-            words: 1024,
-            accesses: 4096,
-            write_fraction: 1.0,
-            pattern: ValuePattern::Random,
-            gap: 1,
-        }
-        .run(&mut t, 7);
+        StridedSweep { words: 4096, passes: 1, stride: 1, pattern: ValuePattern::Random, gap: 1 }
+            .run(&mut t, 7);
         assert!(t.report().entropy_bits > 10.0);
     }
 
     #[test]
     fn zeros_pattern_has_zero_entropy() {
         let mut t = Tracer::new();
-        RandomAccess {
-            words: 1024,
-            accesses: 4096,
-            write_fraction: 1.0,
-            pattern: ValuePattern::Zeros,
-            gap: 1,
-        }
-        .run(&mut t, 7);
+        StridedSweep { words: 4096, passes: 1, stride: 1, pattern: ValuePattern::Zeros, gap: 1 }
+            .run(&mut t, 7);
         assert_eq!(t.report().entropy_bits, 0.0);
         assert_eq!(t.report().one_density, 0.0);
     }
@@ -184,10 +140,10 @@ mod tests {
     fn generators_are_deterministic_per_seed() {
         let mut a = Tracer::new();
         let mut b = Tracer::new();
-        let gen = RandomAccess {
+        let gen = StridedSweep {
             words: 512,
-            accesses: 2000,
-            write_fraction: 0.5,
+            passes: 2,
+            stride: 3,
             pattern: ValuePattern::Random,
             gap: 2,
         };

@@ -29,7 +29,7 @@ impl Backprop {
     const GAP: u64 = 2;
 
     /// Creates the kernel at the given thread count and scale.
-    pub fn new(threads: u8, scale: Scale) -> Self {
+    pub(crate) fn new(threads: u8, scale: Scale) -> Self {
         match scale {
             Scale::Full => Self { threads, scale, input: 128, hidden: 64, output: 16, samples: 48, epochs: 3 },
             Scale::Test => Self { threads, scale, input: 16, hidden: 8, output: 4, samples: 6, epochs: 2 },

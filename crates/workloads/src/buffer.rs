@@ -11,22 +11,17 @@ pub struct AddressSpace {
 
 impl AddressSpace {
     /// A fresh, empty address space starting at address 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Reserves `words` 64-bit words, returning the base byte address
     /// (4 KiB aligned, like a page-grained allocator).
-    pub fn alloc(&mut self, words: u64) -> u64 {
+    pub(crate) fn alloc(&mut self, words: u64) -> u64 {
         let base = self.next;
         let bytes = words * 8;
         self.next = (base + bytes + 4095) & !4095;
         base
-    }
-
-    /// Total bytes reserved so far.
-    pub fn reserved_bytes(&self) -> u64 {
-        self.next
     }
 }
 
@@ -44,24 +39,14 @@ pub struct TracedBuffer {
 
 impl TracedBuffer {
     /// Allocates `words` zeroed words inside `space`.
-    pub fn zeroed(space: &mut AddressSpace, words: usize) -> Self {
+    pub(crate) fn zeroed(space: &mut AddressSpace, words: usize) -> Self {
         let base = space.alloc(words as u64);
         Self { base, data: vec![0; words] }
     }
 
     /// Number of 64-bit words.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
-    }
-
-    /// True when the buffer holds no words.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Base byte address in the simulated address space.
-    pub fn base(&self) -> u64 {
-        self.base
     }
 
     fn addr(&self, index: usize) -> u64 {
@@ -70,30 +55,42 @@ impl TracedBuffer {
     }
 
     /// Instrumented load of word `index` on logical thread `tid`.
-    pub fn get(&self, sink: &mut (impl AccessSink + ?Sized), index: usize, tid: u8) -> u64 {
+    pub(crate) fn get(&self, sink: &mut (impl AccessSink + ?Sized), index: usize, tid: u8) -> u64 {
         sink.on_access(MemAccess::read(self.addr(index), tid));
         self.data[index]
     }
 
     /// Instrumented store of `value` to word `index` on thread `tid`.
-    pub fn set(&mut self, sink: &mut (impl AccessSink + ?Sized), index: usize, value: u64, tid: u8) {
+    pub(crate) fn set(
+        &mut self,
+        sink: &mut (impl AccessSink + ?Sized),
+        index: usize,
+        value: u64,
+        tid: u8,
+    ) {
         sink.on_access(MemAccess::write(self.addr(index), value, tid));
         self.data[index] = value;
     }
 
     /// Instrumented load interpreted as `f64`.
-    pub fn get_f64(&self, sink: &mut (impl AccessSink + ?Sized), index: usize, tid: u8) -> f64 {
+    pub(crate) fn get_f64(
+        &self,
+        sink: &mut (impl AccessSink + ?Sized),
+        index: usize,
+        tid: u8,
+    ) -> f64 {
         f64::from_bits(self.get(sink, index, tid))
     }
 
     /// Instrumented store of an `f64` bit pattern.
-    pub fn set_f64(&mut self, sink: &mut (impl AccessSink + ?Sized), index: usize, value: f64, tid: u8) {
+    pub(crate) fn set_f64(
+        &mut self,
+        sink: &mut (impl AccessSink + ?Sized),
+        index: usize,
+        value: f64,
+        tid: u8,
+    ) {
         self.set(sink, index, value.to_bits(), tid);
-    }
-
-    /// Un-instrumented peek (for test assertions; does not touch the sink).
-    pub fn peek(&self, index: usize) -> u64 {
-        self.data[index]
     }
 }
 
@@ -110,7 +107,7 @@ mod tests {
         assert_eq!(a, 0);
         assert!(b >= 800);
         assert_eq!(b % 4096, 0);
-        assert!(space.reserved_bytes() >= 1600);
+        assert!(space.next >= 1600);
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl Fmm {
     const GAP: u64 = 5;
 
     /// Creates the kernel.
-    pub fn new(threads: u8, scale: Scale) -> Self {
+    pub(crate) fn new(threads: u8, scale: Scale) -> Self {
         match scale {
             Scale::Full => Self { threads, scale, particles: 20_000, steps: 2 },
             Scale::Test => Self { threads, scale, particles: 300, steps: 2 },

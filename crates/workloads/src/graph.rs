@@ -17,13 +17,12 @@ pub struct CsrGraph {
     pub nodes: usize,
     offsets: TracedBuffer,
     edges: TracedBuffer,
-    edge_count: usize,
 }
 
 impl CsrGraph {
     /// Generates a power-law graph with `nodes` vertices and ~`edges_per_node`
     /// out-edges per vertex, preferentially attached to low-id hubs.
-    pub fn power_law(
+    pub(crate) fn power_law(
         space: &mut AddressSpace,
         sink: &mut dyn AccessSink,
         nodes: usize,
@@ -57,23 +56,23 @@ impl CsrGraph {
             sink.on_instructions(2);
         }
         offsets.set(sink, nodes, cursor as u64, 0);
-        Self { nodes, offsets, edges, edge_count }
-    }
-
-    /// Total directed edges.
-    pub fn edge_count(&self) -> usize {
-        self.edge_count
+        Self { nodes, offsets, edges }
     }
 
     /// Instrumented iteration bounds of `v`'s adjacency list.
-    pub fn neighbors_range(&self, sink: &mut dyn AccessSink, v: usize, tid: u8) -> (usize, usize) {
+    pub(crate) fn neighbors_range(
+        &self,
+        sink: &mut dyn AccessSink,
+        v: usize,
+        tid: u8,
+    ) -> (usize, usize) {
         let start = self.offsets.get(sink, v, tid) as usize;
         let end = self.offsets.get(sink, v + 1, tid) as usize;
         (start, end)
     }
 
     /// Instrumented read of edge-slot `i`.
-    pub fn edge_target(&self, sink: &mut dyn AccessSink, i: usize, tid: u8) -> usize {
+    pub(crate) fn edge_target(&self, sink: &mut dyn AccessSink, i: usize, tid: u8) -> usize {
         self.edges.get(sink, i, tid) as usize
     }
 }
@@ -95,7 +94,7 @@ pub struct Pagerank {
 
 impl Pagerank {
     /// Creates the kernel.
-    pub fn new(threads: u8, scale: Scale) -> Self {
+    pub(crate) fn new(threads: u8, scale: Scale) -> Self {
         Self { threads, scale, iterations: 4 }
     }
 
@@ -179,7 +178,7 @@ pub struct Bfs {
 
 impl Bfs {
     /// Creates the kernel.
-    pub fn new(threads: u8, scale: Scale) -> Self {
+    pub(crate) fn new(threads: u8, scale: Scale) -> Self {
         Self { threads, scale, sources: 6 }
     }
 
@@ -250,7 +249,7 @@ pub struct Bc {
 
 impl Bc {
     /// Creates the kernel.
-    pub fn new(threads: u8, scale: Scale) -> Self {
+    pub(crate) fn new(threads: u8, scale: Scale) -> Self {
         Self { threads, scale, sources: 4 }
     }
 
@@ -393,7 +392,7 @@ mod tests {
             }
             total += e - s;
         }
-        assert_eq!(total, g.edge_count());
+        assert_eq!(total, g.edges.len());
     }
 
     #[test]

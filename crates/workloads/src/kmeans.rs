@@ -26,7 +26,7 @@ impl Kmeans {
     const GAP: u64 = 1;
 
     /// Creates the kernel.
-    pub fn new(threads: u8, scale: Scale) -> Self {
+    pub(crate) fn new(threads: u8, scale: Scale) -> Self {
         match scale {
             Scale::Full => Self { threads, scale, points: 60_000, clusters: 12, iterations: 4 },
             Scale::Test => Self { threads, scale, points: 600, clusters: 4, iterations: 3 },

@@ -47,7 +47,7 @@ pub use buffer::{AddressSpace, TracedBuffer};
 pub use graph::{Bc, Bfs, CsrGraph, Pagerank};
 pub use micro::MicroPattern;
 pub use spec::{BoxedWorkload, DeployScale, Scale, Workload, WorkloadId};
-pub use suite::{paper_suite, full_suite, micro_suite};
+pub use suite::{paper_suite, full_suite};
 
 pub use backprop::Backprop;
 pub use fmm::Fmm;

@@ -35,7 +35,7 @@ pub struct Lulesh {
 
 impl Lulesh {
     /// Creates the kernel with the given build variant.
-    pub fn new(threads: u8, scale: Scale, opt: LuleshOpt) -> Self {
+    pub(crate) fn new(threads: u8, scale: Scale, opt: LuleshOpt) -> Self {
         match scale {
             Scale::Full => Self { threads, scale, dim: 28, steps: 5, opt },
             Scale::Test => Self { threads, scale, dim: 8, steps: 3, opt },

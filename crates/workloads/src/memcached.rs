@@ -36,7 +36,7 @@ impl Memcached {
     const NET_GAP: u64 = 500;
 
     /// Creates the kernel.
-    pub fn new(threads: u8, scale: Scale) -> Self {
+    pub(crate) fn new(threads: u8, scale: Scale) -> Self {
         match scale {
             Scale::Full => Self {
                 threads,

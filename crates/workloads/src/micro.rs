@@ -32,7 +32,7 @@ pub struct DataPatternMicro {
 
 impl DataPatternMicro {
     /// Creates the micro-benchmark.
-    pub fn new(pattern: MicroPattern, scale: Scale) -> Self {
+    pub(crate) fn new(pattern: MicroPattern, scale: Scale) -> Self {
         match scale {
             Scale::Full => Self { pattern, scale, words: 1 << 20, passes: 3 },
             Scale::Test => Self { pattern, scale, words: 1 << 10, passes: 2 },

@@ -28,7 +28,7 @@ impl NeedlemanWunsch {
     const GAP: u64 = 3;
 
     /// Creates the kernel.
-    pub fn new(threads: u8, scale: Scale) -> Self {
+    pub(crate) fn new(threads: u8, scale: Scale) -> Self {
         match scale {
             Scale::Full => Self { threads, scale, seq_len: 700, pairs: 2 },
             Scale::Test => Self { threads, scale, seq_len: 48, pairs: 2 },
@@ -144,14 +144,14 @@ mod tests {
         for i in 1..=n {
             for j in 1..=n {
                 let score = if seq[i - 1] == seq[j - 1] { MATCH } else { MISMATCH };
-                let diag = table.peek((i - 1) * (n + 1) + (j - 1)) as i64;
-                let up = table.peek((i - 1) * (n + 1) + j) as i64;
-                let left = table.peek(i * (n + 1) + (j - 1)) as i64;
+                let diag = table.get(&mut sink, (i - 1) * (n + 1) + (j - 1), 0) as i64;
+                let up = table.get(&mut sink, (i - 1) * (n + 1) + j, 0) as i64;
+                let left = table.get(&mut sink, i * (n + 1) + (j - 1), 0) as i64;
                 let best = (diag + score).max(up + GAP_PENALTY).max(left + GAP_PENALTY);
                 table.set(&mut sink, i * (n + 1) + j, best as u64, 0);
             }
         }
-        assert_eq!(table.peek(n * (n + 1) + n) as i64, n as i64 * MATCH);
+        assert_eq!(table.get(&mut sink, n * (n + 1) + n, 0) as i64, n as i64 * MATCH);
     }
 
     #[test]

@@ -34,12 +34,12 @@ pub struct DeployScale {
 
 impl DeployScale {
     /// The paper's 8 GB allocation with neutral reuse scaling.
-    pub fn paper_default() -> Self {
+    pub(crate) fn paper_default() -> Self {
         Self { footprint_words: 1 << 30, reuse_scale: 1.0 }
     }
 
     /// Same footprint with an explicit reuse multiplier.
-    pub fn with_reuse_scale(reuse_scale: f64) -> Self {
+    pub(crate) fn with_reuse_scale(reuse_scale: f64) -> Self {
         Self { reuse_scale, ..Self::paper_default() }
     }
 }
@@ -136,34 +136,6 @@ pub enum WorkloadId {
 }
 
 impl WorkloadId {
-    /// The ids of the paper's 9 benchmark families (Table II / Fig. 4).
-    pub fn paper_families() -> [WorkloadId; 9] {
-        [
-            WorkloadId::Backprop,
-            WorkloadId::Kmeans,
-            WorkloadId::Nw,
-            WorkloadId::Srad,
-            WorkloadId::Fmm,
-            WorkloadId::Memcached,
-            WorkloadId::Pagerank,
-            WorkloadId::Bfs,
-            WorkloadId::Bc,
-        ]
-    }
-
-    /// Whether the paper runs this family with both 1 and 8 threads
-    /// (compute-intensive Rodinia/Parsec kernels only).
-    pub fn has_parallel_variant(&self) -> bool {
-        matches!(
-            self,
-            WorkloadId::Backprop
-                | WorkloadId::Kmeans
-                | WorkloadId::Nw
-                | WorkloadId::Srad
-                | WorkloadId::Fmm
-        )
-    }
-
     /// Instantiates the workload with the given thread count and scale.
     ///
     /// # Panics
@@ -234,14 +206,6 @@ pub(crate) fn paper_label(base: &str, threads: u8) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_families_count() {
-        assert_eq!(WorkloadId::paper_families().len(), 9);
-        let parallel: Vec<_> =
-            WorkloadId::paper_families().iter().filter(|w| w.has_parallel_variant()).cloned().collect();
-        assert_eq!(parallel.len(), 5, "5 compute-intensive kernels run 1 & 8 threads");
-    }
 
     #[test]
     fn labels_match_paper() {

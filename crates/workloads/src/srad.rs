@@ -26,7 +26,7 @@ impl Srad {
     const GAP: u64 = 4;
 
     /// Creates the kernel.
-    pub fn new(threads: u8, scale: Scale) -> Self {
+    pub(crate) fn new(threads: u8, scale: Scale) -> Self {
         match scale {
             Scale::Full => Self { threads, scale, rows: 448, cols: 448, iterations: 4, lambda: 0.5 },
             Scale::Test => Self { threads, scale, rows: 24, cols: 24, iterations: 3, lambda: 0.5 },

@@ -33,15 +33,6 @@ pub fn full_suite(scale: Scale) -> Vec<BoxedWorkload> {
     suite
 }
 
-/// Only the data-pattern micro-benchmarks (conventional profiling stressors).
-pub fn micro_suite(scale: Scale) -> Vec<BoxedWorkload> {
-    vec![
-        WorkloadId::MicroRandom.instantiate(1, scale),
-        WorkloadId::MicroZeros.instantiate(1, scale),
-        WorkloadId::MicroChecker.instantiate(1, scale),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,10 +58,5 @@ mod tests {
         assert!(names.contains(&"lulesh(O2)".to_string()));
         assert!(names.contains(&"lulesh(F)".to_string()));
         assert!(names.contains(&"data-pattern(random)".to_string()));
-    }
-
-    #[test]
-    fn micro_suite_has_three_patterns() {
-        assert_eq!(micro_suite(Scale::Test).len(), 3);
     }
 }

@@ -348,7 +348,7 @@ fn non_finite_payloads_roundtrip_bit_exactly() {
 
 #[test]
 fn every_stored_kind_hits_warm_without_corruption() {
-    use wade_core::{serving_model_keys, train_error_model_stored, MODEL_KIND};
+    use wade_core::{train_error_model_stored, MODEL_KIND};
     use wade_fleet::{transfer_matrix, FleetSpec, FleetSweep};
 
     let scratch = Scratch::new("every-kind");
@@ -364,7 +364,8 @@ fn every_stored_kind_hits_warm_without_corruption() {
     };
     let serve_all = |store: &ArtifactStore, data| {
         MlKind::ALL.map(|kind| {
-            train_error_model_stored(Some(store), data, kind, FeatureSet::Set1).to_json().unwrap()
+            let (model, keys) = train_error_model_stored(Some(store), data, kind, FeatureSet::Set1);
+            (model.to_json().unwrap(), keys)
         })
     };
     let fleet_all = |store: &ArtifactStore| {
@@ -388,10 +389,7 @@ fn every_stored_kind_hits_warm_without_corruption() {
     for kind in ["profile", wade_core::CAMPAIGN_KIND, MODEL_KIND, "fleet_slice", "fleet_model"] {
         assert!(kinds.contains(kind), "cold run stored no {kind} entry");
     }
-    let serving_keys: usize = MlKind::ALL
-        .iter()
-        .map(|&kind| serving_model_keys(&cold_data, kind, FeatureSet::Set1).len())
-        .sum();
+    let serving_keys: usize = cold_serving.iter().map(|(_, keys)| keys.len()).sum();
     assert!(serving_keys > 0, "the fixture must train serving models");
     assert_eq!(store.corrupt(), 0);
 

@@ -14,9 +14,8 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 use wade::core::{
-    build_pue_dataset, build_wer_dataset, serving_model_keys, train_error_model,
-    train_error_model_stored, AnyModel, Campaign, CampaignConfig, CampaignData, MlKind,
-    SimulatedServer, MODEL_KIND,
+    build_pue_dataset, build_wer_dataset, train_error_model, train_error_model_stored, AnyModel,
+    Campaign, CampaignConfig, CampaignData, MlKind, SimulatedServer, MODEL_KIND,
 };
 use wade::features::FeatureSet;
 use wade::ml::{
@@ -222,13 +221,13 @@ enum LegacyAnyModel {
     Rdf(PointerForest),
 }
 
-/// A unique scratch directory per test run, removed on drop.
+/// A unique scratch directory per test run and `name`, removed on drop.
 struct Scratch(PathBuf);
 
 impl Scratch {
-    fn new() -> Self {
+    fn new(name: &str) -> Self {
         let dir =
-            std::env::temp_dir().join(format!("wade-hot-path-{}", std::process::id()));
+            std::env::temp_dir().join(format!("wade-hot-path-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         Self(dir)
     }
@@ -242,10 +241,14 @@ impl Drop for Scratch {
 
 #[test]
 fn legacy_pointer_model_artifacts_miss_and_republish_in_arena_form() {
-    let scratch = Scratch::new();
+    let scratch = Scratch::new("legacy");
     let store = Arc::new(ArtifactStore::open(&scratch.0));
     let data = small_campaign();
-    let keys = serving_model_keys(&data, MlKind::Rdf, FeatureSet::Set1);
+    // The keys come from a cold call against a throwaway store, before
+    // this test's store is poisoned.
+    let key_scratch = Scratch::new("keys");
+    let key_store = ArtifactStore::open(&key_scratch.0);
+    let keys = train_error_model_stored(Some(&key_store), &data, MlKind::Rdf, FeatureSet::Set1).1;
     assert!(!keys.is_empty(), "no trainable model targets");
     assert!(keys.iter().all(|k| k.contains("cfg=v2")), "keys must carry the bumped version");
 
@@ -267,7 +270,7 @@ fn legacy_pointer_model_artifacts_miss_and_republish_in_arena_form() {
 
     // Training through the store must ignore every legacy artifact and
     // produce exactly the in-process result...
-    let stored = train_error_model_stored(Some(&store), &data, MlKind::Rdf, FeatureSet::Set1);
+    let stored = train_error_model_stored(Some(&store), &data, MlKind::Rdf, FeatureSet::Set1).0;
     let reference = train_error_model(&data, MlKind::Rdf, FeatureSet::Set1);
     let rows: Vec<_> = data.rows.iter().map(|r| (r.features.clone(), r.op)).collect();
     assert_eq!(stored.predict_rows(&rows), reference.predict_rows(&rows));
@@ -285,7 +288,7 @@ fn legacy_pointer_model_artifacts_miss_and_republish_in_arena_form() {
 
     // A second stored training now runs fully warm off the arena entries.
     let hits_before = store.hits();
-    let warm = train_error_model_stored(Some(&store), &data, MlKind::Rdf, FeatureSet::Set1);
+    let warm = train_error_model_stored(Some(&store), &data, MlKind::Rdf, FeatureSet::Set1).0;
     assert_eq!(warm.predict_rows(&rows), reference.predict_rows(&rows));
     assert!(store.hits() > hits_before, "warm pass read nothing from the store");
 }

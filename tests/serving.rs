@@ -14,7 +14,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use wade_core::{
-    build_pue_dataset, Campaign, CampaignConfig, CampaignData, MlKind, SimulatedServer, MODEL_KIND,
+    build_pue_dataset, train_error_model_stored, Campaign, CampaignConfig, CampaignData, MlKind,
+    SimulatedServer, MODEL_KIND,
 };
 use wade_dram::OperatingPoint;
 use wade_serve::{
@@ -282,7 +283,8 @@ fn reload_hot_swaps_published_models_and_keeps_old_snapshots_valid() {
 
     // Publish a deliberately different PUE model under the serving key:
     // same dataset, targets shifted — predictions must change.
-    let keys = wade_core::serving_model_keys(campaign_data(), kind, set);
+    // The server booted on this store, so the call only reads its entries.
+    let keys = train_error_model_stored(Some(&store), campaign_data(), kind, set).1;
     let pue_key = keys.last().expect("trainable pue slot").clone();
     let ds = build_pue_dataset(campaign_data(), set);
     let shifted: Vec<f64> = ds.targets().iter().map(|t| (t + 0.31).min(1.0)).collect();
