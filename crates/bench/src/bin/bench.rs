@@ -8,8 +8,8 @@
 //! weak-cell walk `ErrorSim::run_reference`, direct (unprepared)
 //! characterization, the per-access profiling path
 //! `SimulatedServer::profile_workload_unbatched`, the pointer forest, the
-//! exhaustive KNN scan, the tree-building JSON reader, a cold store or a
-//! cold fleet sweep. Ratios once measured against retired pre-optimization
+//! exhaustive KNN scan, the tree-building JSON reader, the exact codec's
+//! per-element reader and writer, a cold store or a cold fleet sweep. Ratios once measured against retired pre-optimization
 //! reconstructions are frozen in ARCHITECTURE.md §8 (*Historical
 //! baselines*). End-to-end and per-stage attribution of `repro_all` and
 //! the fleet lives in `perfbench/`.
@@ -70,8 +70,8 @@ use std::sync::Arc;
 use std::time::Instant;
 use wade_bench::cli::Args;
 use wade_core::{
-    build_wer_dataset, train_error_model, AccuracyReport, Campaign, CampaignConfig, CampaignData,
-    ErrorModel, EvalGrid, MlKind, ProfileCache, SimulatedServer,
+    build_wer_dataset, train_error_model, AccuracyReport, AnyModel, Campaign, CampaignConfig,
+    CampaignData, ErrorModel, EvalGrid, MlKind, ProfileCache, SimulatedServer,
 };
 use wade_dram::{DramDevice, DramUsageProfile, ErrorSim, OperatingPoint, RANK_COUNT};
 use wade_features::FeatureSet;
@@ -633,9 +633,12 @@ fn serving(data: &CampaignData, smoke: bool) -> Value {
 /// `prediction_hot_path` (ARCHITECTURE.md §14): the flat-arena forest
 /// against the pointer-tree ensemble it was flattened from, the
 /// axis-pruned KNN search against the exhaustive reference scan, the
-/// streaming warm read against the tree-building deserializer, and the
+/// streaming warm read against the tree-building deserializer, the
 /// store's exact-codec read of the same model against the streaming
-/// decimal read — with byte-identity of every pair asserted (untimed).
+/// decimal read, and the exact codec's one-pass decode and encode of a
+/// fold-model mix against its per-element reference ([`fold_models`],
+/// reported in MB/s) — with byte-identity of every pair asserted
+/// (untimed).
 /// Both sides of each prediction pair are serial per-row maps on the
 /// calling thread, so the ratios measure the layout, not the pool. The
 /// forest pair is timed interleaved ([`interleaved_min_ms`], 8 batches of
@@ -722,7 +725,34 @@ fn prediction_hot_path(data: &CampaignData, ref_samples: usize, cur_samples: usi
     let warm_exact_ms = median_ms(cur_samples, || {
         std::hint::black_box(serde_json::from_str_exact::<ErrorModel>(&exact_payload).unwrap());
     });
-    let identical = {
+    // The store codec over fold models, one-pass against the per-element
+    // reference; each model is one interleaved batch.
+    let models = fold_models(data);
+    let payloads: Vec<String> =
+        models.iter().map(|m| serde_json::to_string_exact(m).unwrap()).collect();
+    let payload_mb = payloads.iter().map(String::len).sum::<usize>() as f64 / 1e6;
+    let [decode_reference_ms, decode_ms] = interleaved_min_ms(&payloads, |side, payload| {
+        std::hint::black_box(if side == 0 {
+            serde_json::from_str_exact_per_element::<AnyModel>(payload).unwrap()
+        } else {
+            serde_json::from_str_exact::<AnyModel>(payload).unwrap()
+        });
+    });
+    let [encode_reference_ms, encode_ms] = interleaved_min_ms(&models, |side, model| {
+        std::hint::black_box(if side == 0 {
+            serde_json::to_string_exact_per_element(model).unwrap()
+        } else {
+            serde_json::to_string_exact(model).unwrap()
+        });
+    });
+    let codec_identical = payloads.iter().all(|payload| {
+        let fast = serde_json::from_str_exact::<AnyModel>(payload).unwrap();
+        let reference = serde_json::from_str_exact_per_element::<AnyModel>(payload).unwrap();
+        serde_json::to_string_exact(&fast).unwrap() == *payload
+            && serde_json::to_string_exact_per_element(&reference).unwrap() == *payload
+    });
+    let mb_per_s = |ms: f64| round(payload_mb / (ms.max(1e-9) / 1e3), 1);
+    let identical = codec_identical && {
         let bits = |preds: Vec<f64>| preds.into_iter().map(f64::to_bits).collect::<Vec<_>>();
         let arena = bits(queries.iter().map(|q| arena_forest.predict(q)).collect());
         let pointer = bits(queries.iter().map(|q| pointer_forest.predict(q)).collect());
@@ -753,8 +783,36 @@ fn prediction_hot_path(data: &CampaignData, ref_samples: usize, cur_samples: usi
         ("exact_payload_bytes", count(exact_payload.len())),
         ("warm_read_exact_ms", ms(warm_exact_ms)),
         ("speedup_exact_vs_streaming", speedup(warm_streaming_ms, warm_exact_ms)),
+        ("fold_models", count(models.len())),
+        ("fold_payload_mb", round(payload_mb, 3)),
+        ("decode_reference_mb_per_s", mb_per_s(decode_reference_ms)),
+        ("decode_mb_per_s", mb_per_s(decode_ms)),
+        ("speedup_decode_vs_reference", speedup(decode_reference_ms, decode_ms)),
+        ("encode_reference_mb_per_s", mb_per_s(encode_reference_ms)),
+        ("encode_mb_per_s", mb_per_s(encode_ms)),
+        ("speedup_encode_vs_reference", speedup(encode_reference_ms, encode_ms)),
         ("byte_identical", Value::Bool(identical)),
     ])
+}
+
+/// Every learner's leave-one-workload-out fold models on the campaign's
+/// WER datasets, one per (feature set, rank, held-out workload) whose
+/// training split passes the grid's 4-sample floor: the SVM, KNN and RDF
+/// mix of payloads a warm `repro_all` decodes from the store.
+fn fold_models(data: &CampaignData) -> Vec<AnyModel> {
+    let mut models = Vec::new();
+    for set in FeatureSet::ALL {
+        for rank in 0..RANK_COUNT {
+            let dataset = build_wer_dataset(data, set, rank);
+            for group in dataset.groups() {
+                let (x, y, _, _) = dataset.split_xy_leave_group_out(&group);
+                if x.len() >= 4 {
+                    models.extend(MlKind::ALL.map(|kind| kind.train_any(&x, &y)));
+                }
+            }
+        }
+    }
+    models
 }
 
 /// `predict_rows_batches`: µs per row of `ErrorModel::predict_rows` for

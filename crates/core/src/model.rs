@@ -236,10 +236,9 @@ pub fn train_error_model(data: &CampaignData, kind: MlKind, set: FeatureSet) -> 
 ///
 /// Also returns the store keys it read and wrote: one per trainable rank
 /// (in rank order) plus the PUE model, skipping targets whose dataset
-/// fails the training guard or whose identity fails to serialize. The
-/// serving layer polls exactly these entries (through the
-/// [`StoreFs`](wade_store::StoreFs) seam) to detect model swaps and
-/// hot-reload. Each dataset is serialized and hashed for its key once;
+/// fails the training guard. The serving layer polls exactly these
+/// entries (through the [`StoreFs`](wade_store::StoreFs) seam) to detect
+/// model swaps and hot-reload. Each dataset is hashed for its key once;
 /// without a store no key is computed and the list is empty.
 pub fn train_error_model_stored(
     store: Option<&ArtifactStore>,
@@ -265,9 +264,8 @@ pub fn train_error_model_stored(
 /// The error model's training targets in model order — the per-rank WER
 /// datasets, then the PUE dataset — each `None` when its dataset has fewer
 /// than 4 samples (the training guard), else with its canonical store key
-/// when `keyed`. A key serializes and hashes the whole dataset
-/// (`dataset_id`), so it is only paid with a store; a dataset whose
-/// identity fails to serialize gets no key and trains in-process.
+/// when `keyed`. A key hashes the whole dataset (`dataset_id`), so it is
+/// only computed with a store.
 fn targets(
     data: &CampaignData,
     kind: MlKind,
@@ -279,10 +277,7 @@ fn targets(
     let pue = std::iter::once_with(move || (pue_key(set), build_pue_dataset(data, set)));
     wer.chain(pue).map(move |(slot, dataset)| {
         (dataset.len() >= 4).then(|| {
-            let key = keyed
-                .then(|| dataset_id(slot, &dataset))
-                .flatten()
-                .map(|id| model_store_key(kind, &id, ""));
+            let key = keyed.then(|| model_store_key(kind, &dataset_id(slot, &dataset), ""));
             (dataset, key)
         })
     })

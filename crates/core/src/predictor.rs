@@ -42,24 +42,38 @@ pub(crate) fn model_store_key(kind: MlKind, dataset_id: &str, fold: &str) -> Str
 /// one key component that rests on hashing: the grid slot (feature set ×
 /// rank/PUE target), sample count, group count and input dimension stay
 /// verbatim, and the content itself is covered by two
-/// independently-salted FxHash64 passes. A wrong hit therefore needs two
-/// datasets agreeing on every verbatim discriminator *and* colliding
-/// under both salted hashes — FxHash is not cryptographic, so this is a
-/// practical bound, not a proof (ARCHITECTURE.md §11 states the caveat).
-///
-/// Returns `None` if the dataset fails to serialize; the affected cell
-/// then trains in-process without store persistence instead of aborting
-/// the whole grid.
-pub(crate) fn dataset_id(slot: u64, ds: &Dataset) -> Option<String> {
-    let json = serde_json::to_string(ds).ok()?;
-    let lo = wade_store::fingerprint64_salted("wade-dataset-a|", &json);
-    let hi = wade_store::fingerprint64_salted("wade-dataset-b|", &json);
-    Some(format!(
-        "slot{slot}:n{}:g{}:d{}@{hi:016x}{lo:016x}",
-        ds.len(),
-        ds.groups().len(),
-        ds.dim(),
-    ))
+/// independently-salted FxHash64 passes over its bits
+/// ([`dataset_fingerprint`]). A wrong hit therefore needs two datasets
+/// agreeing on every verbatim discriminator *and* colliding under both
+/// salted hashes — FxHash is not cryptographic, so this is a practical
+/// bound, not a proof (ARCHITECTURE.md §11 states the caveat).
+pub(crate) fn dataset_id(slot: u64, ds: &Dataset) -> String {
+    let lo = dataset_fingerprint("wade-dataset-a|", ds);
+    let hi = dataset_fingerprint("wade-dataset-b|", ds);
+    format!("slot{slot}:n{}:g{}:d{}@{hi:016x}{lo:016x}", ds.len(), ds.groups().len(), ds.dim())
+}
+
+/// FxHash64 of `ds`'s content, domain-separated by `salt`: the dimension
+/// and sample count, then per sample in order its feature bits, its
+/// target bits and its group label, length-prefixed so that no two
+/// different label sequences feed the same words. Hashing bit patterns
+/// distinguishes every value a sample can hold (`0.0` from `-0.0`
+/// included) without formatting a single number.
+fn dataset_fingerprint(salt: &str, ds: &Dataset) -> u64 {
+    use std::hash::Hasher as _;
+    let mut hasher = rustc_hash::FxHasher::default();
+    hasher.write(salt.as_bytes());
+    hasher.write_usize(ds.dim());
+    hasher.write_usize(ds.len());
+    for sample in ds.samples() {
+        for value in &sample.features {
+            hasher.write_u64(value.to_bits());
+        }
+        hasher.write_u64(sample.target.to_bits());
+        hasher.write_usize(sample.group.len());
+        hasher.write(sample.group.as_bytes());
+    }
+    hasher.finish()
 }
 
 /// Accuracy summary of one (learner, feature set) combination.
@@ -217,12 +231,10 @@ fn evaluate_folds(
     kinds: &[MlKind],
 ) -> (Folds, usize, usize) {
     // Dataset identities (verbatim discriminators + content hash), only
-    // paid for when a store is in play. A dataset whose identity fails to
-    // serialize trains in-process: graceful degradation, never a panic
-    // mid-grid.
+    // computed when a store is in play.
     let ids: Vec<Option<String>> = datasets
         .iter()
-        .map(|(slot, ds)| store.and_then(|_| dataset_id(*slot, ds)))
+        .map(|(slot, ds)| store.map(|_| dataset_id(*slot, ds)))
         .collect();
     let units: Vec<(usize, String)> = datasets
         .iter()
@@ -594,6 +606,41 @@ mod tests {
             let groups: Vec<&str> =
                 folds[&(kind, wer_key(set, 1))].iter().map(|f| f.group.as_str()).collect();
             assert_eq!(groups, ["a", "b"]);
+        }
+    }
+
+    #[test]
+    fn dataset_id_tracks_every_bit_label_boundary_and_order() {
+        type Rows = Vec<(Vec<f64>, f64, &'static str)>;
+        let dataset = |rows: &Rows| {
+            let mut ds = Dataset::new(2);
+            for (features, target, group) in rows {
+                ds.push(features.clone(), *target, group.to_string());
+            }
+            ds
+        };
+        let base: Rows = vec![(vec![1.5, 0.0], 2.0, "ab"), (vec![3.0, -1.0], 4.0, "c")];
+        let flip = |f: f64| f64::from_bits(f.to_bits() ^ 1);
+        let mut variants: Vec<(&str, Rows)> = Vec::new();
+        let mut edit = |what, change: &dyn Fn(&mut Rows)| {
+            let mut rows = base.clone();
+            change(&mut rows);
+            variants.push((what, rows));
+        };
+        edit("one feature bit", &|r| r[0].0[0] = flip(r[0].0[0]));
+        edit("0.0 vs -0.0", &|r| r[0].0[1] = -0.0);
+        edit("target bits", &|r| r[1].1 = flip(r[1].1));
+        edit("group label", &|r| r[0].2 = "ax");
+        edit("group boundary", &|r| (r[0].2, r[1].2) = ("a", "bc"));
+        edit("sample order", &|r| r.swap(0, 1));
+
+        let id = dataset_id(3, &dataset(&base));
+        assert_eq!(id, dataset_id(3, &dataset(&base)), "the id must be stable across calls");
+        assert!(id.starts_with("slot3:n2:g2:d2@"), "{id}");
+        let mut seen = std::collections::HashSet::from([id]);
+        for (what, rows) in &variants {
+            let changed = dataset_id(3, &dataset(rows));
+            assert!(seen.insert(changed), "changing the {what} must change the id");
         }
     }
 }

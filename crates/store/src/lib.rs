@@ -817,8 +817,11 @@ fn encode_entry(kind: &str, key: &str, payload: &str) -> Result<String, StoreErr
         payload_len: payload.len() as u64,
         payload_hash: fingerprint64(payload),
     };
-    let mut out = serde_json::to_string(&header)
+    let header = serde_json::to_string(&header)
         .map_err(|e| StoreError::Encode { what: e.to_string() })?;
+    // One buffer sized up front: the payload is copied once, not regrown.
+    let mut out = String::with_capacity(header.len() + 1 + payload.len());
+    out.push_str(&header);
     out.push('\n');
     out.push_str(payload);
     Ok(out)

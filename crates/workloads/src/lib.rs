@@ -45,7 +45,6 @@ mod suite;
 
 pub use buffer::{AddressSpace, TracedBuffer};
 pub use graph::{Bc, Bfs, CsrGraph, Pagerank};
-pub use micro::MicroPattern;
 pub use spec::{BoxedWorkload, DeployScale, Scale, Workload, WorkloadId};
 pub use suite::{paper_suite, full_suite};
 

@@ -1,30 +1,18 @@
-//! Data-pattern micro-benchmarks.
+//! The random data-pattern micro-benchmark.
 //!
 //! Conventional retention-profiling studies stress DRAM with fixed data
-//! patterns (random, zeros, checkerboard) swept at maximum rate. The paper
-//! uses the random-pattern micro as the "conventional" comparison point in
-//! Figs. 2 and 13 — and shows real workloads can both exceed and undercut
-//! it, which is the motivating observation for workload-aware modelling.
+//! patterns swept at maximum rate. The paper uses the random-pattern micro
+//! as the "conventional" comparison point in Figs. 2 and 13 — and shows
+//! real workloads can both exceed and undercut it, which is the motivating
+//! observation for workload-aware modelling.
 
 use crate::spec::{DeployScale, Scale, Workload};
 use wade_trace::synthetic::{StridedSweep, ValuePattern};
 use wade_trace::AccessSink;
 
-/// Which stored pattern the micro-benchmark writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MicroPattern {
-    /// Uniformly random words (the paper's `random` micro).
-    Random,
-    /// All zeros.
-    Zeros,
-    /// 0xAA / 0x55 checkerboard.
-    Checkerboard,
-}
-
-/// Data-pattern sweep micro-benchmark.
+/// Random data-pattern sweep micro-benchmark (the paper's `random` micro).
 #[derive(Debug, Clone)]
 pub struct DataPatternMicro {
-    pattern: MicroPattern,
     scale: Scale,
     words: u64,
     passes: u32,
@@ -32,10 +20,10 @@ pub struct DataPatternMicro {
 
 impl DataPatternMicro {
     /// Creates the micro-benchmark.
-    pub(crate) fn new(pattern: MicroPattern, scale: Scale) -> Self {
+    pub(crate) fn new(scale: Scale) -> Self {
         match scale {
-            Scale::Full => Self { pattern, scale, words: 1 << 20, passes: 3 },
-            Scale::Test => Self { pattern, scale, words: 1 << 10, passes: 2 },
+            Scale::Full => Self { scale, words: 1 << 20, passes: 3 },
+            Scale::Test => Self { scale, words: 1 << 10, passes: 2 },
         }
     }
 
@@ -45,14 +33,6 @@ impl DataPatternMicro {
     /// array through their own accesses. The large gap keeps the projected
     /// reuse time beyond any candidate `TREFP`.
     const IDLE_GAP: u64 = 64;
-
-    fn value_pattern(&self) -> ValuePattern {
-        match self.pattern {
-            MicroPattern::Random => ValuePattern::Random,
-            MicroPattern::Zeros => ValuePattern::Zeros,
-            MicroPattern::Checkerboard => ValuePattern::Checkerboard,
-        }
-    }
 }
 
 impl Workload for DataPatternMicro {
@@ -61,11 +41,7 @@ impl Workload for DataPatternMicro {
     }
 
     fn name(&self) -> String {
-        match self.pattern {
-            MicroPattern::Random => "data-pattern(random)".to_string(),
-            MicroPattern::Zeros => "data-pattern(zeros)".to_string(),
-            MicroPattern::Checkerboard => "data-pattern(checker)".to_string(),
-        }
+        "data-pattern(random)".to_string()
     }
 
     fn threads(&self) -> u8 {
@@ -77,7 +53,7 @@ impl Workload for DataPatternMicro {
             words: self.words,
             passes: self.passes,
             stride: 1,
-            pattern: self.value_pattern(),
+            pattern: ValuePattern::Random,
             gap: Self::IDLE_GAP,
         }
         .run(&mut SinkAdapter(sink), seed);
@@ -108,25 +84,15 @@ mod tests {
 
     #[test]
     fn random_micro_maximises_entropy() {
-        let micro = DataPatternMicro::new(MicroPattern::Random, Scale::Test);
+        let micro = DataPatternMicro::new(Scale::Test);
         let mut tracer = Tracer::new();
         micro.run(&mut tracer, 1);
         assert!(tracer.report().entropy_bits > 9.0);
     }
 
     #[test]
-    fn zeros_micro_minimises_entropy() {
-        let micro = DataPatternMicro::new(MicroPattern::Zeros, Scale::Test);
-        let mut tracer = Tracer::new();
-        micro.run(&mut tracer, 1);
-        let r = tracer.report();
-        assert_eq!(r.entropy_bits, 0.0);
-        assert_eq!(r.one_density, 0.0);
-    }
-
-    #[test]
     fn sweep_reuse_equals_footprint_scale() {
-        let micro = DataPatternMicro::new(MicroPattern::Checkerboard, Scale::Test);
+        let micro = DataPatternMicro::new(Scale::Test);
         let mut tracer = Tracer::new();
         micro.run(&mut tracer, 1);
         let r = tracer.report();

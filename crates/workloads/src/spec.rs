@@ -129,10 +129,6 @@ pub enum WorkloadId {
     /// Random data-pattern micro-benchmark (conventional retention
     /// profiling stressor).
     MicroRandom,
-    /// All-zeros data-pattern micro-benchmark.
-    MicroZeros,
-    /// Checkerboard data-pattern micro-benchmark.
-    MicroChecker,
 }
 
 impl WorkloadId {
@@ -158,15 +154,7 @@ impl WorkloadId {
             WorkloadId::LuleshF => {
                 Box::new(crate::Lulesh::new(threads, scale, crate::LuleshOpt::Aggressive))
             }
-            WorkloadId::MicroRandom => {
-                Box::new(crate::DataPatternMicro::new(crate::MicroPattern::Random, scale))
-            }
-            WorkloadId::MicroZeros => {
-                Box::new(crate::DataPatternMicro::new(crate::MicroPattern::Zeros, scale))
-            }
-            WorkloadId::MicroChecker => {
-                Box::new(crate::DataPatternMicro::new(crate::MicroPattern::Checkerboard, scale))
-            }
+            WorkloadId::MicroRandom => Box::new(crate::DataPatternMicro::new(scale)),
         }
     }
 }
@@ -186,8 +174,6 @@ impl core::fmt::Display for WorkloadId {
             WorkloadId::LuleshO2 => "lulesh(O2)",
             WorkloadId::LuleshF => "lulesh(F)",
             WorkloadId::MicroRandom => "data-pattern(random)",
-            WorkloadId::MicroZeros => "data-pattern(zeros)",
-            WorkloadId::MicroChecker => "data-pattern(checker)",
         };
         f.write_str(s)
     }
@@ -230,8 +216,6 @@ mod tests {
             WorkloadId::LuleshO2,
             WorkloadId::LuleshF,
             WorkloadId::MicroRandom,
-            WorkloadId::MicroZeros,
-            WorkloadId::MicroChecker,
         ];
         for id in all {
             let wl = id.instantiate(1, Scale::Test);

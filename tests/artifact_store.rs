@@ -414,3 +414,34 @@ fn every_stored_kind_hits_warm_without_corruption() {
     assert_eq!(warm.writes(), 0, "a warm run must publish nothing");
     assert_eq!(warm.corrupt(), 0, "a packed shape some reader rejects reads as corrupt");
 }
+
+#[test]
+fn every_stored_fold_model_re_encodes_to_its_payload_byte_for_byte() {
+    use wade_core::{AnyModel, MODEL_KIND};
+
+    let scratch = Scratch::new("re-encode");
+    let store = scratch.store();
+    let (c, _) = campaign(&store);
+    let data = c.collect_stored(&store, &suite(), 4);
+    let grid = evaluate(&store, &data);
+    let mut learners = std::collections::BTreeSet::new();
+    let mut models = 0;
+    for meta in store.ls().into_iter().filter(|m| m.kind == MODEL_KIND) {
+        let key = meta.key.expect("a stored model's header parses");
+        let text = fs::read_to_string(&meta.path).expect("read entry");
+        let (_, payload) = text.split_once('\n').expect("header line");
+        let fast: AnyModel = serde_json::from_str_exact(payload).expect("decode");
+        let reference: AnyModel =
+            serde_json::from_str_exact_per_element(payload).expect("reference decode");
+        let encoded = serde_json::to_string_exact(&fast).unwrap();
+        assert!(encoded == payload, "{key}: re-encoding changed the payload");
+        assert!(
+            serde_json::to_string_exact_per_element(&reference).unwrap() == payload,
+            "{key}: the per-element reference disagrees"
+        );
+        learners.insert(key.split('|').nth(1).unwrap_or_default().to_string());
+        models += 1;
+    }
+    assert_eq!(models, grid.trainings(), "every trained fold model must be checked");
+    assert_eq!(learners.len(), MlKind::ALL.len(), "every learner must be covered: {learners:?}");
+}
