@@ -21,6 +21,8 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(rustdoc::broken_intra_doc_links)]
+#![deny(unreachable_pub, unnameable_types)]
 
 pub mod cli;
 pub mod experiments;

@@ -31,6 +31,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![deny(unreachable_pub, unnameable_types)]
 
 mod campaign;
 mod collect;
@@ -53,8 +54,7 @@ pub use model::{
 };
 pub use predictor::{AccuracyReport, EvalGrid, MODEL_KIND};
 pub use profile_cache::ProfileCache;
-pub use server::{ProfiledWorkload, SimulatedServer, PROFILING_CONTRACT_VERSION};
-pub use thermal::{PidController, ThermalTestbed};
+pub use server::{ProfiledWorkload, SimulatedServer};
 
 /// The parallel-map runtime behind every fan-out here, re-exported so
 /// dependants fan out on the same pool without a dependency of their own.

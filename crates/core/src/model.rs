@@ -237,9 +237,9 @@ pub fn train_error_model(data: &CampaignData, kind: MlKind, set: FeatureSet) -> 
 /// Also returns the store keys it read and wrote: one per trainable rank
 /// (in rank order) plus the PUE model, skipping targets whose dataset
 /// fails the training guard. The serving layer polls exactly these
-/// entries (through the [`StoreFs`](wade_store::StoreFs) seam) to detect
-/// model swaps and hot-reload. Each dataset is hashed for its key once;
-/// without a store no key is computed and the list is empty.
+/// entries (through the `StoreFs` seam) to detect model swaps and
+/// hot-reload. Each dataset is hashed for its key once; without a store
+/// no key is computed and the list is empty.
 pub fn train_error_model_stored(
     store: Option<&ArtifactStore>,
     data: &CampaignData,

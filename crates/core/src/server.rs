@@ -162,7 +162,7 @@ impl SimulatedServer {
 /// (the profiling analogue of `wade-dram`'s `DETERMINISM_VERSION` and
 /// [`crate::TRAINER_CONFIG_VERSION`]): persisted artifacts produced under
 /// the old contract then read as misses instead of stale hits.
-pub const PROFILING_CONTRACT_VERSION: u32 = 1;
+pub(crate) const PROFILING_CONTRACT_VERSION: u32 = 1;
 
 /// Order-stable fingerprint of a SoC configuration (the vendored serde
 /// serializes structs in field order) and the profiling-contract version.

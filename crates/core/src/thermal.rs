@@ -8,7 +8,7 @@
 
 /// A textbook PID controller.
 #[derive(Debug, Clone)]
-pub struct PidController {
+pub(crate) struct PidController {
     kp: f64,
     ki: f64,
     kd: f64,
@@ -48,7 +48,7 @@ impl PidController {
 
 /// First-order thermal plant + PID loop per DIMM.
 #[derive(Debug, Clone)]
-pub struct ThermalTestbed {
+pub(crate) struct ThermalTestbed {
     temps_c: [f64; 4],
     targets_c: [f64; 4],
     controllers: Vec<PidController>,

@@ -27,7 +27,7 @@ pub struct DramCoord {
 /// Per-DIMM address scrambler: an invertible XOR/rotate mix keyed by the
 /// device seed, applied between logical word indices and physical cells.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AddressScrambler {
+pub(crate) struct AddressScrambler {
     key: u64,
 }
 

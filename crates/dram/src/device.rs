@@ -67,7 +67,7 @@ impl DramDevice {
     /// persisted artifacts into misses instead of stale hits.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::Hasher as _;
-        let mut hasher = crate::fx::FxHasher::default();
+        let mut hasher = rustc_hash::FxHasher::default();
         hasher.write_u64(crate::sim::determinism_fingerprint());
         hasher.write_u64(self.seed);
         let parts = serde_json::to_string(&(&self.geometry, &self.physics))

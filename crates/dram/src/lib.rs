@@ -41,12 +41,12 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![deny(unreachable_pub, unnameable_types)]
 
 mod address;
 mod config;
 mod device;
 mod event;
-mod fx;
 mod geometry;
 mod op;
 mod prepared;
@@ -55,11 +55,10 @@ mod retention;
 mod sim;
 mod variation;
 
-pub use address::{AddressMap, AddressScrambler, DramCoord};
+pub use address::{AddressMap, DramCoord};
 pub use config::ErrorPhysics;
 pub use device::DramDevice;
 pub use event::{CeEvent, RunResult, UeEvent};
-pub use fx::{FxHashMap, FxHasher};
 pub use geometry::{RankId, ServerGeometry, RANK_COUNT};
 pub use op::OperatingPoint;
 pub use profile::{DramUsageProfile, ReuseQuantiles};

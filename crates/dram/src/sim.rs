@@ -112,7 +112,6 @@
 
 use crate::device::DramDevice;
 use crate::event::{CeEvent, RunResult, UeEvent};
-use crate::fx::FxHashMap;
 use crate::geometry::RankId;
 use crate::op::OperatingPoint;
 use crate::profile::DramUsageProfile;
@@ -120,6 +119,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_distr::{Distribution, Poisson};
 use rayon::prelude::*;
+// The pair-collision maps are keyed by word indices the simulator generated
+// itself, so HashDoS resistance (SipHash's point) buys nothing, while
+// FxHash's two-instruction mix keeps the hasher out of `record_ce`'s profile.
+use rustc_hash::FxHashMap;
 use std::cell::Cell;
 
 /// The simulator's pseudo-random generator: SplitMix64 behind an alias so

@@ -6,10 +6,10 @@
 //! the overall parity bit that upgrades single-error-correction to SECDED.
 
 /// Number of data bits protected per codeword.
-pub const DATA_BITS: usize = 64;
+pub(crate) const DATA_BITS: usize = 64;
 
 /// Total stored bits per codeword (data + check).
-pub const CODE_BITS: usize = 72;
+pub(crate) const CODE_BITS: usize = 72;
 
 /// Number of Hamming check bits (excluding the overall parity bit).
 const HAMMING_CHECKS: usize = 7;
@@ -21,7 +21,7 @@ const HAMMING_CHECKS: usize = 7;
 /// instance, which mirrors real memory controllers where the H-matrix is
 /// fixed in silicon.
 #[derive(Debug, Clone)]
-pub struct HammingLayout {
+pub(crate) struct HammingLayout {
     /// `data_pos[i]` = Hamming position (1..=71, non-power-of-two) of data lane `i`.
     data_pos: [u8; DATA_BITS],
     /// `pos_kind[p]` for positions 0..72: what lives at Hamming position `p`.

@@ -33,6 +33,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![deny(unreachable_pub, unnameable_types)]
 
 mod classify;
 mod hamming;
@@ -40,6 +41,5 @@ mod secded;
 mod word;
 
 pub use classify::{classify_flip_count, ErrorClass};
-pub use hamming::{HammingLayout, CODE_BITS, DATA_BITS};
 pub use secded::{DecodeOutcome, Secded};
 pub use word::Codeword;

@@ -112,7 +112,7 @@ impl Secded {
             }
             (s, true) => {
                 let pos = s as usize;
-                if pos >= crate::CODE_BITS {
+                if pos >= crate::hamming::CODE_BITS {
                     // Syndrome points outside the shortened code: detected.
                     return DecodeOutcome::DetectedUncorrectable;
                 }

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Bit indices `0..64` address the data lanes, `64..72` the check lanes.
 /// The mapping from these *storage lanes* to Hamming code positions is owned
-/// by [`crate::HammingLayout`]; `Codeword` itself is a plain container so it
+/// by `HammingLayout`; `Codeword` itself is a plain container so it
 /// can model raw in-DRAM corruption (bit flips happen to stored lanes, the
 /// decoder later interprets them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]

@@ -28,6 +28,8 @@
 //! split.
 
 #![deny(missing_docs)]
+#![deny(rustdoc::broken_intra_doc_links)]
+#![deny(unreachable_pub, unnameable_types)]
 
 use std::fmt;
 use std::io;

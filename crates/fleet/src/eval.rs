@@ -33,7 +33,7 @@ use wade_ml::Regressor as _;
 use wade_store::ArtifactStore;
 
 /// Artifact kind of fleet-trained per-vintage models.
-pub const FLEET_MODEL_KIND: &str = "fleet_model";
+pub(crate) const FLEET_MODEL_KIND: &str = "fleet_model";
 
 /// Configuration of the sliding-window evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -404,7 +404,7 @@ fn dataset_fingerprint(x: &[Vec<f64>], y: &[f64]) -> u64 {
 }
 
 /// Trains one model per vintage (store-backed when `store` is given, under
-/// kind [`FLEET_MODEL_KIND`]) and scores every ordered train/test pair by
+/// kind `FLEET_MODEL_KIND`) and scores every ordered train/test pair by
 /// the mean percentage error of the de-logged WER predictions.
 pub fn transfer_matrix(
     sweep: &FleetSweep,

@@ -29,21 +29,22 @@
 //! `CampaignData` so the serving registry loads fleet-trained models with
 //! no fleet-specific code.
 //!
-//! The slicing/keying/merge contract lives in [`sweep`]'s module docs and
-//! is normative; `ARCHITECTURE.md` §15 mirrors it.
+//! The slicing/keying/merge contract lives in the module docs of
+//! `src/sweep.rs` and is normative; `ARCHITECTURE.md` §15 mirrors it.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![deny(unreachable_pub, unnameable_types)]
 
-pub mod eval;
-pub mod spec;
-pub mod sweep;
+mod eval;
+mod spec;
+mod sweep;
 
 pub use eval::{
     fleet_campaign_data, transfer_matrix, CostPoint, DecisionPoint, FleetEval, FleetEvalBuilder,
-    FleetEvalConfig, LeadTimeReport, TransferCell, TransferMatrix, FLEET_MODEL_KIND,
+    FleetEvalConfig, LeadTimeReport, TransferCell, TransferMatrix,
 };
-pub use spec::{EpochPlan, FleetSpec, FLEET_KEY_VERSION, FLEET_SLICE_KIND, SEASON_PERIOD_EPOCHS};
+pub use spec::{FleetSpec, FLEET_SLICE_KIND};
 pub use sweep::{
-    DeviceHistory, EpochOutcome, FleetOutcome, FleetShard, FleetSlice, FleetSweep, SliceRow,
+    DeviceHistory, EpochOutcome, FleetOutcome, FleetSlice, FleetSweep, SliceRow,
 };

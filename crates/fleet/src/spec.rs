@@ -29,13 +29,13 @@ pub const FLEET_SLICE_KIND: &str = "fleet_slice";
 /// that makes epoch-slice boundaries replay points. Bump again whenever a
 /// stream must be re-domained; old artifacts then read as misses, never
 /// as stale hits.
-pub const FLEET_KEY_VERSION: u32 = 2;
+pub(crate) const FLEET_KEY_VERSION: u32 = 2;
 
 /// Fixed period of the seasonal thermal sine, in epochs. Deliberately
 /// **not** derived from [`FleetSpec::epochs`]: extending a spec's epoch
 /// count must not re-plan the epochs already simulated, or per-epoch
 /// slices could never be reused across extensions.
-pub const SEASON_PERIOD_EPOCHS: f64 = 8.0;
+pub(crate) const SEASON_PERIOD_EPOCHS: f64 = 8.0;
 
 /// Domain salts for the per-device derived streams. Part of the fleet
 /// determinism contract: changing any of them re-manufactures the fleet,
@@ -55,7 +55,7 @@ fn unit(bits: u64) -> f64 {
 /// One epoch of a device's field schedule: which workload runs, at what
 /// DIMM temperature, at what utilization.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpochPlan {
+pub(crate) struct EpochPlan {
     /// Index into the sweep's profiled workload list.
     pub workload: usize,
     /// DIMM temperature during the epoch (°C).

@@ -121,7 +121,7 @@ pub struct FleetSlice {
 /// in-memory fold of its epoch slices; shards themselves are no longer
 /// persisted — the slice is the artifact).
 #[derive(Debug, Clone, PartialEq)]
-pub struct FleetShard {
+pub(crate) struct FleetShard {
     /// Shard index.
     pub shard: u32,
     /// Histories of the shard's devices, in fleet index order.

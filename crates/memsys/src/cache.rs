@@ -36,7 +36,7 @@ impl CacheConfig {
 
 /// Result of one cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessResult {
+pub(crate) enum AccessResult {
     /// The line was present.
     Hit,
     /// The line was filled; if a dirty victim was evicted its line-aligned
@@ -61,7 +61,7 @@ struct Line {
 /// the simulator never needs stored bytes (values flow through
 /// [`wade_trace`] instead).
 #[derive(Debug, Clone)]
-pub struct Cache {
+pub(crate) struct Cache {
     config: CacheConfig,
     sets: u64,
     set_shift: u32,

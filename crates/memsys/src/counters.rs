@@ -116,7 +116,7 @@ impl McuCounters {
 pub struct SocReport {
     /// Per-core counters (fixed 8 cores on the modelled SoC).
     pub cores: Vec<CoreCounters>,
-    /// Per-MCU counters (fixed [`MCU_COUNT`] channels).
+    /// Per-MCU counters (fixed `MCU_COUNT` channels).
     pub mcus: [McuCounters; MCU_COUNT],
     /// Core clock in Hz.
     pub clock_hz: f64,

@@ -28,6 +28,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![deny(unreachable_pub, unnameable_types)]
 
 mod cache;
 mod config;
@@ -35,8 +36,7 @@ mod counters;
 mod mcu;
 mod soc;
 
-pub use cache::{AccessResult, Cache, CacheConfig};
+pub use cache::CacheConfig;
 pub use config::SocConfig;
 pub use counters::{CoreCounters, McuCounters, SocReport};
-pub use mcu::{Mcu, MCU_COUNT};
 pub use soc::Soc;

@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Number of memory channels / MCUs on the modelled SoC.
-pub const MCU_COUNT: usize = 4;
+pub(crate) const MCU_COUNT: usize = 4;
 
 /// Bank-level parallelism tracked per MCU: 8 banks × 8 ranks' worth of
 /// open rows. The index XOR-folds high address bits (bank hashing), as
@@ -22,7 +22,7 @@ const ROW_SHIFT: u32 = 13;
 
 /// One memory-controller channel.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Mcu {
+pub(crate) struct Mcu {
     open_row: Vec<Option<u64>>,
     read_cmds: u64,
     write_cmds: u64,

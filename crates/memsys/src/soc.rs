@@ -172,13 +172,13 @@ impl AccessSink for Soc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wade_trace::synthetic::{StridedSweep, ValuePattern};
+    use wade_trace::synthetic::StridedSweep;
 
     #[test]
     fn small_working_set_stays_in_l1() {
         let mut soc = Soc::new(SocConfig::x_gene2());
         // 2 KiB working set swept many times fits the 32 KiB L1D.
-        let sweep = StridedSweep { words: 256, passes: 50, stride: 1, pattern: ValuePattern::Zeros, gap: 2 };
+        let sweep = StridedSweep { words: 256, passes: 50, stride: 1, gap: 2 };
         sweep.run(&mut soc, 1);
         let r = soc.report();
         assert!(r.cores[0].l1d_miss_rate() < 0.01, "{}", r.cores[0].l1d_miss_rate());
@@ -192,7 +192,6 @@ mod tests {
             words: 1 << 18, // 2 MiB >> 16 KiB tiny L3
             passes: 1,
             stride: 8, // one access per line
-            pattern: ValuePattern::Random,
             gap: 1,
         };
         sweep.run(&mut soc, 2);
@@ -225,7 +224,6 @@ mod tests {
             words: 1 << 17, // 1 MiB
             passes: 2,
             stride: 8, // one access per line
-            pattern: ValuePattern::Random,
             gap: 0,
         };
         sweep.run(&mut soc, 3);

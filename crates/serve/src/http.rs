@@ -12,11 +12,11 @@ use std::io::{self, Read, Write};
 
 /// Upper bound on the request line + headers (a request whose header block
 /// exceeds this reads as [`RequestError::TooLarge`]).
-pub const MAX_HEADER_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEADER_BYTES: usize = 16 * 1024;
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone)]
-pub struct Request {
+pub(crate) struct Request {
     /// Request method (`GET`, `POST`, …), verbatim.
     pub method: String,
     /// Request target (`/predict`), verbatim — no query parsing.
@@ -42,7 +42,7 @@ impl Request {
 
 /// Why a request could not be read.
 #[derive(Debug)]
-pub enum RequestError {
+pub(crate) enum RequestError {
     /// The peer closed the connection — cleanly between requests, or
     /// abruptly mid-request. Either way there is nobody to answer; the
     /// server just drops the connection.
@@ -55,7 +55,7 @@ pub enum RequestError {
     TooLarge,
     /// A transport error (read timeout on an idle keep-alive connection,
     /// reset, …); drop the connection.
-    Io(io::Error),
+    Io,
 }
 
 /// Reads one request from `stream`, looping over partial reads until the
@@ -78,7 +78,7 @@ pub(crate) fn read_request(
         match stream.read(&mut chunk) {
             Ok(0) => return Err(RequestError::Closed),
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) => return Err(RequestError::Io(e)),
+            Err(_) => return Err(RequestError::Io),
         }
     };
 
@@ -135,7 +135,7 @@ pub(crate) fn read_request(
         match stream.read(&mut chunk[..want]) {
             Ok(0) => return Err(RequestError::Closed),
             Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(e) => return Err(RequestError::Io(e)),
+            Err(_) => return Err(RequestError::Io),
         }
     }
     Ok(Request { body, ..request })

@@ -24,7 +24,7 @@
 //!   fleet-swept population lowered through `wade-fleet`'s
 //!   `fleet_campaign_data` trains and serves identically to a
 //!   single-server characterization campaign (`tests/fleet_scale.rs`). A watcher
-//!   polls the entries' mtimes through the [`wade_store::StoreFs`] seam
+//!   polls the entries' mtimes through the `wade_fault::StoreFs` seam
 //!   (fault schedules apply to serving too) and hot-swaps the in-memory
 //!   models when an artifact changes; in-flight requests finish on the
 //!   model snapshot they started with.
@@ -49,6 +49,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![deny(unreachable_pub, unnameable_types)]
 
 mod batch;
 mod http;
@@ -58,7 +59,7 @@ mod models;
 mod protocol;
 mod server;
 
-pub use http::{read_response, Request, RequestError, MAX_HEADER_BYTES};
+pub use http::read_response;
 pub use loadgen::{request_for, run_load, LoadConfig, LoadReport};
 pub use metrics::{Metrics, BATCH_BUCKETS};
 pub use models::ModelRegistry;

@@ -228,7 +228,7 @@ fn handle_connection(
     loop {
         let request = match read_request(&mut stream, MAX_BODY_BYTES) {
             Ok(request) => request,
-            Err(RequestError::Closed) | Err(RequestError::Io(_)) => return,
+            Err(RequestError::Closed) | Err(RequestError::Io) => return,
             Err(RequestError::Malformed(reason)) => {
                 metrics.record_request(400);
                 let _ = write_response(&mut stream, 400, "Bad Request", &error_body(reason), false);

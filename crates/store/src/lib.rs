@@ -65,6 +65,8 @@
 //! [`ArtifactStore::put`] and are removed by [`ArtifactStore::gc`].
 
 #![deny(missing_docs)]
+#![deny(rustdoc::broken_intra_doc_links)]
+#![deny(unreachable_pub, unnameable_types)]
 
 pub mod torture;
 
@@ -76,10 +78,8 @@ use std::time::{Duration, SystemTime};
 
 use serde::{Deserialize, Serialize};
 
-pub use wade_fault::{
-    is_transient, mix64, DirEntryInfo, FaultCounters, FaultPlan, FaultRng, FaultyFs, RealFs,
-    StoreFs,
-};
+pub use wade_fault::{mix64, FaultPlan, FaultRng, FaultyFs, RealFs};
+use wade_fault::{is_transient, FaultCounters, StoreFs};
 
 /// On-disk schema version. Bump when the entry format changes; entries with
 /// any other version read as misses (and `gc` removes them).
@@ -869,6 +869,7 @@ fn split_entry(bytes: &[u8]) -> Result<(Header, &str), EntryError> {
 mod tests {
     use super::*;
     use std::fs;
+    use wade_fault::DirEntryInfo;
 
     /// A scratch store in a unique temp directory, removed on drop.
     struct Scratch(ArtifactStore);

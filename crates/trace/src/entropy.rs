@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// The estimator also tracks the stored-bit "one" density, which the DRAM
 /// layer needs for true-/anti-cell vulnerability.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct EntropyEstimator {
+pub(crate) struct EntropyEstimator {
     /// FxHash: two entry updates per store is the estimator's whole cost,
     /// and [`EntropyEstimator::entropy_bits`] accumulates over *sorted*
     /// counts, so the summary is independent of the hasher's iteration

@@ -32,6 +32,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![deny(unreachable_pub, unnameable_types)]
 
 mod entropy;
 mod event;
@@ -43,11 +44,10 @@ mod sink;
 mod staging;
 pub mod synthetic;
 
-pub use entropy::EntropyEstimator;
 pub use event::{AccessKind, MemAccess, StagedAccess};
 pub use instrument::Tracer;
-pub use region::{RegionCounter, RegionUse, REGION_COUNT};
+pub use region::REGION_COUNT;
 pub use report::TraceReport;
-pub use reuse::{ReuseHistogram, ReuseTracker, REUSE_BUCKETS};
+pub use reuse::ReuseHistogram;
 pub use sink::{AccessSink, FanoutSink, NullSink};
-pub use staging::{StagingSink, DEFAULT_STAGING_CAPACITY};
+pub use staging::StagingSink;

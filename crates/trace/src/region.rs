@@ -13,7 +13,7 @@ pub const REGION_COUNT: usize = 64;
 
 /// Per-region usage summary.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct RegionUse {
+pub(crate) struct RegionUse {
     /// Accesses that fell into this region.
     pub accesses: u64,
     /// Writes among those accesses.
@@ -24,7 +24,7 @@ pub struct RegionUse {
 /// address seen (power-of-two growth) so the counter needs no a-priori
 /// footprint knowledge.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RegionCounter {
+pub(crate) struct RegionCounter {
     regions: Vec<RegionUse>,
     /// log2 of bytes per region.
     shift: u32,

@@ -6,7 +6,7 @@ use std::collections::hash_map::Entry;
 
 /// Number of logarithmic reuse-distance buckets (bucket `i` holds distances
 /// in `[2^i, 2^(i+1))` instructions; bucket 0 holds `{0, 1}`).
-pub const REUSE_BUCKETS: usize = 48;
+pub(crate) const REUSE_BUCKETS: usize = 48;
 
 /// Log2-bucketed histogram of reuse distances, in instructions.
 ///
@@ -63,7 +63,7 @@ impl Default for ReuseHistogram {
 /// Tracks, per 64-bit word, the instruction index of the last reference and
 /// accumulates reuse-distance statistics over an execution.
 #[derive(Debug)]
-pub struct ReuseTracker {
+pub(crate) struct ReuseTracker {
     /// word → (last touch instruction, has been re-referenced at least
     /// once). FxHash: keys are word indices the kernels generated
     /// themselves, so the SipHash DoS guarantee buys nothing on this

@@ -5,7 +5,7 @@ use crate::sink::AccessSink;
 
 /// Default staging capacity (entries). 1024 × 40 B keeps the buffer inside
 /// L2 while amortizing the virtual-boundary crossing ~1000×.
-pub const DEFAULT_STAGING_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_STAGING_CAPACITY: usize = 1024;
 
 /// Stages an interleaved `on_access` / `on_instructions` call stream into
 /// slices delivered through [`AccessSink::on_accesses`].
@@ -14,7 +14,7 @@ pub const DEFAULT_STAGING_CAPACITY: usize = 1024;
 /// against `&mut dyn AccessSink`); with a `StagingSink` in front, that call
 /// lands on a plain buffer push, and the downstream pipeline (fanout →
 /// tracer + SoC model) consumes the stream in batches with one virtual
-/// boundary per [`DEFAULT_STAGING_CAPACITY`] accesses. Instruction gaps are
+/// boundary per `DEFAULT_STAGING_CAPACITY` accesses. Instruction gaps are
 /// folded into each staged entry's `gap_before`, so delivery order — and
 /// therefore every instruction index a consumer derives — is exactly the
 /// original stream's.

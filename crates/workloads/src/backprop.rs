@@ -13,7 +13,7 @@ use wade_trace::AccessSink;
 
 /// Back-propagation trainer.
 #[derive(Debug, Clone)]
-pub struct Backprop {
+pub(crate) struct Backprop {
     threads: u8,
     scale: Scale,
     input: usize,
@@ -189,26 +189,21 @@ mod tests {
         let bp = Backprop::new(8, Scale::Test);
         assert_eq!(bp.threads(), 8);
         assert_eq!(bp.name(), "backprop(par)");
-        let mut soc = wade_memsys_stub::CountingSink::default();
+        let mut soc = CountingSink::default();
         bp.run(&mut soc, 2);
         assert!(soc.tids.iter().filter(|&&t| t).count() >= 4, "threads used: {:?}", soc.tids);
     }
 
-    /// Minimal sink counting which tids appear (avoids a dev-dependency on
-    /// wade-memsys).
-    mod wade_memsys_stub {
-        use wade_trace::{AccessSink, MemAccess};
+    /// Minimal sink recording which tids appear.
+    #[derive(Default)]
+    struct CountingSink {
+        tids: [bool; 8],
+    }
 
-        #[derive(Default)]
-        pub struct CountingSink {
-            pub tids: [bool; 8],
+    impl AccessSink for CountingSink {
+        fn on_access(&mut self, access: wade_trace::MemAccess) {
+            self.tids[(access.tid % 8) as usize] = true;
         }
-
-        impl AccessSink for CountingSink {
-            fn on_access(&mut self, access: MemAccess) {
-                self.tids[(access.tid % 8) as usize] = true;
-            }
-            fn on_instructions(&mut self, _count: u64) {}
-        }
+        fn on_instructions(&mut self, _count: u64) {}
     }
 }

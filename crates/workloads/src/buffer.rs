@@ -5,7 +5,7 @@ use wade_trace::{AccessSink, MemAccess};
 /// Bump allocator handing out disjoint simulated address ranges, so that
 /// multiple buffers of one workload occupy a realistic flat address space.
 #[derive(Debug, Default)]
-pub struct AddressSpace {
+pub(crate) struct AddressSpace {
     next: u64,
 }
 
@@ -32,7 +32,7 @@ impl AddressSpace {
 /// carry the true entropy of the computation (the paper's `H_DP` is
 /// computed from exactly these stores).
 #[derive(Debug, Clone)]
-pub struct TracedBuffer {
+pub(crate) struct TracedBuffer {
     base: u64,
     data: Vec<u64>,
 }

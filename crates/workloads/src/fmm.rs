@@ -19,7 +19,7 @@ const THETA: f64 = 0.6;
 
 /// Barnes-Hut force-evaluation kernel.
 #[derive(Debug, Clone)]
-pub struct Fmm {
+pub(crate) struct Fmm {
     threads: u8,
     scale: Scale,
     particles: usize,

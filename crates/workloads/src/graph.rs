@@ -12,9 +12,7 @@ use wade_trace::AccessSink;
 /// traced buffers (offsets + edge targets), as a graph framework would lay
 /// it out in memory.
 #[derive(Debug)]
-pub struct CsrGraph {
-    /// Number of vertices.
-    pub nodes: usize,
+pub(crate) struct CsrGraph {
     offsets: TracedBuffer,
     edges: TracedBuffer,
 }
@@ -56,7 +54,7 @@ impl CsrGraph {
             sink.on_instructions(2);
         }
         offsets.set(sink, nodes, cursor as u64, 0);
-        Self { nodes, offsets, edges }
+        Self { offsets, edges }
     }
 
     /// Instrumented iteration bounds of `v`'s adjacency list.
@@ -86,7 +84,7 @@ fn graph_size(scale: Scale) -> (usize, usize) {
 
 /// PageRank kernel (push-free, Jacobi iteration).
 #[derive(Debug, Clone)]
-pub struct Pagerank {
+pub(crate) struct Pagerank {
     threads: u8,
     scale: Scale,
     iterations: usize,
@@ -170,7 +168,7 @@ impl Workload for Pagerank {
 
 /// Breadth-first search from several sources.
 #[derive(Debug, Clone)]
-pub struct Bfs {
+pub(crate) struct Bfs {
     threads: u8,
     scale: Scale,
     sources: usize,
@@ -241,7 +239,7 @@ impl Workload for Bfs {
 
 /// Brandes-style betweenness centrality (unweighted).
 #[derive(Debug, Clone)]
-pub struct Bc {
+pub(crate) struct Bc {
     threads: u8,
     scale: Scale,
     sources: usize,

@@ -14,7 +14,7 @@ use wade_trace::AccessSink;
 
 /// K-means clustering kernel.
 #[derive(Debug, Clone)]
-pub struct Kmeans {
+pub(crate) struct Kmeans {
     threads: u8,
     scale: Scale,
     points: usize,

@@ -29,6 +29,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![deny(unreachable_pub, unnameable_types)]
 
 mod backprop;
 mod buffer;
@@ -43,16 +44,5 @@ mod spec;
 mod srad;
 mod suite;
 
-pub use buffer::{AddressSpace, TracedBuffer};
-pub use graph::{Bc, Bfs, CsrGraph, Pagerank};
 pub use spec::{BoxedWorkload, DeployScale, Scale, Workload, WorkloadId};
 pub use suite::{paper_suite, full_suite};
-
-pub use backprop::Backprop;
-pub use fmm::Fmm;
-pub use kmeans::Kmeans;
-pub use lulesh::{Lulesh, LuleshOpt};
-pub use memcached::Memcached;
-pub use micro::DataPatternMicro;
-pub use nw::NeedlemanWunsch;
-pub use srad::Srad;

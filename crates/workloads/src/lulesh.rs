@@ -16,7 +16,7 @@ use wade_trace::AccessSink;
 
 /// Compiler-optimisation variant of the build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LuleshOpt {
+pub(crate) enum LuleshOpt {
     /// Default optimisations (`-O2`): some operands re-loaded each use.
     O2,
     /// Aggressive optimisations (`-F`): register reuse, tighter schedule.
@@ -25,7 +25,7 @@ pub enum LuleshOpt {
 
 /// Hydrodynamics proxy kernel.
 #[derive(Debug, Clone)]
-pub struct Lulesh {
+pub(crate) struct Lulesh {
     threads: u8,
     scale: Scale,
     dim: usize,

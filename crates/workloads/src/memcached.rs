@@ -17,7 +17,7 @@ const SLOT_WORDS: usize = 2;
 
 /// Key-value cache kernel.
 #[derive(Debug, Clone)]
-pub struct Memcached {
+pub(crate) struct Memcached {
     threads: u8,
     scale: Scale,
     capacity: usize,

@@ -17,7 +17,7 @@ const GAP_PENALTY: i64 = -2;
 
 /// Needleman-Wunsch alignment kernel.
 #[derive(Debug, Clone)]
-pub struct NeedlemanWunsch {
+pub(crate) struct NeedlemanWunsch {
     threads: u8,
     scale: Scale,
     seq_len: usize,

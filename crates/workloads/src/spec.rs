@@ -1,5 +1,14 @@
 //! Workload identities, the `Workload` trait and deployment scaling.
 
+use crate::backprop::Backprop;
+use crate::fmm::Fmm;
+use crate::graph::{Bc, Bfs, Pagerank};
+use crate::kmeans::Kmeans;
+use crate::lulesh::{Lulesh, LuleshOpt};
+use crate::memcached::Memcached;
+use crate::micro::DataPatternMicro;
+use crate::nw::NeedlemanWunsch;
+use crate::srad::Srad;
 use wade_trace::{AccessSink, StagingSink};
 
 /// Problem-size preset: full-size runs for campaigns/benches, reduced sizes
@@ -139,22 +148,18 @@ impl WorkloadId {
     pub fn instantiate(&self, threads: u8, scale: Scale) -> BoxedWorkload {
         assert!(threads > 0, "at least one thread required");
         match self {
-            WorkloadId::Backprop => Box::new(crate::Backprop::new(threads, scale)),
-            WorkloadId::Kmeans => Box::new(crate::Kmeans::new(threads, scale)),
-            WorkloadId::Nw => Box::new(crate::NeedlemanWunsch::new(threads, scale)),
-            WorkloadId::Srad => Box::new(crate::Srad::new(threads, scale)),
-            WorkloadId::Fmm => Box::new(crate::Fmm::new(threads, scale)),
-            WorkloadId::Memcached => Box::new(crate::Memcached::new(threads, scale)),
-            WorkloadId::Pagerank => Box::new(crate::Pagerank::new(threads, scale)),
-            WorkloadId::Bfs => Box::new(crate::Bfs::new(threads, scale)),
-            WorkloadId::Bc => Box::new(crate::Bc::new(threads, scale)),
-            WorkloadId::LuleshO2 => {
-                Box::new(crate::Lulesh::new(threads, scale, crate::LuleshOpt::O2))
-            }
-            WorkloadId::LuleshF => {
-                Box::new(crate::Lulesh::new(threads, scale, crate::LuleshOpt::Aggressive))
-            }
-            WorkloadId::MicroRandom => Box::new(crate::DataPatternMicro::new(scale)),
+            WorkloadId::Backprop => Box::new(Backprop::new(threads, scale)),
+            WorkloadId::Kmeans => Box::new(Kmeans::new(threads, scale)),
+            WorkloadId::Nw => Box::new(NeedlemanWunsch::new(threads, scale)),
+            WorkloadId::Srad => Box::new(Srad::new(threads, scale)),
+            WorkloadId::Fmm => Box::new(Fmm::new(threads, scale)),
+            WorkloadId::Memcached => Box::new(Memcached::new(threads, scale)),
+            WorkloadId::Pagerank => Box::new(Pagerank::new(threads, scale)),
+            WorkloadId::Bfs => Box::new(Bfs::new(threads, scale)),
+            WorkloadId::Bc => Box::new(Bc::new(threads, scale)),
+            WorkloadId::LuleshO2 => Box::new(Lulesh::new(threads, scale, LuleshOpt::O2)),
+            WorkloadId::LuleshF => Box::new(Lulesh::new(threads, scale, LuleshOpt::Aggressive)),
+            WorkloadId::MicroRandom => Box::new(DataPatternMicro::new(scale)),
         }
     }
 }

@@ -13,7 +13,7 @@ use wade_trace::AccessSink;
 
 /// SRAD stencil kernel.
 #[derive(Debug, Clone)]
-pub struct Srad {
+pub(crate) struct Srad {
     threads: u8,
     scale: Scale,
     rows: usize,
