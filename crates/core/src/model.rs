@@ -145,8 +145,7 @@ impl ErrorModel {
     /// pass on the calling thread. Rows are independent, so a row's
     /// prediction does not depend on which other rows share its batch and
     /// equals [`ErrorModel::predict_wer`] / [`ErrorModel::predict_pue`]
-    /// bit for bit — the contract the serving layer's micro-batching queue
-    /// rests on (`tests/ml_parallel.rs`).
+    /// bit for bit (`tests/ml_parallel.rs`).
     pub fn predict_rows(&self, rows: &[(FeatureVector, OperatingPoint)]) -> Vec<Prediction> {
         rows.iter()
             .map(|(features, op)| self.predict_row(features, *op, 0..RANK_COUNT, true))

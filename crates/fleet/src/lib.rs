@@ -29,8 +29,44 @@
 //! `CampaignData` so the serving registry loads fleet-trained models with
 //! no fleet-specific code.
 //!
-//! The slicing/keying/merge contract lives in the module docs of
-//! `src/sweep.rs` and is normative; `ARCHITECTURE.md` §15 mirrors it.
+//! # Slicing / keying / merge contract (normative)
+//!
+//! `ARCHITECTURE.md` §15 mirrors this contract.
+//!
+//! - Devices are assigned to shards in **contiguous index blocks**
+//!   (`FleetSpec::shard_range`); the merged fleet is the concatenation of
+//!   shards in shard order, so the merge is order-stable by construction
+//!   and the swept fleet is byte-identical at any thread count.
+//! - A device's epoch is a pure function of `(spec prefix, fleet_seed,
+//!   index, epoch)` — never of its shard, of neighbouring devices, or of
+//!   the spec's *total* epoch count (`FleetSpec::epoch_plan` is
+//!   epoch-invariant by contract; `fleetv` in the key prefix versions that
+//!   contract). Every slice boundary is therefore a **replay point**: any
+//!   `(shard, epoch)` slice can be recomputed in isolation, and a single
+//!   device can be replayed end to end ([`FleetSweep::device_history`]).
+//! - The unit of persistence is the **epoch slice**: kind
+//!   [`FLEET_SLICE_KIND`], key `fleet|seed=…|det=…|soc=…|spec=<epoch-
+//!   invariant prefix>|shard=s|epoch=e` ([`FleetSweep::slice_key`]). A
+//!   slice holds one [`EpochOutcome`] per device **alive entering** that
+//!   epoch (crashed devices leave the population, so later slices shrink).
+//!   Because the key omits `epochs`, extending a spec E→E′ finds slices
+//!   `0..E` warm — zero simulations, zero profiling, counter-asserted —
+//!   and simulates only the `E..E′` delta. Any re-baselining event —
+//!   simulator (`det`), profiler (`soc`), stream contract (`fleetv`) or
+//!   spec prefix — turns warm slices into misses, never stale hits.
+//! - Shard assembly is a **bounded-memory fold**:
+//!   [`FleetSweep::sweep_stored_visit`] walks shards sequentially and, per
+//!   shard, slices in epoch order, carrying only the shard's accumulating
+//!   histories and alive set; peak memory is O(shard), not O(fleet). A
+//!   missing slice (cold, evicted, or failed under a degraded store)
+//!   recomputes exactly the alive devices of that one `(shard, epoch)`
+//!   cell and republishes — the fold is byte-identical either way. A
+//!   stored slice whose shard, epoch or rows disagree with the alive set
+//!   is mis-keyed and handled like a missing one.
+//! - A warm [`FleetSweep::sweep_stored`] performs **zero** simulations and
+//!   zero workload profiling ([`FleetSweep::simulations`] /
+//!   [`FleetSweep::profilings`]): the workload suite is profiled lazily,
+//!   only once some slice actually misses.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

@@ -43,9 +43,10 @@ impl Request {
 /// Why a request could not be read.
 #[derive(Debug)]
 pub(crate) enum RequestError {
-    /// The peer closed the connection — cleanly between requests, or
-    /// abruptly mid-request. Either way there is nobody to answer; the
-    /// server just drops the connection.
+    /// The connection ended: the peer closed it, cleanly between requests
+    /// or abruptly mid-request, or a transport error (read timeout on an
+    /// idle keep-alive connection, reset, …) broke it. Either way there is
+    /// nobody to answer; the server just drops the connection.
     Closed,
     /// The bytes on the wire are not a request this stack accepts; answer
     /// `400 Bad Request` and close.
@@ -53,9 +54,6 @@ pub(crate) enum RequestError {
     /// The declared body (or the header block) exceeds the configured
     /// bound; answer `413 Content Too Large` and close.
     TooLarge,
-    /// A transport error (read timeout on an idle keep-alive connection,
-    /// reset, …); drop the connection.
-    Io,
 }
 
 /// Reads one request from `stream`, looping over partial reads until the
@@ -76,9 +74,8 @@ pub(crate) fn read_request(
         }
         let mut chunk = [0u8; 4096];
         match stream.read(&mut chunk) {
-            Ok(0) => return Err(RequestError::Closed),
+            Ok(0) | Err(_) => return Err(RequestError::Closed),
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => return Err(RequestError::Io),
         }
     };
 
@@ -133,9 +130,8 @@ pub(crate) fn read_request(
         let mut chunk = [0u8; 4096];
         let want = (content_length - body.len()).min(chunk.len());
         match stream.read(&mut chunk[..want]) {
-            Ok(0) => return Err(RequestError::Closed),
+            Ok(0) | Err(_) => return Err(RequestError::Closed),
             Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(_) => return Err(RequestError::Io),
         }
     }
     Ok(Request { body, ..request })

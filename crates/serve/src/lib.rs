@@ -12,11 +12,11 @@
 //!
 //! * **Byte-identity.** A `POST /predict` response is byte-identical to
 //!   serializing [`wade_core::ErrorModel::predict_rows`] on the same rows:
-//!   rows are predicted independently, so the micro-batching queue (which
-//!   concatenates rows from concurrent requests into one serial
-//!   `predict_rows` call per model kind) is invisible in the output —
-//!   `tests/serving.rs` asserts this at 1 and 8 client threads, cold and
-//!   warm store, for all three model kinds.
+//!   the connection worker that read the request makes exactly that one
+//!   `predict_rows` call on the current model snapshot, so concurrent
+//!   requests predict in parallel on their own workers and never share a
+//!   call — `tests/serving.rs` asserts this at 1 and 8 client threads,
+//!   cold and warm store, for all three model kinds.
 //! * **Store-backed models.** On boot, models load from the artifact
 //!   store (kind `model`, keyed by trainer config + dataset fingerprint,
 //!   fold `""`) and are trained and published on a cold store. The
@@ -34,7 +34,8 @@
 //!   serving after every one of them, including abrupt client disconnects.
 //! * **Observability.** `GET /healthz` reports liveness and
 //!   degraded-mode state; `GET /metrics` exposes request/error counters,
-//!   the batch-size histogram, latency aggregates and reload counts.
+//!   the batch-size histogram (rows per `predict_rows` call, one call per
+//!   served request), latency aggregates and reload counts.
 //!
 //! ```no_run
 //! use wade_core::{Campaign, CampaignConfig, SimulatedServer};
@@ -51,7 +52,6 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 #![deny(unreachable_pub, unnameable_types)]
 
-mod batch;
 mod http;
 mod loadgen;
 mod metrics;

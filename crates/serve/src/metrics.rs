@@ -8,8 +8,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Upper bounds (inclusive) of the batch-size histogram buckets; the last
-/// bucket is unbounded. A batch of `n` rows lands in the first bucket with
-/// `n <= bound`.
+/// bucket is unbounded. A batch — the rows of one served `POST /predict`,
+/// predicted in one `predict_rows` call — of `n` rows lands in the first
+/// bucket with `n <= bound`.
 pub const BATCH_BUCKETS: [u64; 6] = [1, 2, 4, 8, 16, 32];
 
 /// Request/error/batch/latency counters of one server instance.
@@ -20,9 +21,7 @@ pub struct Metrics {
     rows_predicted: AtomicU64,
     errors_4xx: AtomicU64,
     errors_5xx: AtomicU64,
-    batches: AtomicU64,
     batch_hist: [AtomicU64; BATCH_BUCKETS.len() + 1],
-    latency_us_count: AtomicU64,
     latency_us_sum: AtomicU64,
     latency_us_max: AtomicU64,
     reloads: AtomicU64,
@@ -44,23 +43,18 @@ impl Metrics {
         }
     }
 
-    /// Records one served `POST /predict` (row count + handling latency).
+    /// Records one served `POST /predict` (row count + handling latency):
+    /// one `predict_rows` call, so one batch of `rows` rows.
     pub(crate) fn record_predict(&self, rows: u64, latency_us: u64) {
         self.predict_requests.fetch_add(1, Ordering::Relaxed);
         self.rows_predicted.fetch_add(rows, Ordering::Relaxed);
-        self.latency_us_count.fetch_add(1, Ordering::Relaxed);
-        self.latency_us_sum.fetch_add(latency_us, Ordering::Relaxed);
-        self.latency_us_max.fetch_max(latency_us, Ordering::Relaxed);
-    }
-
-    /// Records one micro-batch of `rows` rows: one `predict_rows` call.
-    pub(crate) fn record_batch(&self, rows: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
         let bucket = BATCH_BUCKETS
             .iter()
             .position(|&b| rows <= b)
             .unwrap_or(BATCH_BUCKETS.len());
         self.batch_hist[bucket].fetch_add(1, Ordering::Relaxed);
+        self.latency_us_sum.fetch_add(latency_us, Ordering::Relaxed);
+        self.latency_us_max.fetch_max(latency_us, Ordering::Relaxed);
     }
 
     /// Records hot-reloads of model snapshots.
@@ -83,9 +77,9 @@ impl Metrics {
         self.errors_5xx.load(Ordering::Relaxed)
     }
 
-    /// Batched dispatches so far.
+    /// Model dispatches so far: one per served `POST /predict`.
     pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
+        self.predict_requests.load(Ordering::Relaxed)
     }
 
     /// Model hot-reloads so far.
@@ -109,16 +103,18 @@ impl Metrics {
             .map(|(b, c)| format!("\"le_{b}\":{c}"))
             .collect();
         hist_fields.push(format!("\"inf\":{}", hist[BATCH_BUCKETS.len()]));
+        // A served predict is one batch and one latency sample.
+        let served = self.batches();
         format!(
             "{{\"requests\":{},\"predict_requests\":{},\"rows_predicted\":{},\"errors_4xx\":{},\"errors_5xx\":{},\"batches\":{},\"batch_size_hist\":{{{}}},\"latency_us\":{{\"count\":{},\"sum\":{},\"max\":{}}},\"reloads\":{},\"degraded\":{}}}",
             self.requests(),
-            self.predict_requests.load(Ordering::Relaxed),
+            served,
             self.rows_predicted.load(Ordering::Relaxed),
             self.errors_4xx(),
             self.errors_5xx(),
-            self.batches(),
+            served,
             hist_fields.join(","),
-            self.latency_us_count.load(Ordering::Relaxed),
+            served,
             self.latency_us_sum.load(Ordering::Relaxed),
             self.latency_us_max.load(Ordering::Relaxed),
             self.reloads(),
@@ -135,7 +131,7 @@ mod tests {
     fn batches_land_in_the_right_buckets() {
         let m = Metrics::new();
         for rows in [1, 2, 3, 8, 33, 1000] {
-            m.record_batch(rows);
+            m.record_predict(rows, 0);
         }
         assert_eq!(m.batch_histogram(), vec![1, 1, 1, 1, 0, 0, 2]);
         assert_eq!(m.batches(), 6);
@@ -154,7 +150,6 @@ mod tests {
     fn rendered_metrics_carry_every_counter() {
         let m = Metrics::new();
         m.record_predict(5, 1200);
-        m.record_batch(5);
         m.record_request(200);
         let json = m.render_json(false);
         for needle in [

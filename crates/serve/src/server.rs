@@ -1,18 +1,19 @@
 //! The long-running server: accept loop, worker pool, routes, shutdown.
 //!
 //! Topology: one accept thread feeds connections to a fixed worker pool
-//! through a channel; each worker runs a keep-alive loop per connection.
-//! `POST /predict` handlers enqueue into the [`BatchQueue`] and block on
-//! their reply channel; one batcher thread owns all model dispatch. An
-//! optional watcher thread polls the store for artifact changes and
-//! hot-swaps the in-memory models. Every handler path is panic-isolated:
-//! a panicking connection kills that connection, never the server.
+//! through a channel; each worker runs a keep-alive loop per connection
+//! and answers `POST /predict` itself, with one `predict_rows` call on
+//! the request's rows. An optional watcher thread polls the store for
+//! artifact changes and hot-swaps the in-memory models. Every handler
+//! path is panic-isolated: a panicking model answers that request with a
+//! 500, a panicking connection kills that connection, never the server.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -20,7 +21,6 @@ use wade_core::CampaignData;
 use wade_features::FeatureSet;
 use wade_store::ArtifactStore;
 
-use crate::batch::{run_batcher, BatchQueue, Job};
 use crate::http::{read_request, write_response, Request, RequestError};
 use crate::metrics::Metrics;
 use crate::models::ModelRegistry;
@@ -35,8 +35,6 @@ const MAX_BODY_BYTES: usize = 1024 * 1024;
 /// Per-read socket timeout; an idle keep-alive connection is dropped after
 /// this long.
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
-/// Most jobs one batcher wake-up drains into a single model call.
-const MAX_BATCH_JOBS: usize = 32;
 
 /// The deployment settings of one [`Server`] instance.
 #[derive(Debug, Clone)]
@@ -60,13 +58,12 @@ pub struct Server {
     addr: SocketAddr,
     registry: Arc<ModelRegistry>,
     metrics: Arc<Metrics>,
-    queue: Arc<BatchQueue>,
     stop: Arc<AtomicBool>,
-    watcher_gate: Arc<(Mutex<bool>, Condvar)>,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
-    watcher: Option<JoinHandle<()>>,
+    /// The reload watcher and its stop sender: dropping the sender ends
+    /// the watcher's wait at once.
+    watcher: Option<(mpsc::Sender<()>, JoinHandle<()>)>,
 }
 
 impl Server {
@@ -84,9 +81,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let registry = Arc::new(ModelRegistry::new(data, SERVED_SET, store));
         let metrics = Arc::new(Metrics::new());
-        let queue = Arc::new(BatchQueue::new());
         let stop = Arc::new(AtomicBool::new(false));
-        let watcher_gate = Arc::new((Mutex::new(false), Condvar::new()));
 
         let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
         let conn_rx = Arc::new(Mutex::new(conn_rx));
@@ -113,7 +108,6 @@ impl Server {
                 let conn_rx = Arc::clone(&conn_rx);
                 let registry = Arc::clone(&registry);
                 let metrics = Arc::clone(&metrics);
-                let queue = Arc::clone(&queue);
                 std::thread::spawn(move || loop {
                     let stream = {
                         let rx = conn_rx.lock().expect("connection channel poisoned");
@@ -123,46 +117,33 @@ impl Server {
                     // A panicking connection (bad model invariant, …)
                     // must not take the worker down with it.
                     let _ = catch_unwind(AssertUnwindSafe(|| {
-                        handle_connection(stream, &registry, &metrics, &queue);
+                        handle_connection(stream, &registry, &metrics);
                     }));
                 })
             })
             .collect();
 
-        let batcher = {
-            let queue = Arc::clone(&queue);
-            let registry = Arc::clone(&registry);
-            let metrics = Arc::clone(&metrics);
-            std::thread::spawn(move || run_batcher(&queue, &registry, &metrics, MAX_BATCH_JOBS))
-        };
-
         let watcher = config.reload_poll.map(|period| {
-            let gate = Arc::clone(&watcher_gate);
+            let (stop_tx, stop_rx) = mpsc::channel::<()>();
             let registry = Arc::clone(&registry);
             let metrics = Arc::clone(&metrics);
-            std::thread::spawn(move || loop {
-                let (lock, cond) = &*gate;
-                let stopped = lock.lock().expect("watcher gate poisoned");
-                let (stopped, _) =
-                    cond.wait_timeout(stopped, period).expect("watcher gate poisoned");
-                if *stopped {
-                    break;
+            // Nothing is ever sent: the wait times out once per period
+            // until `shutdown` drops the sender.
+            let handle = std::thread::spawn(move || {
+                while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(period) {
+                    metrics.record_reloads(registry.poll_reload());
                 }
-                drop(stopped);
-                metrics.record_reloads(registry.poll_reload());
-            })
+            });
+            (stop_tx, handle)
         });
 
         Ok(Self {
             addr,
             registry,
             metrics,
-            queue,
             stop,
-            watcher_gate,
             accept: Some(accept),
             workers,
-            batcher: Some(batcher),
             watcher,
         })
     }
@@ -195,16 +176,8 @@ impl Server {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        self.queue.close();
-        if let Some(batcher) = self.batcher.take() {
-            let _ = batcher.join();
-        }
-        let (lock, cond) = &*self.watcher_gate;
-        if let Ok(mut stopped) = lock.lock() {
-            *stopped = true;
-            cond.notify_all();
-        }
-        if let Some(watcher) = self.watcher.take() {
+        if let Some((stop_tx, watcher)) = self.watcher.take() {
+            drop(stop_tx);
             let _ = watcher.join();
         }
     }
@@ -217,18 +190,13 @@ impl Drop for Server {
 }
 
 /// Keep-alive loop over one connection: read, route, answer, repeat.
-fn handle_connection(
-    mut stream: TcpStream,
-    registry: &ModelRegistry,
-    metrics: &Metrics,
-    queue: &BatchQueue,
-) {
+fn handle_connection(mut stream: TcpStream, registry: &ModelRegistry, metrics: &Metrics) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_nodelay(true);
     loop {
         let request = match read_request(&mut stream, MAX_BODY_BYTES) {
             Ok(request) => request,
-            Err(RequestError::Closed) | Err(RequestError::Io) => return,
+            Err(RequestError::Closed) => return,
             Err(RequestError::Malformed(reason)) => {
                 metrics.record_request(400);
                 let _ = write_response(&mut stream, 400, "Bad Request", &error_body(reason), false);
@@ -242,7 +210,7 @@ fn handle_connection(
             }
         };
         let keep_alive = !request.wants_close();
-        let (status, reason, body) = route(&request, registry, metrics, queue);
+        let (status, reason, body) = route(&request, registry, metrics);
         metrics.record_request(status);
         if write_response(&mut stream, status, reason, &body, keep_alive).is_err() || !keep_alive {
             return;
@@ -255,7 +223,6 @@ fn route(
     request: &Request,
     registry: &ModelRegistry,
     metrics: &Metrics,
-    queue: &BatchQueue,
 ) -> (u16, &'static str, String) {
     match (request.method.as_str(), request.target.as_str()) {
         ("GET", "/healthz") => {
@@ -267,17 +234,16 @@ fn route(
             (200, "OK", body)
         }
         ("GET", "/metrics") => (200, "OK", metrics.render_json(registry.degraded())),
-        ("POST", "/predict") => predict(request, registry, metrics, queue),
+        ("POST", "/predict") => predict(request, registry, metrics),
         _ => (404, "Not Found", error_body("no such route")),
     }
 }
 
-/// The `POST /predict` handler: validate, enqueue, await the batcher.
+/// The `POST /predict` handler: validate, then predict on this worker.
 fn predict(
     request: &Request,
     registry: &ModelRegistry,
     metrics: &Metrics,
-    queue: &BatchQueue,
 ) -> (u16, &'static str, String) {
     let started = Instant::now();
     let bad = |reason: &'static str| (400, "Bad Request", error_body(reason));
@@ -297,13 +263,10 @@ fn predict(
             Err(reason) => return bad(reason),
         }
     }
-    let n_rows = rows.len() as u64;
-    let (reply_tx, reply_rx) = mpsc::channel();
-    if !queue.push(Job { kind, rows, reply: reply_tx }) {
-        return (503, "Service Unavailable", error_body("server shutting down"));
-    }
-    let Ok(predictions) = reply_rx.recv() else {
-        // Batcher panicked on this batch; the queue itself survives.
+    let model = registry.model(kind);
+    let Ok(predictions) = catch_unwind(AssertUnwindSafe(|| model.predict_rows(&rows))) else {
+        // A panicking model answers this request only; the worker and its
+        // connection keep serving.
         return (500, "Internal Server Error", error_body("prediction failed"));
     };
     let response = PredictResponse {
@@ -312,7 +275,7 @@ fn predict(
         rows: predictions,
     };
     let body = serde_json::to_string(&response).expect("response serializes");
-    metrics.record_predict(n_rows, started.elapsed().as_micros() as u64);
+    metrics.record_predict(rows.len() as u64, started.elapsed().as_micros() as u64);
     (200, "OK", body)
 }
 

@@ -121,8 +121,8 @@ fn prediction_bits(p: &Prediction) -> PredictionBits {
 
 #[test]
 fn predict_rows_equals_per_row_prediction_across_thread_counts() {
-    // The serving layer's micro-batching rests on this: a row's prediction
-    // does not depend on the batch it shares or on the pool's width.
+    // A row's prediction does not depend on the batch it shares or on the
+    // pool's width.
     let data = small_campaign();
     let rows: Vec<(FeatureVector, OperatingPoint)> =
         data.rows.iter().map(|r| (r.features.clone(), r.op)).collect();

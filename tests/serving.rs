@@ -127,8 +127,11 @@ fn golden_concurrent_load_is_byte_identical_to_direct_predictions() {
         assert_eq!(report.mismatches, 0, "threads {threads}");
         assert!(report.rows >= report.requests);
     }
-    // Concurrency actually reached the batcher as batches.
-    assert!(server.metrics().batches() > 0);
+    // Every request was one model dispatch on its connection worker, and
+    // the batch-size histogram accounts for each of them.
+    let metrics = server.metrics();
+    assert_eq!(metrics.batches(), 96);
+    assert_eq!(metrics.batch_histogram().iter().sum::<u64>(), 96);
 }
 
 #[test]
