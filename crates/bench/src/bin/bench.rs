@@ -422,9 +422,10 @@ fn campaign_quick_grid(samples: usize, threads: usize) -> Value {
         let pool = pool(threads);
         median_ms(samples, || {
             pool.install(|| {
-                // No profile cache: this section tracks the grid's
-                // *parallel scaling*, so every sample must pay the same
-                // cold profiling cost.
+                // A new campaign per sample, so a new empty profile
+                // cache: this section tracks the grid's *parallel
+                // scaling*, so every sample must pay the same cold
+                // profiling cost.
                 Campaign::new(SimulatedServer::with_seed(5), CampaignConfig::quick())
                     .collect(&suite, 1)
             });

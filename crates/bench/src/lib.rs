@@ -88,7 +88,7 @@ impl Lab {
     }
 
     /// The full-suite campaign data at the paper's grid (`scale()`-sized),
-    /// served through the store so every figure binary — and every
+    /// read through the store so every figure binary — and every
     /// repeated invocation — shares one collection pass; a cold collection
     /// profiles through the cache. The store key is explicit: (campaign
     /// seed, grid config, suite at its scale, device fingerprint); see
@@ -96,22 +96,19 @@ impl Lab {
     pub fn campaign(&self) -> CampaignData {
         let config = CampaignConfig::paper_full();
         let suite = experiment_suite();
-        // Probe the campaign artifact itself (profile-kind hits during a
-        // cold collection must not masquerade as a campaign hit).
         let key = wade_core::campaign_store_key(&server(), &config, &suite, CAMPAIGN_SEED);
-        if let Some(data) = self.store.get::<CampaignData>(wade_core::CAMPAIGN_KIND, &key) {
-            eprintln!("[wade-bench] using stored campaign data ({})", self.store.root().display());
-            return data;
+        let root = self.store.root().display();
+        let (data, hit) = self.store.get_or_put(wade_core::CAMPAIGN_KIND, &key, || {
+            eprintln!("[wade-bench] collecting full campaign into {root} (first run)…");
+            Campaign::new(server(), config)
+                .with_profile_cache(self.cache.clone())
+                .collect(&suite, CAMPAIGN_SEED)
+        });
+        if hit {
+            eprintln!("[wade-bench] using stored campaign data ({root})");
         }
-        eprintln!(
-            "[wade-bench] collecting full campaign into {} (first run)…",
-            self.store.root().display()
-        );
-        Campaign::new(server(), config)
-            .with_profile_cache(self.cache.clone())
-            .collect_stored(&self.store, &suite, CAMPAIGN_SEED)
+        data
     }
-
 }
 
 /// Runs one table/figure function of [`experiments`] against the store

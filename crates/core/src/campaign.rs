@@ -174,27 +174,27 @@ impl CampaignData {
 pub struct Campaign {
     server: SimulatedServer,
     config: CampaignConfig,
-    /// Memo table for the profiling phase; `None` profiles every call
-    /// afresh (the reference configuration for byte-identity tests).
-    profile_cache: Option<Arc<ProfileCache>>,
+    /// Memo table for the profiling phase.
+    profile_cache: Arc<ProfileCache>,
 }
 
 impl Campaign {
-    /// Binds a campaign configuration to a server. Profiling is not
-    /// memoized: every [`Campaign::profile`] call re-executes the kernel
-    /// unless [`Campaign::with_profile_cache`] supplies a cache. Output is
+    /// Binds a campaign configuration to a server, with a fresh in-memory
+    /// [`ProfileCache`] of its own: each workload is profiled once per
+    /// campaign (and its clones), and no profile outlives it unless
+    /// [`Campaign::with_profile_cache`] supplies a shared cache. Output is
     /// byte-identical either way (profiling is deterministic; asserted by
     /// tests).
     pub fn new(server: SimulatedServer, config: CampaignConfig) -> Self {
-        Self { server, config, profile_cache: None }
+        Self { server, config, profile_cache: Arc::new(ProfileCache::new()) }
     }
 
-    /// Memoizes profiling through `cache` — shared across campaigns, and
-    /// across processes when the cache has a store
+    /// Replaces the campaign's profile cache with `cache` — shared across
+    /// campaigns, and across processes when the cache has a store
     /// ([`ProfileCache::with_store`]).
     #[must_use]
     pub fn with_profile_cache(mut self, cache: Arc<ProfileCache>) -> Self {
-        self.profile_cache = Some(cache);
+        self.profile_cache = cache;
         self
     }
 
@@ -210,10 +210,7 @@ impl Campaign {
         workload: &dyn Workload,
         seed: u64,
     ) -> Arc<ProfiledWorkload> {
-        match &self.profile_cache {
-            Some(cache) => cache.profile(&self.server, workload, seed),
-            None => Arc::new(self.server.profile_workload(workload, seed)),
-        }
+        self.profile_cache.profile(&self.server, workload, seed)
     }
 
     /// Profiles a whole suite on the shared rayon pool (profiling runs are
@@ -321,7 +318,7 @@ impl Campaign {
         seed: u64,
     ) -> CampaignData {
         let key = crate::collect::campaign_store_key(&self.server, &self.config, suite, seed);
-        store.get_or_put(crate::collect::CAMPAIGN_KIND, &key, || self.collect(suite, seed))
+        store.get_or_put(crate::collect::CAMPAIGN_KIND, &key, || self.collect(suite, seed)).0
     }
 
     /// The reference collection path: identical grid, seeds and row order
@@ -337,8 +334,8 @@ impl Campaign {
         let mut rows: Vec<CampaignRow> = Vec::new();
         let mut simulated = 0.0;
         // Profiling phase: the whole suite fans out on the shared pool
-        // (per-workload seeds are independent); with a profile cache, hits
-        // share frozen profiles across the campaigns that hold it.
+        // (per-workload seeds are independent); profile-cache hits share
+        // frozen profiles across the campaigns that hold the cache.
         let profiled: Vec<Arc<ProfiledWorkload>> = self.profile_suite(suite, seed);
 
         // Temperature set-points group the grid like the physical campaign

@@ -107,7 +107,7 @@ pub fn build_wer_dataset(data: &CampaignData, set: FeatureSet, rank: usize) -> D
         }
         let wer = run.wer_per_rank[rank];
         // Telemetry-significance floor: require enough unique CE words.
-        if wer * data_footprint_words(data) < MIN_CE_COUNT {
+        if wer * DATA_FOOTPRINT_WORDS < MIN_CE_COUNT {
             continue;
         }
         ds.push(
@@ -119,11 +119,9 @@ pub fn build_wer_dataset(data: &CampaignData, set: FeatureSet, rank: usize) -> D
     ds
 }
 
-/// The deployment footprint used by the campaign's profiles (words).
-fn data_footprint_words(_data: &CampaignData) -> f64 {
-    // All paper campaigns allocate 8 GB per benchmark.
-    (1u64 << 30) as f64
-}
+/// The deployment footprint used by the campaign's profiles (words): all
+/// paper campaigns allocate 8 GB per benchmark.
+const DATA_FOOTPRINT_WORDS: f64 = (1u64 << 30) as f64;
 
 /// Builds the PUE training set (server-level, as the UE crashes the whole
 /// machine). Targets are the measured crash probabilities in `[0, 1]`.

@@ -5,27 +5,14 @@ use std::fmt;
 /// Errors surfaced by the prediction pipeline.
 #[derive(Debug)]
 pub enum WadeError {
-    /// A dataset was empty or degenerate (e.g. every characterization run
-    /// produced zero errors, leaving nothing to train on).
-    EmptyDataset(String),
-    /// An operating point or profile failed validation.
-    InvalidInput(String),
     /// Persistence (JSON serialisation) failed.
     Persistence(String),
-    /// The artifact-store tier failed (I/O, corruption, degraded mode);
-    /// carries the structured [`wade_store::StoreError`] taxonomy. Cache
-    /// consumers treat this as "recompute in memory", so it surfaces only
-    /// from APIs that make the store mandatory.
-    Store(wade_store::StoreError),
 }
 
 impl fmt::Display for WadeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WadeError::EmptyDataset(what) => write!(f, "empty dataset: {what}"),
-            WadeError::InvalidInput(what) => write!(f, "invalid input: {what}"),
             WadeError::Persistence(what) => write!(f, "persistence failure: {what}"),
-            WadeError::Store(err) => write!(f, "artifact store failure: {err}"),
         }
     }
 }
@@ -38,20 +25,14 @@ impl From<serde_json::Error> for WadeError {
     }
 }
 
-impl From<wade_store::StoreError> for WadeError {
-    fn from(err: wade_store::StoreError) -> Self {
-        WadeError::Store(err)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn display_is_lowercase_and_concise() {
-        let e = WadeError::EmptyDataset("no CE samples".into());
-        assert_eq!(e.to_string(), "empty dataset: no CE samples");
+        let e = WadeError::Persistence("unexpected end of input".into());
+        assert_eq!(e.to_string(), "persistence failure: unexpected end of input");
     }
 
     #[test]

@@ -285,21 +285,17 @@ fn evaluate_folds(
     (folds, trainings, store_hits)
 }
 
-/// One model: read from the store under the given key when it holds one
-/// (the flag is then `true`), else produced by `train` and published
-/// best-effort — an unwritable store degrades to train-every-process,
-/// never to failure. `None` trains without persistence.
+/// One model, read through the store under the given key
+/// ([`ArtifactStore::get_or_put`]; the flag is `true` on a store hit).
+/// `None` trains without persistence.
 pub(crate) fn fold_model(
     store: Option<(&ArtifactStore, &str)>,
     train: impl FnOnce() -> AnyModel,
 ) -> (AnyModel, bool) {
-    let Some((store, key)) = store else { return (train(), false) };
-    if let Some(model) = store.get::<AnyModel>(MODEL_KIND, key) {
-        return (model, true);
+    match store {
+        Some((store, key)) => store.get_or_put(MODEL_KIND, key, train),
+        None => (train(), false),
     }
-    let model = train();
-    let _ = store.put(MODEL_KIND, key, &model);
-    (model, false)
 }
 
 /// Folds → Fig. 11 report, replicating the historical serial loop: rank

@@ -25,9 +25,11 @@
 //! to a fresh profile (asserted by `tests/artifact_store.rs`); corrupt or
 //! foreign-version entries read as misses and are rewritten. Caches built
 //! with [`ProfileCache::new`] have no disk tier; [`ProfileCache::with_store`]
-//! fixes one at construction. There is no process-wide cache: callers that
-//! want memoization hand a cache to [`crate::Campaign::with_profile_cache`]
-//! (the figure binaries build one per process over their store).
+//! fixes one at construction. There is no process-wide cache: each
+//! [`crate::Campaign`] starts with its own in-memory cache, and callers
+//! that share profiles hand one cache to
+//! [`crate::Campaign::with_profile_cache`] (the figure binaries build one
+//! per process over their store).
 
 use crate::server::{ProfiledWorkload, SimulatedServer};
 use rustc_hash::FxHashMap;
@@ -97,9 +99,10 @@ const MAX_MEMOIZED: usize = 4096;
 
 /// Shared, thread-safe memo table for the profiling phase.
 ///
-/// A [`crate::Campaign`] memoizes profiling only through a cache handed to
-/// it with [`crate::Campaign::with_profile_cache`]; sharing one cache
-/// (and its store) between campaigns is how a process reuses profiles.
+/// Every [`crate::Campaign`] profiles through one; sharing a cache (and
+/// its store) between campaigns with
+/// [`crate::Campaign::with_profile_cache`] is how a process reuses
+/// profiles.
 #[derive(Debug, Default)]
 pub struct ProfileCache {
     map: Mutex<FxHashMap<ProfileKey, Arc<ProfiledWorkload>>>,
@@ -145,29 +148,21 @@ impl ProfileCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
         }
-        // Memory miss: consult the disk tier before paying for a profiling
-        // run. A disk hit is byte-identical to a fresh profile (the store
-        // round-trips exactly), so it can be memoized like one.
-        if let Some(store) = &self.store {
-            if let Some(stored) =
-                store.get::<ProfiledWorkload>(PROFILE_KIND, &key.canonical())
-            {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                return self.memoize(key, Arc::new(stored));
-            }
-        }
-        // Profile outside the lock so concurrent misses on *different*
-        // workloads don't serialize. Concurrent misses on the same key both
-        // compute (deterministically identical values); the first insert
-        // wins so all consumers share one canonical allocation.
-        let fresh = Arc::new(server.profile_workload(workload, seed));
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(store) = &self.store {
-            // Best effort: an unwritable store degrades to in-process-only
-            // caching, never to failure.
-            let _ = store.put(PROFILE_KIND, &key.canonical(), fresh.as_ref());
-        }
-        self.memoize(key, fresh)
+        // Memory miss: read through the disk tier before paying for a
+        // profiling run. A disk hit is byte-identical to a fresh profile
+        // (the store round-trips exactly), so it is memoized like one.
+        // Profiling runs outside the lock so concurrent misses on
+        // *different* workloads don't serialize. Concurrent misses on the
+        // same key both compute (deterministically identical values); the
+        // first insert wins so all consumers share one canonical allocation.
+        let profile = || server.profile_workload(workload, seed);
+        let (profiled, disk_hit) = match &self.store {
+            Some(store) => store.get_or_put(PROFILE_KIND, &key.canonical(), profile),
+            None => (profile(), false),
+        };
+        let counter = if disk_hit { &self.disk_hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.memoize(key, Arc::new(profiled))
     }
 
     /// Inserts under the memo cap; the first insert wins so every consumer

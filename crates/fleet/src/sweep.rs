@@ -324,6 +324,11 @@ impl FleetSweep {
     /// with the alive set (a mis-keyed artifact) is treated as corrupt the
     /// same way. The fold stops early once every device of the shard has
     /// failed.
+    ///
+    /// This is the one store view that does not read through
+    /// [`ArtifactStore::get_or_put`]: a slice that reads back fine must
+    /// still be checked against the alive set before it is used, so the
+    /// `get` and the `put` stay apart.
     pub(crate) fn shard_stored(&self, store: &ArtifactStore, shard: u32) -> FleetShard {
         let range = self.spec.shard_range(shard);
         let start = range.start;

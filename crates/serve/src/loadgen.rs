@@ -19,9 +19,6 @@ use crate::http::read_response;
 use crate::models::ModelRegistry;
 use crate::protocol::{feature_set_label, PredictRequest, PredictResponse, PredictRow};
 
-/// Temperatures the generator samples operating points from (°C).
-const TEMPS_C: [f64; 3] = [50.0, 60.0, 70.0];
-
 /// Shape of one load run.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadConfig {
@@ -71,7 +68,8 @@ pub fn request_for(data: &CampaignData, seed: u64, k: u64) -> PredictRequest {
                     [rng.next_below(OperatingPoint::WER_TREFP_SWEEP.len() as u64) as usize],
                 vdd_v: [OperatingPoint::VDD_NOMINAL, OperatingPoint::VDD_MIN]
                     [rng.next_below(2) as usize],
-                temp_c: TEMPS_C[rng.next_below(TEMPS_C.len() as u64) as usize],
+                temp_c: OperatingPoint::TEMPERATURES
+                    [rng.next_below(OperatingPoint::TEMPERATURES.len() as u64) as usize],
             };
             PredictRow::new(&row.features, op)
         })

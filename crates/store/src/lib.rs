@@ -3,12 +3,15 @@
 //!
 //! Field-deployment studies of DRAM failure prediction treat extracted
 //! feature sets and trained models as persistent, versioned artifacts
-//! shared across runs; this crate is that store for WADE. The three
-//! in-process caches (the profiling memo, the campaign-data disk cache and
-//! the trained-fold-model memo) are thin views over one [`ArtifactStore`],
-//! so repeated invocations, CI and figure binaries pay ~0 for work another
-//! process already did. The contract (normative; ARCHITECTURE.md §11
-//! documents the layout, §12 the failure semantics):
+//! shared across runs; this crate is that store for WADE. Profiles,
+//! campaign data, fold and serving models and fleet transfer models are
+//! views over one [`ArtifactStore`], each read through
+//! [`ArtifactStore::get_or_put`], so repeated invocations, CI and figure
+//! binaries pay ~0 for work another process already did. The one view
+//! with its own `get` and `put` is the fleet sweep's slice read, which
+//! must also reject a stored slice that disagrees with the devices still
+//! alive. The contract (normative; ARCHITECTURE.md §11 documents the
+//! layout, §12 the failure semantics):
 //!
 //! * **Content is pure.** Every artifact is a pure function of its key; a
 //!   warm read is *byte-identical* to recomputing (payloads store every
@@ -133,17 +136,6 @@ pub fn fingerprint64(key: &str) -> u64 {
     use std::hash::Hasher as _;
     let mut hasher = rustc_hash::FxHasher::default();
     hasher.write(key.as_bytes());
-    hasher.finish()
-}
-
-/// [`fingerprint64`] domain-separated by `salt`, fed to the hasher
-/// incrementally — no salted copy of a potentially multi-megabyte payload
-/// is allocated.
-pub fn fingerprint64_salted(salt: &str, payload: &str) -> u64 {
-    use std::hash::Hasher as _;
-    let mut hasher = rustc_hash::FxHasher::default();
-    hasher.write(salt.as_bytes());
-    hasher.write(payload.as_bytes());
     hasher.finish()
 }
 
@@ -411,22 +403,23 @@ impl ArtifactStore {
         Ok(path)
     }
 
-    /// [`ArtifactStore::get`] with a compute-and-store fallback: on a miss
-    /// the artifact is produced by `make`, published (best effort — an
-    /// unwritable or degraded store falls back to compute-every-time,
-    /// never to failure) and returned.
+    /// The read-through path every store-backed cache takes: one
+    /// [`ArtifactStore::get`]; on a miss the artifact is produced by
+    /// `make`, published (best effort — an unwritable or degraded store
+    /// falls back to compute-every-time, never to failure) and returned.
+    /// The flag is `true` when the value was read from the store.
     pub fn get_or_put<T: Serialize + Deserialize>(
         &self,
         kind: &str,
         key: &str,
         make: impl FnOnce() -> T,
-    ) -> T {
+    ) -> (T, bool) {
         if let Some(value) = self.get(kind, key) {
-            return value;
+            return (value, true);
         }
         let value = make();
         let _ = self.put(kind, key, &value);
-        value
+        (value, false)
     }
 
     /// Runs `f` with the retry/degradation state machine: transient faults
@@ -1032,7 +1025,24 @@ mod tests {
             calls += 1;
             999u64
         });
-        assert_eq!((a, b, calls), (42, 42, 1));
+        assert_eq!((a, b, calls), ((42, false), (42, true), 1));
+    }
+
+    #[test]
+    fn get_or_put_reads_each_entry_once_and_counts_it() {
+        let s = Scratch::new("get-or-put-counters");
+        // Cold: one read (a miss), one compute, one write.
+        assert_eq!(s.0.get_or_put("k", "key", || 7u64), (7, false));
+        assert_eq!((s.0.misses(), s.0.hits(), s.0.writes()), (1, 0, 1));
+        // Warm: one read (a hit), no compute, no write.
+        assert_eq!(s.0.get_or_put("k", "key", || unreachable!("warm read")), (7, true));
+        assert_eq!((s.0.misses(), s.0.hits(), s.0.writes()), (1, 1, 1));
+        // Corrupt: read once (a corrupt miss), recomputed and rewritten.
+        let path = s.0.entry_path("k", "key");
+        fs::write(&path, b"junk").unwrap();
+        assert_eq!(s.0.get_or_put("k", "key", || 8u64), (8, false));
+        assert_eq!((s.0.misses(), s.0.corrupt(), s.0.writes()), (2, 1, 2));
+        assert_eq!(s.0.get::<u64>("k", "key"), Some(8), "the corrupt entry was rewritten");
     }
 
     #[test]
@@ -1312,14 +1322,6 @@ mod tests {
             assert!(s.0.entry_stamp("k", "key").is_none());
         }
         assert!(s.0.degraded_ops() > before, "degraded stamp probes must be gated");
-    }
-
-    #[test]
-    fn salted_fingerprint_is_stable_and_domain_separated() {
-        let a = fingerprint64_salted("salt|", "payload");
-        assert_eq!(a, fingerprint64_salted("salt|", "payload"));
-        assert_ne!(a, fingerprint64("payload"));
-        assert_ne!(a, fingerprint64_salted("other|", "payload"));
     }
 
     #[test]

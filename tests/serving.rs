@@ -269,6 +269,44 @@ fn protocol_abrupt_disconnects_leave_the_server_serving() {
     assert_eq!(served, golden_body(&server, &request));
 }
 
+#[test]
+fn protocol_a_panicking_model_answers_500_and_the_connection_keeps_serving() {
+    let root = scratch("panic");
+    let store = Arc::new(ArtifactStore::open(&root));
+    let server = start_server(Some(store.clone()));
+    let kind = MlKind::Rdf;
+    let set = server.registry().set();
+    // The server booted on this store, so the call only reads its entries.
+    let keys = train_error_model_stored(Some(&store), campaign_data(), kind, set).1;
+    // A forest over rows twice the served width whose signal sits only in
+    // the extra half: its splits index past the end of every served row.
+    let width = build_pue_dataset(campaign_data(), set).dim();
+    let (x, y): (Vec<Vec<f64>>, Vec<f64>) = (0..32)
+        .map(|i| {
+            let mut row = vec![0.0; width];
+            row.extend(std::iter::repeat_n(f64::from(i), width));
+            (row, f64::from(i))
+        })
+        .unzip();
+    let wide = kind.train_any(&x, &y);
+    std::thread::sleep(Duration::from_millis(20)); // distinct mtime
+    store.put(MODEL_KIND, &keys[0], &wide).expect("publish the wide forest");
+    assert!(server.registry().poll_reload() >= 1, "mtime change triggers a reload");
+
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let body = serde_json::to_string(&sample_request(kind)).unwrap();
+    send_request(&mut stream, "POST", "/predict", &body);
+    let (status, served) = read_response(&mut stream).expect("response");
+    assert_eq!(status, 500);
+    assert_eq!(served, b"{\"error\":\"prediction failed\"}");
+    // The same keep-alive connection is still served.
+    send_request(&mut stream, "GET", "/healthz", "");
+    let (status, _) = read_response(&mut stream).expect("healthz after the 500");
+    assert_eq!(status, 200);
+    assert_eq!(server.metrics().errors_5xx(), 1);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 // ---- hot reload -------------------------------------------------------------
 
 #[test]
@@ -314,6 +352,70 @@ fn reload_hot_swaps_published_models_and_keeps_old_snapshots_valid() {
 
     // A poll with nothing new is a no-op.
     assert_eq!(server.registry().poll_reload(), 0);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn reload_watcher_thread_swaps_published_models_until_shutdown() {
+    let root = scratch("watcher");
+    let store = Arc::new(ArtifactStore::open(&root));
+    let config =
+        ServeConfig { reload_poll: Some(Duration::from_millis(10)), ..ServeConfig::default() };
+    let mut server =
+        Server::start(config, campaign_data().clone(), Some(store.clone())).expect("bind loopback");
+    let kind = MlKind::Knn;
+    let set = server.registry().set();
+    let request = sample_request(kind);
+    let body = serde_json::to_string(&request).unwrap();
+    let (status, before) = exchange(&server, "POST", "/predict", &body);
+    assert_eq!(status, 200);
+
+    // Publish a PUE model trained on shifted targets under the serving key.
+    let keys = train_error_model_stored(Some(&store), campaign_data(), kind, set).1;
+    let ds = build_pue_dataset(campaign_data(), set);
+    let shifted: Vec<f64> = ds.targets().iter().map(|t| (t + 0.31).min(1.0)).collect();
+    let swapped = kind.train_any(&ds.features(), &shifted);
+    std::thread::sleep(Duration::from_millis(20)); // distinct mtime
+    store.put(MODEL_KIND, keys.last().expect("trainable pue slot"), &swapped).expect("publish");
+    // The new golden: the error model the store now holds, predicted directly.
+    let reloaded = train_error_model_stored(Some(&store), campaign_data(), kind, set).0;
+    let rows: Vec<_> =
+        request.rows.iter().map(|r| r.clone().into_input().expect("valid")).collect();
+    let golden = PredictResponse {
+        model: kind.label().to_string(),
+        set: feature_set_label(set).to_string(),
+        rows: reloaded.predict_rows(&rows),
+    };
+    let golden = serde_json::to_string(&golden).unwrap().into_bytes();
+    assert_ne!(golden, before, "the swapped model changes predictions");
+
+    // No manual poll: only the watcher thread can pick the swap up.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let (_, metrics) = exchange(&server, "GET", "/metrics", "");
+        let metrics = String::from_utf8(metrics).unwrap();
+        let reloads: u64 = metrics
+            .split("\"reloads\":")
+            .nth(1)
+            .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|n| n.parse().ok())
+            .expect("reloads counter in /metrics");
+        let (status, served) = exchange(&server, "POST", "/predict", &body);
+        assert_eq!(status, 200);
+        if reloads >= 1 && served == golden {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "watcher never reloaded: {metrics}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // Shutdown stops the watcher mid-wait and returns.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx.recv_timeout(Duration::from_secs(10)).expect("shutdown returns");
     let _ = std::fs::remove_dir_all(&root);
 }
 
