@@ -74,16 +74,22 @@
 //! refresh gate, so the walk is built to reject them cheaply. Each
 //! segment's cells go through in blocks of 256 held in per-thread arrays
 //! (no buffer grows with the Poisson count, and none is refilled per
-//! chunk), in three passes that each compact their survivors without
-//! branching on the coin-flip gate outcomes: the cap, the data gate, then
-//! the refresh gate. The refresh gate is tested in quantile space: per
-//! reuse bucket, [`RetentionLaw::quantile_bracket`] gives `(lo, hi)` such
-//! that every `q < lo` passes and every `q ≥ hi` fails, so the retention
-//! `ln` is taken only inside the bracket (a few parts in 10⁸ of `q`
-//! wide). Only the survivors draw word and lane, and
+//! chunk), in passes that each compact their survivors without branching
+//! on the coin-flip gate outcomes: the cap, the data gate, then the
+//! refresh gate. The refresh gate is tested in quantile space: per reuse
+//! bucket, [`RetentionLaw::quantile_bracket`] gives `(lo, hi)` such that
+//! every `q < lo` passes and every `q ≥ hi` fails, so the retention `ln`
+//! is taken only inside the bracket (a few parts in 10⁸ of `q` wide).
+//! Only the survivors draw word and lane, and
 //! `RunContext::manifest_cell` stops once the partial discovery time
 //! exceeds the run: a uniform onset draw below a precomputed floor exits
-//! before any `ln`. Stopping early is sound only on a stream private to
+//! before any `ln`. When that floor is larger than the share of cells the
+//! data gate rejects — a 900 s fleet epoch, not a 2 h run — the direct
+//! walk takes the onset draw as a pass of its own right after the cap, so
+//! the cells whose onset falls after the epoch (~61% with the calibrated
+//! physics) never seed their attribute stream; the pass drops exactly the
+//! cells `manifest_cell` would drop at its first step, and the survivors
+//! keep their order. Stopping early is sound only on a stream private to
 //! one cell, whose skipped draws no one reads; the shared sequential
 //! streams — the segment's quantile stream, the disturbance stream and
 //! the OS-resident population and run streams — draw every term, because
@@ -365,6 +371,10 @@ impl<'d> ErrorSim<'d> {
 /// units in canonical (segment, cell) order, then the rank's aux unit,
 /// share one pair-collision map; a second corrupted bit in an already
 /// manifested word upgrades to a UE.
+///
+/// The CE list and each rank's map are sized up front from the candidate
+/// counts, the most each can hold, so neither rehashes nor regrows while
+/// the merge runs.
 pub(crate) fn finalize_outcomes(
     outcomes: Vec<UnitOutcome>,
     ranks: usize,
@@ -372,23 +382,30 @@ pub(crate) fn finalize_outcomes(
     footprint_words: u64,
     duration_s: f64,
 ) -> RunResult {
-    let mut ce_events: Vec<CeEvent> = Vec::new();
+    let candidate_count = |unit: &UnitOutcome| match unit {
+        UnitOutcome::Pop(candidates) => candidates.len(),
+        UnitOutcome::Aux(aux) => aux.disturb.len(),
+    };
+    let units_per_rank = pop_units_per_rank + 1;
+    assert_eq!(outcomes.len(), ranks * units_per_rank, "per rank: population units, then aux");
+    let mut ce_events: Vec<CeEvent> =
+        Vec::with_capacity(outcomes.iter().map(candidate_count).sum());
     let mut earliest_ue: Option<UeEvent> = None;
-    let mut cursor = 0usize;
-    for rank_index in 0..ranks {
+    for (rank_index, units) in outcomes.chunks_exact(units_per_rank).enumerate() {
         let rank = RankId::from_index(rank_index);
-        let mut manifested: FxHashMap<u64, f64> = FxHashMap::default();
-        for _ in 0..pop_units_per_rank {
-            let UnitOutcome::Pop(candidates) = &outcomes[cursor] else {
-                unreachable!("population unit expected");
-            };
-            cursor += 1;
-            merge_candidates(candidates, rank, &mut ce_events, &mut manifested, &mut earliest_ue);
-        }
-        let UnitOutcome::Aux(aux) = &outcomes[cursor] else {
+        let mut manifested: FxHashMap<u64, f64> = FxHashMap::with_capacity_and_hasher(
+            units.iter().map(candidate_count).sum(),
+            Default::default(),
+        );
+        let (pop, [UnitOutcome::Aux(aux)]) = units.split_at(pop_units_per_rank) else {
             unreachable!("aux unit expected");
         };
-        cursor += 1;
+        for unit in pop {
+            let UnitOutcome::Pop(candidates) = unit else {
+                unreachable!("population unit expected");
+            };
+            merge_candidates(candidates, rank, &mut ce_events, &mut manifested, &mut earliest_ue);
+        }
         merge_candidates(&aux.disturb, rank, &mut ce_events, &mut manifested, &mut earliest_ue);
         for &t in &aux.ue_times {
             if earliest_ue.is_none_or(|ue| t < ue.t_s) {
@@ -469,6 +486,13 @@ pub(crate) struct RunContext<'a> {
     /// A uniform onset draw below this floor puts the onset beyond the run,
     /// so `manifest_cell` stops without taking its `ln`.
     onset_u_floor: f64,
+    /// Whether the direct walk tests each capped cell's onset draw before
+    /// its data gate: only when the draw rejects the larger share, i.e.
+    /// `onset_u_floor` exceeds the data gate's rejection rate
+    /// `tcf·(1−od) + (1−tcf)·od` (true-cell fraction, one density). With
+    /// the calibrated physics that holds for a 900 s fleet epoch (0.607 >
+    /// 0.5) and not for a 2 h run (0.018).
+    onset_first: bool,
     /// Word-level read rate (reads + patrol scrub) per spatial region,
     /// precomputed so the per-cell lookup is one index instead of a 128-bit
     /// division and two floating-point divisions.
@@ -557,6 +581,9 @@ impl<'a> RunContext<'a> {
         } else {
             0.0
         };
+        let one_density = profile.one_density.clamp(0.0, 1.0);
+        let tcf = physics.true_cell_fraction;
+        let data_gate_rejects = tcf * (1.0 - one_density) + (1.0 - tcf) * one_density;
         let ranks = device.geometry().total_ranks();
         let region_words = (profile.footprint_words / 64).max(1);
         let read_rate_by_region: Vec<f64> = (0..64)
@@ -584,6 +611,7 @@ impl<'a> RunContext<'a> {
             companion_fraction_by_bucket,
             refresh_bracket_by_bucket,
             onset_u_floor,
+            onset_first: onset_u_floor > data_gate_rejects,
             read_rate_by_region,
             word_samplers: (0..ranks)
                 .map(|rank| WordSampler::new(profile.footprint_words, rank, ranks))
@@ -667,17 +695,30 @@ impl<'a> RunContext<'a> {
     /// 1. draw each cell's quantile from the segment stream and keep those
     ///    below the thinning cap — the stream is shared by the segment's
     ///    cells, so every quantile is drawn;
-    /// 2. seed each cell's private attribute stream, draw `is_true` and
+    /// 2. only with `onset_run_seed` (the rank's run seed): seed each
+    ///    cell's private run stream, take its onset draw and drop the cells
+    ///    whose onset falls beyond the run — exactly the cells
+    ///    `manifest_cell` drops at its first step;
+    /// 3. seed each cell's private attribute stream, draw `is_true` and
     ///    `u_bit`, and keep the cells whose stored data can leak;
-    /// 3. draw `u_never` and `u_reuse`, take the reuse bucket and apply the
+    /// 4. draw `u_never` and `u_reuse`, take the reuse bucket and apply the
     ///    refresh gate in quantile space (`refresh_gate_passes`).
     ///
     /// Only the survivors draw their word and lane. The draws of each
     /// private stream come in the order `ErrorSim::run_reference`'s
     /// `sample_cell_attrs` takes them, and a stream stops where that
     /// function returns, so every visited cell is bit-identical to the
-    /// reference's.
-    fn walk_chunk(&self, rank_index: usize, chunk: u64, mut visit: impl FnMut(f64, GatedCell)) {
+    /// reference's. Pass 2 reads only the cell's run stream, which
+    /// `manifest_cell` reseeds, so it changes which cells are visited but
+    /// never what a visited cell draws; `prepare_chunk` freezes cells for
+    /// every replay's run seed and never takes it.
+    fn walk_chunk(
+        &self,
+        rank_index: usize,
+        chunk: u64,
+        onset_run_seed: Option<u64>,
+        mut visit: impl FnMut(f64, GatedCell),
+    ) {
         let expected = self.expected_weak_cells(rank_index);
         let seg_lo = chunk * SEGMENTS_PER_CHUNK;
         // Analytic thinning: a segment that starts at or beyond the cap
@@ -723,7 +764,18 @@ impl<'a> RunContext<'a> {
                     key[n] = (seg << 24) | j.min((1 << 24) - 1);
                     n += usize::from(cell_q < self.q_cap);
                 }
-                // Pass 2: the data gate.
+                // Pass 2, when it rejects more than the data gate: the
+                // onset draw.
+                if let Some(run_seed) = onset_run_seed {
+                    let mut k = 0;
+                    for i in 0..n {
+                        let u = exp_uniform(&mut cell_run_stream(run_seed, key[i]));
+                        (q[k], key[k]) = (q[i], key[i]);
+                        k += usize::from(u >= self.onset_u_floor);
+                    }
+                    n = k;
+                }
+                // Pass 3: the data gate.
                 let mut m = 0;
                 for i in 0..n {
                     let mut rng =
@@ -733,7 +785,7 @@ impl<'a> RunContext<'a> {
                     (q[m], key[m], attr[m]) = (q[i], key[i], rng);
                     m += usize::from(is_true_cell == stored_one);
                 }
-                // Pass 3: the refresh gate.
+                // Pass 4: the refresh gate.
                 let mut live = 0;
                 for i in 0..m {
                     let u_never: f64 = attr[i].gen();
@@ -785,7 +837,8 @@ impl<'a> RunContext<'a> {
         // magnitude — and each large buffer freed raises glibc's mmap
         // threshold, leaving the worker arenas holding the memory.
         let mut out = Vec::new();
-        self.walk_chunk(rank_index, chunk, |_q, cell| {
+        let onset_run_seed = self.onset_first.then_some(run_seed);
+        self.walk_chunk(rank_index, chunk, onset_run_seed, |_q, cell| {
             let read_rate = || self.word_read_rate(cell.word);
             if let Some(cand) = self.manifest_cell(&cell, read_rate, run_seed, p_companion_unit) {
                 out.push(cand);
@@ -809,7 +862,7 @@ impl<'a> RunContext<'a> {
         let law = self.device.retention_law();
         // Not pre-sized, for the reasons given in `population_chunk`.
         let mut out = Vec::new();
-        self.walk_chunk(rank_index, chunk, |q, cell| {
+        self.walk_chunk(rank_index, chunk, None, |q, cell| {
             out.push(crate::prepared::PreparedCell {
                 q,
                 retention: law.retention_at_fraction(q),
@@ -844,8 +897,7 @@ impl<'a> RunContext<'a> {
         p_companion_unit: f64,
     ) -> Option<Candidate> {
         let physics = self.device.physics();
-        let mut run_rng =
-            SimRng::seed_from_u64(mix_seed(rank_run_seed, cell.cell_key, CELL_RUN_SALT, 2));
+        let mut run_rng = cell_run_stream(rank_run_seed, cell.cell_key);
         let onset = sample_exp_unless_below(
             physics.onset_rate_hz,
             self.onset_u_floor,
@@ -1272,8 +1324,14 @@ fn sample_exp<R: RngCore>(rate_hz: f64, rng: &mut R) -> f64 {
     if rate_hz <= 0.0 {
         return f64::INFINITY;
     }
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    -u.ln() / rate_hz
+    -exp_uniform(rng).ln() / rate_hz
+}
+
+/// The uniform draw behind an exponential sample, in `[MIN_POSITIVE, 1)`
+/// so that its `ln` is finite.
+#[inline]
+fn exp_uniform<R: RngCore>(rng: &mut R) -> f64 {
+    rng.gen_range(f64::MIN_POSITIVE..1.0)
 }
 
 /// [`sample_exp`], except that a uniform draw below `u_floor` returns
@@ -1282,11 +1340,17 @@ fn sample_exp_unless_below<R: RngCore>(rate_hz: f64, u_floor: f64, rng: &mut R) 
     if rate_hz <= 0.0 {
         return Some(f64::INFINITY);
     }
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    let u = exp_uniform(rng);
     if u < u_floor {
         return None;
     }
     Some(-u.ln() / rate_hz)
+}
+
+/// A cell's private run stream: its onset, discovery, VRT and companion
+/// draws, keyed by the rank's run seed and the cell's key.
+fn cell_run_stream(rank_run_seed: u64, cell_key: u64) -> SimRng {
+    SimRng::seed_from_u64(mix_seed(rank_run_seed, cell_key, CELL_RUN_SALT, 2))
 }
 
 /// Environment bits for the *population* seed: temperature and voltage only
@@ -1529,6 +1593,20 @@ mod tests {
         let w_plain = sim.run(&plain, op, 7200.0, 9).wer();
         let w_random = sim.run(&random, op, 7200.0, 9).wer();
         assert!(w_random > w_plain, "coupling: random {w_random} vs plain {w_plain}");
+    }
+
+    #[test]
+    fn calibrated_physics_tests_onset_first_only_in_short_runs() {
+        // At 900 s the onset draw rejects e^-0.5 ≈ 0.607 of the capped
+        // cells against the data gate's 0.5, so the direct walk takes it
+        // first; at 7,200 s it rejects e^-4 ≈ 0.018 and stays in
+        // `manifest_cell`, after both gates.
+        let d = device();
+        let p = profile();
+        let op = OperatingPoint::relaxed(2.283, 70.0);
+        let onset_first = |duration_s| RunContext::new(&d, &p, op, duration_s, 0).onset_first;
+        assert!(onset_first(900.0), "a 900 s epoch must test the onset draw first");
+        assert!(!onset_first(7200.0), "a 2 h run must keep the data gate first");
     }
 
     // ---- sample_word_on_rank ------------------------------------------------

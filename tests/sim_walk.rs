@@ -165,11 +165,19 @@ fn one_block_per_segment(device: &DramDevice, rank: usize, op: OperatingPoint) -
 /// cells (asserted from `segment_cell_counts`), entropy 0 and 32, reuse
 /// times that put the refresh gate inside the population, reads fast
 /// enough that onsets just inside the run are discovered, a device without
-/// disturbance, thinning caps below and at 1, and both run
-/// lengths.
+/// disturbance, a device whose cells never fail, thinning caps below and at
+/// 1, and both run lengths. The direct walk tests the onset draw before the
+/// data gate when the draw rejects more cells; the cases take both orders
+/// at 900 s (a mostly-true-cell device holding all-zero data keeps the
+/// data gate first) and the data gate first at 7,200 s.
 #[test]
 fn blocked_walk_matches_the_per_cell_reference_at_1_and_8_threads() {
     let (one, eight) = (pool(1), pool(8));
+    let physics_with = |edit: fn(&mut ErrorPhysics)| {
+        let mut physics = ErrorPhysics::calibrated();
+        edit(&mut physics);
+        physics
+    };
     let devices = [
         DramDevice::with_seed(39),
         DramDevice::with_seed(42),
@@ -178,12 +186,24 @@ fn blocked_walk_matches_the_per_cell_reference_at_1_and_8_threads() {
             ServerGeometry::x_gene2(),
             ErrorPhysics::calibrated().without_disturbance(),
         ),
+        DramDevice::with_parts(
+            42,
+            ServerGeometry::x_gene2(),
+            physics_with(|p| p.true_cell_fraction = 0.9),
+        ),
+        DramDevice::with_parts(
+            39,
+            ServerGeometry::x_gene2(),
+            physics_with(|p| p.onset_rate_hz = 0.0),
+        ),
     ];
     let mut plain = uniform();
     plain.entropy_bits = 0.0;
+    let mut zeros = high_entropy();
+    zeros.one_density = 0.0;
     let mut cases = Vec::new();
     for device in &devices {
-        for profile in [plain.clone(), high_entropy(), reused(), fast_reads()] {
+        for profile in [plain.clone(), high_entropy(), reused(), fast_reads(), zeros.clone()] {
             for temp in [50.0, 60.0, 70.0] {
                 for trefp in [0.618, 2.283] {
                     for duration_s in [900.0, 7200.0] {
@@ -201,6 +221,7 @@ fn blocked_walk_matches_the_per_cell_reference_at_1_and_8_threads() {
     }
 
     let mut counts_walked = BTreeSet::new();
+    let mut orders = BTreeSet::new();
     for (i, (device, profile, op, duration_s)) in cases.iter().enumerate() {
         let (op, duration_s, seed) = (*op, *duration_s, i as u64);
         let sim = ErrorSim::new(device);
@@ -214,7 +235,16 @@ fn blocked_walk_matches_the_per_cell_reference_at_1_and_8_threads() {
         for counts in sim.segment_cell_counts(profile, op) {
             counts_walked.extend(counts[..walked].iter().copied());
         }
+        let physics = device.physics();
+        let (tcf, od) = (physics.true_cell_fraction, profile.one_density);
+        // Without onsets there is no onset draw to take first.
+        let rate = physics.onset_rate_hz;
+        let onset_rejects = if rate > 0.0 { (-duration_s * rate).exp() } else { 0.0 };
+        let onset_first = onset_rejects > tcf * (1.0 - od) + (1.0 - tcf) * od;
+        orders.insert((duration_s as u64, onset_first));
     }
+    let expected_orders = [(900, false), (900, true), (7200, false)];
+    assert_eq!(orders, BTreeSet::from(expected_orders), "(run length, onset first) covered");
     for count in [0, 1, 255, 256, 257] {
         assert!(counts_walked.contains(&count), "no walked segment of {count} cells");
     }
