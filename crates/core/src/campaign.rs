@@ -17,12 +17,16 @@
 //! population (the simulator keys populations by (device, rank, segment,
 //! cell, temp, vdd); see `wade_dram`'s `sim` module docs, which are
 //! normative). [`Campaign::collect`] therefore groups the grid by that
-//! population key, realizes each group **once** into a
-//! [`wade_dram::PreparedRun`] on the shared pool, and fans out replays
-//! that re-draw only run randomness. Replay is bit-for-bit identical to
-//! the direct path ([`Campaign::collect_direct`] — the reference
-//! implementation kept for verification), so collected campaigns are
-//! byte-identical whichever path produced them, at any thread count.
+//! population key and makes each group one unit of work on the shared
+//! pool: the unit realizes its population **once** into a
+//! [`wade_dram::PreparedRun`], replays every row it serves (re-drawing
+//! only run randomness) and drops the population before its worker takes
+//! the next group. At most pool-width populations are therefore alive at
+//! once; the rows are scattered back into their sequential order. Replay
+//! is bit-for-bit identical to the direct path ([`Campaign::collect_direct`]
+//! — the reference implementation kept for verification), so collected
+//! campaigns are byte-identical whichever path produced them, at any
+//! thread count.
 
 use crate::profile_cache::ProfileCache;
 use crate::server::{ProfiledWorkload, SimulatedServer};
@@ -292,12 +296,15 @@ impl Campaign {
     /// population caching (each (workload, temperature, voltage) group is
     /// realized once and replayed per set-point and repeat).
     ///
-    /// Within each temperature set-point the whole (op × workload) block —
-    /// including every PUE repeat — is one flat parallel workload on the
-    /// shared pool; rows are emitted in the same stable order as the
-    /// sequential loop (ops sorted by temperature, then suite order), and
-    /// the collected data is byte-identical to [`Campaign::collect_direct`]
-    /// at the same seed, on any number of threads.
+    /// Within each temperature set-point the (workload, voltage) groups are
+    /// the parallel units on the shared pool: each realizes its population,
+    /// replays every WER set-point and PUE repeat it serves, and drops the
+    /// population before its worker takes the next group, so at most
+    /// pool-width populations are alive at once. Rows are emitted in the
+    /// same stable order as the sequential loop (ops sorted by temperature,
+    /// then suite order), and the collected data is byte-identical to
+    /// [`Campaign::collect_direct`] at the same seed, on any number of
+    /// threads.
     pub fn collect(self, suite: &[BoxedWorkload], seed: u64) -> CampaignData {
         self.collect_impl(suite, seed, true)
     }
@@ -349,8 +356,8 @@ impl Campaign {
 
         let mut cursor = 0;
         while cursor < all_ops.len() {
-            // One thermal settle per set-point, then the whole block in
-            // parallel.
+            // One thermal settle per set-point, then the block's population
+            // groups in parallel.
             let temp = all_ops[cursor].0.temp_c;
             let block_end = all_ops[cursor..]
                 .iter()
@@ -362,96 +369,77 @@ impl Campaign {
             let block_ops = &all_ops[cursor..block_end];
             // Population keys within the block: the temperature is fixed,
             // so groups are (workload, vdd) — in practice one vdd, i.e.
-            // one prepared population per workload per set-point.
-            let vdds: Vec<u64> = {
-                let mut v: Vec<u64> = Vec::new();
-                for (op, _) in block_ops {
-                    if !v.contains(&op.vdd_v.to_bits()) {
-                        v.push(op.vdd_v.to_bits());
-                    }
+            // one population per workload per set-point.
+            let mut vdds: Vec<u64> = Vec::new();
+            for (op, _) in block_ops {
+                if !vdds.contains(&op.vdd_v.to_bits()) {
+                    vdds.push(op.vdd_v.to_bits());
                 }
-                v
-            };
-            let campaign = &self;
-            let profiled_ref = &profiled;
-            // Realize each group's population once, on the shared pool
-            // (each realization also fans out internally). Groups that
-            // would be replayed only once (a lone set-point with no
-            // repeats) skip preparation — freezing a population that is
-            // thresholded a single time costs more than the direct run it
-            // would save. The direct path skips all of this entirely.
-            let prepared_groups: Vec<Option<PreparedRun<'_>>> = if prepared {
-                let groups: Vec<(usize, u64)> = (0..profiled.len())
-                    .flat_map(|w| vdds.iter().map(move |&v| (w, v)))
-                    .collect();
-                groups
-                    .into_par_iter()
-                    .map(|(w, vdd_bits)| {
-                        let ops: Vec<OperatingPoint> = block_ops
-                            .iter()
-                            .filter(|(op, _)| op.vdd_v.to_bits() == vdd_bits)
-                            .map(|&(op, _)| op)
-                            .collect();
-                        let replays: u32 = block_ops
-                            .iter()
-                            .filter(|(op, _)| op.vdd_v.to_bits() == vdd_bits)
-                            .map(|&(_, is_pue)| {
-                                if is_pue {
-                                    campaign.config.pue_repeats
-                                } else {
-                                    1
-                                }
-                            })
-                            .sum();
-                        (replays > 1).then(|| campaign.prepare(&profiled_ref[w], &ops))
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-
-            let grid: Vec<(OperatingPoint, bool, usize)> = block_ops
-                .iter()
-                .flat_map(|&(op, is_pue)| {
-                    (0..profiled.len()).map(move |w| (op, is_pue, w))
-                })
-                .collect();
-            let block_rows: Vec<CampaignRow> = grid
+            }
+            let workloads = profiled.len();
+            let groups: Vec<(usize, u64)> =
+                (0..workloads).flat_map(|w| vdds.iter().map(move |&v| (w, v))).collect();
+            let repeats = |is_pue: bool| if is_pue { self.config.pue_repeats } else { 1 };
+            // One group is one parallel unit: it realizes its population,
+            // replays every row it serves (WER set-points and PUE repeats)
+            // and drops the population before its worker takes the next
+            // group, so at most pool-width populations are alive at once.
+            // A group replayed only once (a lone set-point with no repeats)
+            // skips preparation — freezing a population that is thresholded
+            // a single time costs more than the direct run it would save.
+            // The direct path never prepares. Each row carries its
+            // (op, workload) position in the block.
+            let group_rows: Vec<Vec<(usize, CampaignRow)>> = groups
                 .into_par_iter()
-                .map(|(op, is_pue, w)| {
-                    let p = &profiled_ref[w];
-                    let row_seed = seed ^ hash_name(&p.name) ^ ((op.trefp_s * 1e4) as u64);
-                    let repeats = if is_pue { campaign.config.pue_repeats } else { 1 };
-                    let group = if prepared {
-                        let vdd_idx =
-                            vdds.iter().position(|&v| v == op.vdd_v.to_bits()).unwrap();
-                        prepared_groups[w * vdds.len() + vdd_idx].as_ref()
-                    } else {
-                        None
-                    };
-                    let mut runs = match group {
-                        Some(prep) => campaign.characterize_prepared(prep, op, repeats, row_seed),
-                        None => campaign.characterize(p, op, repeats, row_seed),
-                    };
-                    let (wer_run, pue_runs) = if is_pue {
-                        (None, runs)
-                    } else {
-                        (Some(runs.remove(0)), Vec::new())
-                    };
-                    CampaignRow {
-                        workload: p.name.clone(),
-                        op,
-                        features: p.features.clone(),
-                        wer_run,
-                        pue_runs,
-                    }
+                .map(|(w, vdd_bits)| {
+                    let p = &profiled[w];
+                    let members: Vec<(usize, OperatingPoint, bool)> = block_ops
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, (op, _))| op.vdd_v.to_bits() == vdd_bits)
+                        .map(|(i, &(op, is_pue))| (i, op, is_pue))
+                        .collect();
+                    let replays: u32 = members.iter().map(|&(_, _, is_pue)| repeats(is_pue)).sum();
+                    let group = (prepared && replays > 1).then(|| {
+                        let ops: Vec<OperatingPoint> = members.iter().map(|m| m.1).collect();
+                        self.prepare(p, &ops)
+                    });
+                    members
+                        .into_iter()
+                        .map(|(i, op, is_pue)| {
+                            let row_seed = seed ^ hash_name(&p.name) ^ ((op.trefp_s * 1e4) as u64);
+                            let mut runs = match &group {
+                                Some(prep) => {
+                                    self.characterize_prepared(prep, op, repeats(is_pue), row_seed)
+                                }
+                                None => self.characterize(p, op, repeats(is_pue), row_seed),
+                            };
+                            let (wer_run, pue_runs) = if is_pue {
+                                (None, runs)
+                            } else {
+                                (Some(runs.remove(0)), Vec::new())
+                            };
+                            let row = CampaignRow {
+                                workload: p.name.clone(),
+                                op,
+                                features: p.features.clone(),
+                                wer_run,
+                                pue_runs,
+                            };
+                            (i * workloads + w, row)
+                        })
+                        .collect()
                 })
                 .collect();
-            for row in &block_rows {
+            // Scatter back into the sequential loop's (op, workload) order.
+            let mut block_rows: Vec<(usize, CampaignRow)> =
+                group_rows.into_iter().flatten().collect();
+            block_rows.sort_unstable_by_key(|&(i, _)| i);
+            for (_, row) in block_rows {
                 let runs = if row.wer_run.is_some() { 1 } else { row.pue_runs.len() };
                 simulated += self.config.run_duration_s * runs as f64;
+                rows.push(row);
             }
-            rows.extend(block_rows);
             cursor = block_end;
         }
         CampaignData { rows, simulated_seconds: simulated }

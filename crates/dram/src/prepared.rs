@@ -25,32 +25,30 @@ use crate::sim::{finalize_outcomes, Candidate, GatedCell, OsCell, OsSource, RunC
 use rayon::prelude::*;
 
 /// One frozen weak cell of the benchmark-footprint population: every
-/// attribute that is a pure function of the population streams, plus the
-/// profile-derived read rate of its word. 48 bytes per cell.
+/// attribute that is a pure function of the population streams. 32 bytes
+/// per cell; what follows from these (retention, the word's read rate) is
+/// recomputed by the replay that needs it.
 ///
 /// Cells that can never manifest anywhere in the prepared envelope are
 /// dropped at realization time, so the arena holds only cells a replay
 /// might have to gate.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PreparedCell {
-    /// Retention quantile — compared against each replay's thinning cap
-    /// with exactly the direct path's comparison.
+    /// Retention quantile — gated at each replay's set-point with exactly
+    /// the direct walk's thinning-cap and refresh-gate comparisons.
     pub(crate) q: f64,
-    /// Retention time at `q` (seconds).
-    pub(crate) retention: f64,
     /// 64-bit word index within the footprint, on the cell's rank.
     pub(crate) word: u64,
     /// `(segment << 24) | index` — the cell's identity in the derived
     /// run-stream domain.
     pub(crate) cell_key: u64,
-    /// Word-level read rate (reads + patrol scrub) of the cell's region;
-    /// profile-derived, so refresh-period independent.
-    pub(crate) read_rate: f64,
     /// Bit lane within the 72-bit ECC word.
     pub(crate) lane: u8,
     /// Reuse bucket for the implicit-refresh gate and companion weight.
     pub(crate) bucket: u8,
 }
+
+const _: () = assert!(std::mem::size_of::<PreparedCell>() == 32);
 
 impl PreparedCell {
     /// Plays out one replay's run randomness for this (already gated)
@@ -68,7 +66,7 @@ impl PreparedCell {
             lane: self.lane,
             cell_key: self.cell_key,
         };
-        ctx.manifest_cell(&gated, || self.read_rate, rank_run_seed, p_companion_unit)
+        ctx.manifest_cell(&gated, || ctx.word_read_rate(self.word), rank_run_seed, p_companion_unit)
     }
 }
 
@@ -197,17 +195,18 @@ impl<'d> PreparedRun<'d> {
         let mut ranks = Vec::with_capacity(rank_count);
         let mut iter = outputs.into_iter();
         for _ in 0..rank_count {
-            let mut cells = Vec::new();
+            let mut chunk_cells = Vec::with_capacity(chunks);
             for _ in 0..chunks {
                 let Some(Realized::Cells(chunk)) = iter.next() else {
                     unreachable!("population chunk expected");
                 };
-                cells.extend(chunk);
+                chunk_cells.push(chunk);
             }
             let Some(Realized::Os(os_cells)) = iter.next() else {
                 unreachable!("OS walk expected");
             };
-            ranks.push(PreparedRank { cells, os_cells });
+            // One allocation at exact capacity, not a doubling `Vec`.
+            ranks.push(PreparedRank { cells: chunk_cells.concat(), os_cells });
         }
         // Realization stamp: monotone process-wide counter (never part of
         // any simulated randomness — purely an identity check).
@@ -257,7 +256,7 @@ impl<'d> PreparedRun<'d> {
                 rank.cells
                     .iter()
                     .enumerate()
-                    .filter(|(_, c)| ctx.cell_is_live(c.q, c.retention, c.bucket as usize))
+                    .filter(|(_, c)| ctx.cell_is_live(c.q, c.bucket as usize))
                     .map(|(i, _)| i as u32)
                     .collect()
             })

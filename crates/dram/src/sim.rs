@@ -653,24 +653,24 @@ impl<'a> RunContext<'a> {
     /// only if its retention (shortened by data coupling) is below the
     /// effective refresh period of its reuse bucket.
     #[inline]
-    pub(crate) fn passes_refresh_gate(&self, retention: f64, bucket: usize) -> bool {
+    fn passes_refresh_gate(&self, retention: f64, bucket: usize) -> bool {
         retention * self.coupling < self.t_eff_by_bucket[bucket]
     }
 
     /// The population-side gates re-applied to an already-realized cell at
     /// this operating point: the thinning cap and the implicit-refresh
     /// gate. (The data-dependence gate is op-independent and already
-    /// applied at realization time.) Same comparisons as the direct path.
+    /// applied at realization time.) Same comparisons as the direct walk.
     #[inline]
-    pub(crate) fn cell_is_live(&self, q: f64, retention: f64, bucket: usize) -> bool {
-        q < self.q_cap && self.passes_refresh_gate(retention, bucket)
+    pub(crate) fn cell_is_live(&self, q: f64, bucket: usize) -> bool {
+        q < self.q_cap && self.refresh_gate_passes(q, bucket)
     }
 
     /// The word-level read rate seen by a word's region (reads plus patrol
     /// scrub). `word / region_words` stays within the 0..64 table because
     /// `region_words = max(footprint/64, 1)`.
     #[inline]
-    fn word_read_rate(&self, word: u64) -> f64 {
+    pub(crate) fn word_read_rate(&self, word: u64) -> f64 {
         let region = (word / self.region_words) as usize;
         self.read_rate_by_region[region.min(63)]
     }
@@ -859,16 +859,13 @@ impl<'a> RunContext<'a> {
         rank_index: usize,
         chunk: u64,
     ) -> Vec<crate::prepared::PreparedCell> {
-        let law = self.device.retention_law();
         // Not pre-sized, for the reasons given in `population_chunk`.
         let mut out = Vec::new();
         self.walk_chunk(rank_index, chunk, None, |q, cell| {
             out.push(crate::prepared::PreparedCell {
                 q,
-                retention: law.retention_at_fraction(q),
                 word: cell.word,
                 cell_key: cell.cell_key,
-                read_rate: self.word_read_rate(cell.word),
                 lane: cell.lane,
                 bucket: cell.bucket as u8,
             });
