@@ -1209,6 +1209,21 @@ fn report_eq(a: &AccuracyReport, b: &AccuracyReport) -> bool {
             .all(|((wa, ea), (wb, eb))| wa == wb && ea.to_bits() == eb.to_bits())
 }
 
+/// The `store:` line `bench fleet sweep` and `bench fleet extend` end a
+/// pass with: what the pass read, refused, wrote and left on disk.
+fn print_store_line(store: &wade_store::ArtifactStore) {
+    println!(
+        "store: {} — {} hits, {} misses, {} corrupt, {} unfit, {} writes, {} B live",
+        store.root().display(),
+        store.hits(),
+        store.misses(),
+        store.corrupt(),
+        store.unfit(),
+        store.writes(),
+        store.live_bytes(),
+    );
+}
+
 /// `bench fleet <sweep|extend|eval>`: sweep a heterogeneous device fleet
 /// through the shared store (per-`(shard, epoch)` slice artifacts; warm
 /// slices are pure reads); `extend` grows the same fleet's epoch count
@@ -1241,14 +1256,7 @@ fn fleet_command(action: Option<&str>, args: &Args) {
             engine.simulations(),
             if engine.simulations() == 0 { "fully warm" } else { "cold slices simulated" },
         );
-        println!(
-            "store: {} — {} hits, {} misses, {} writes, {} B live",
-            store.root().display(),
-            store.hits(),
-            store.misses(),
-            store.writes(),
-            store.live_bytes(),
-        );
+        print_store_line(&store);
         (engine, outcome)
     };
     match action {
@@ -1297,14 +1305,7 @@ fn fleet_command(action: Option<&str>, args: &Args) {
                  ({prefix_slices} slices on disk before extension)",
                 engine.simulations().min(delta),
             );
-            println!(
-                "store: {} — {} hits, {} misses, {} writes, {} B live",
-                store.root().display(),
-                store.hits(),
-                store.misses(),
-                store.writes(),
-                store.live_bytes(),
-            );
+            print_store_line(&store);
             if prefix_sims != 0 || engine.simulations() > delta {
                 eprintln!(
                     "error: extension re-simulated the epoch prefix \

@@ -98,7 +98,7 @@ impl Lab {
         let suite = experiment_suite();
         let key = wade_core::campaign_store_key(&server(), &config, &suite, CAMPAIGN_SEED);
         let root = self.store.root().display();
-        let (data, hit) = self.store.get_or_put(wade_core::CAMPAIGN_KIND, &key, || {
+        let (data, hit) = self.store.get_or_put(wade_core::CAMPAIGN_KIND, &key, |_| true, || {
             eprintln!("[wade-bench] collecting full campaign into {root} (first run)…");
             Campaign::new(server(), config)
                 .with_profile_cache(self.cache.clone())

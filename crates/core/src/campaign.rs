@@ -325,7 +325,8 @@ impl Campaign {
         seed: u64,
     ) -> CampaignData {
         let key = crate::collect::campaign_store_key(&self.server, &self.config, suite, seed);
-        store.get_or_put(crate::collect::CAMPAIGN_KIND, &key, || self.collect(suite, seed)).0
+        let collect = || self.collect(suite, seed);
+        store.get_or_put(crate::collect::CAMPAIGN_KIND, &key, |_| true, collect).0
     }
 
     /// The reference collection path: identical grid, seeds and row order

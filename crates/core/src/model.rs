@@ -88,6 +88,18 @@ pub enum AnyModel {
     Rdf(ForestRegressor),
 }
 
+impl AnyModel {
+    /// Whether the model predicts rows of `width` features: the store's
+    /// fit check on every model read ([`ArtifactStore::get_or_put`]).
+    pub fn fits(&self, width: usize) -> bool {
+        match self {
+            AnyModel::Knn(m) => m.fits(width),
+            AnyModel::Svr(m) => m.fits(width),
+            AnyModel::Rdf(m) => m.fits(width),
+        }
+    }
+}
+
 impl Regressor for AnyModel {
     fn predict(&self, features: &[f64]) -> f64 {
         match self {
@@ -250,7 +262,7 @@ pub fn train_error_model_stored(
         .map(|target| {
             target.map(|(dataset, key)| {
                 let train = || kind.train_any(&dataset.features(), &dataset.targets());
-                let model = fold_model(store.zip(key.as_deref()), train).0;
+                let model = fold_model(store.zip(key.as_deref()), dataset.dim(), train).0;
                 keys.extend(key);
                 model
             })
@@ -346,6 +358,24 @@ mod tests {
             restored.predict_pue(&row.features, OperatingPoint::relaxed(2.283, 70.0))
         );
         assert_eq!(restored.kind, MlKind::Knn);
+    }
+
+    #[test]
+    fn models_fit_only_the_width_they_read() {
+        // The signal sits in the last of three features, so every forest
+        // split reads it.
+        let x: Vec<Vec<f64>> = (0..24).map(|i| vec![0.0, 1.0, f64::from(i)]).collect();
+        let y: Vec<f64> = (0..24).map(f64::from).collect();
+        for kind in MlKind::ALL {
+            let model = kind.train_any(&x, &y);
+            assert!(model.fits(3), "{kind}");
+            assert!(!model.fits(2), "{kind} reads past a 2-wide row");
+        }
+        // KNN and SVR scale exactly the trained width; a forest only
+        // needs every split feature in range.
+        assert!(!MlKind::Knn.train_any(&x, &y).fits(4));
+        assert!(!MlKind::Svm.train_any(&x, &y).fits(4));
+        assert!(MlKind::Rdf.train_any(&x, &y).fits(4));
     }
 
     #[test]

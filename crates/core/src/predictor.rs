@@ -250,11 +250,12 @@ fn evaluate_folds(
                 return (Vec::new(), 0, 0);
             }
             let (mut trainings, mut store_hits) = (0, 0);
+            let width = datasets[*di].1.dim();
             let folds = kinds
                 .iter()
                 .map(|&kind| {
                     let key = ids[*di].as_deref().map(|id| model_store_key(kind, id, group));
-                    let (model, hit) = fold_model(store.zip(key.as_deref()), || {
+                    let (model, hit) = fold_model(store.zip(key.as_deref()), width, || {
                         kind.train_any(&train_x, &train_y)
                     });
                     if hit {
@@ -285,15 +286,17 @@ fn evaluate_folds(
     (folds, trainings, store_hits)
 }
 
-/// One model, read through the store under the given key
-/// ([`ArtifactStore::get_or_put`]; the flag is `true` on a store hit).
-/// `None` trains without persistence.
+/// One model for rows of `width` features, read through the store under
+/// the given key ([`ArtifactStore::get_or_put`]; the flag is `true` on a
+/// store hit). A stored model that does not fit that width is retrained
+/// and republished. `None` trains without persistence.
 pub(crate) fn fold_model(
     store: Option<(&ArtifactStore, &str)>,
+    width: usize,
     train: impl FnOnce() -> AnyModel,
 ) -> (AnyModel, bool) {
     match store {
-        Some((store, key)) => store.get_or_put(MODEL_KIND, key, train),
+        Some((store, key)) => store.get_or_put(MODEL_KIND, key, |m| m.fits(width), train),
         None => (train(), false),
     }
 }

@@ -157,7 +157,7 @@ impl ProfileCache {
         // first insert wins so all consumers share one canonical allocation.
         let profile = || server.profile_workload(workload, seed);
         let (profiled, disk_hit) = match &self.store {
-            Some(store) => store.get_or_put(PROFILE_KIND, &key.canonical(), profile),
+            Some(store) => store.get_or_put(PROFILE_KIND, &key.canonical(), |_| true, profile),
             None => (profile(), false),
         };
         let counter = if disk_hit { &self.disk_hits } else { &self.misses };

@@ -433,7 +433,7 @@ pub fn transfer_matrix(
                         x.len(),
                         dataset_fingerprint(x, y),
                     );
-                    s.get_or_put(FLEET_MODEL_KIND, &key, train).0
+                    s.get_or_put(FLEET_MODEL_KIND, &key, |m| m.fits(x[0].len()), train).0
                 }
                 None => train(),
             })

@@ -62,7 +62,8 @@
 //!   recomputes exactly the alive devices of that one `(shard, epoch)`
 //!   cell and republishes — the fold is byte-identical either way. A
 //!   stored slice whose shard, epoch or rows disagree with the alive set
-//!   is mis-keyed and handled like a missing one.
+//!   is mis-keyed: the store's read-through fit check counts it as unfit
+//!   and it is handled like a missing one.
 //! - A warm [`FleetSweep::sweep_stored`] performs **zero** simulations and
 //!   zero workload profiling ([`FleetSweep::simulations`] /
 //!   [`FleetSweep::profilings`]): the workload suite is profiled lazily,

@@ -321,14 +321,9 @@ impl FleetSweep {
     /// profiling), missing ones — cold, evicted, or unreadable under a
     /// degraded store — are simulated for exactly the devices still alive
     /// and republished. A stored slice whose shard, epoch or rows disagree
-    /// with the alive set (a mis-keyed artifact) is treated as corrupt the
-    /// same way. The fold stops early once every device of the shard has
-    /// failed.
-    ///
-    /// This is the one store view that does not read through
-    /// [`ArtifactStore::get_or_put`]: a slice that reads back fine must
-    /// still be checked against the alive set before it is used, so the
-    /// `get` and the `put` stay apart.
+    /// with the alive set (a mis-keyed artifact) fails the fit check of
+    /// [`ArtifactStore::get_or_put`] and is recomputed the same way. The
+    /// fold stops early once every device of the shard has failed.
     pub(crate) fn shard_stored(&self, store: &ArtifactStore, shard: u32) -> FleetShard {
         let range = self.spec.shard_range(shard);
         let start = range.start;
@@ -338,20 +333,13 @@ impl FleetSweep {
             if alive.is_empty() {
                 break;
             }
-            let key = self.slice_key(shard, epoch);
-            let slice = match store.get::<FleetSlice>(FLEET_SLICE_KIND, &key) {
-                Some(slice)
-                    if (slice.shard, slice.epoch) == (shard, epoch)
-                        && slice.rows.iter().map(|r| r.index).eq(alive.iter().copied()) =>
-                {
-                    slice
-                }
-                _ => {
-                    let slice = self.simulate_slice(shard, epoch, &alive);
-                    let _ = store.put(FLEET_SLICE_KIND, &key, &slice);
-                    slice
-                }
+            let fits = |slice: &FleetSlice| {
+                (slice.shard, slice.epoch) == (shard, epoch)
+                    && slice.rows.iter().map(|r| r.index).eq(alive.iter().copied())
             };
+            let simulate = || self.simulate_slice(shard, epoch, &alive);
+            let key = self.slice_key(shard, epoch);
+            let (slice, _) = store.get_or_put(FLEET_SLICE_KIND, &key, fits, simulate);
             alive.clear();
             for row in slice.rows {
                 let history = &mut devices[(row.index - start) as usize];
@@ -501,6 +489,7 @@ mod tests {
         let outcome = healed.sweep_stored(&store);
         assert_eq!(outcome.devices, devices, "a mis-keyed slice leaked into the sweep");
         assert_eq!(healed.simulations(), alive, "only the mis-keyed slice is recomputed");
+        assert_eq!((store.unfit(), store.corrupt()), (1, 0), "a mis-keyed slice is unfit");
 
         let warm = FleetSweep::new(spec, 7);
         assert_eq!(warm.sweep_stored(&store).devices, devices);

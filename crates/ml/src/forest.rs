@@ -163,6 +163,12 @@ impl ForestRegressor {
     pub fn node_count(&self) -> usize {
         self.node_features.len()
     }
+
+    /// Whether every split reads a feature below `width`, so rows of that
+    /// width can be predicted without indexing past their end.
+    pub fn fits(&self, width: usize) -> bool {
+        self.node_features.iter().all(|&f| f == ARENA_LEAF || usize::from(f) < width)
+    }
 }
 
 impl Regressor for ForestRegressor {

@@ -112,6 +112,11 @@ fn weighted_prediction(neighbours: &[(f64, usize, f64)]) -> f64 {
 }
 
 impl KnnRegressor {
+    /// Whether the model was trained on rows of `width` features.
+    pub fn fits(&self, width: usize) -> bool {
+        self.scaler.dim() == width
+    }
+
     /// Exhaustive-scan prediction — the reference path the pruned
     /// [`Regressor::predict`] is bit-identical to (`tests/` pin this).
     ///

@@ -119,6 +119,13 @@ pub struct SvrRegressor {
     scaler: StandardScaler,
 }
 
+impl SvrRegressor {
+    /// Whether the model was trained on rows of `width` features.
+    pub fn fits(&self, width: usize) -> bool {
+        self.scaler.dim() == width
+    }
+}
+
 impl Regressor for SvrRegressor {
     fn predict(&self, features: &[f64]) -> f64 {
         let q = self.scaler.transform(features);

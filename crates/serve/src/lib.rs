@@ -27,15 +27,22 @@
 //!   polls the entries' mtimes through the `wade_fault::StoreFs` seam
 //!   (fault schedules apply to serving too) and hot-swaps the in-memory
 //!   models when an artifact changes; in-flight requests finish on the
-//!   model snapshot they started with.
+//!   model snapshot they started with. Boot and reload read through the
+//!   store's fit check: a published model of the wrong input width is
+//!   refused, retrained and rewritten, never served.
 //! * **Failure degrades, never aborts.** Store faults fall back to the
 //!   in-memory models (no 5xx from the disk tier); malformed requests get
 //!   400, oversized bodies 413, unknown routes 404 — and the server keeps
 //!   serving after every one of them, including abrupt client disconnects.
+//!   A model that panics answers that request 500 and the connection
+//!   keeps serving; since the store refuses every model that could panic
+//!   on a served row, only this crate's tests reach that path, by
+//!   installing such a model in a registry slot directly.
 //! * **Observability.** `GET /healthz` reports liveness and
 //!   degraded-mode state; `GET /metrics` exposes request/error counters,
 //!   the batch-size histogram (rows per `predict_rows` call, one call per
-//!   served request), latency aggregates and reload counts.
+//!   served request), latency aggregates, reload counts and the store's
+//!   count of refused (unfit) models.
 //!
 //! ```no_run
 //! use wade_core::{Campaign, CampaignConfig, SimulatedServer};

@@ -94,8 +94,10 @@ impl Metrics {
     }
 
     /// Renders the `GET /metrics` body (fixed key order; `degraded` is the
-    /// artifact store's degradation state, `false` without a store).
-    pub(crate) fn render_json(&self, degraded: bool) -> String {
+    /// artifact store's degradation state, `false` without a store, and
+    /// `store_unfit` its count of stored models refused for not fitting
+    /// their rows, 0 without a store).
+    pub(crate) fn render_json(&self, degraded: bool, store_unfit: u64) -> String {
         let hist = self.batch_histogram();
         let mut hist_fields: Vec<String> = BATCH_BUCKETS
             .iter()
@@ -106,7 +108,7 @@ impl Metrics {
         // A served predict is one batch and one latency sample.
         let served = self.batches();
         format!(
-            "{{\"requests\":{},\"predict_requests\":{},\"rows_predicted\":{},\"errors_4xx\":{},\"errors_5xx\":{},\"batches\":{},\"batch_size_hist\":{{{}}},\"latency_us\":{{\"count\":{},\"sum\":{},\"max\":{}}},\"reloads\":{},\"degraded\":{}}}",
+            "{{\"requests\":{},\"predict_requests\":{},\"rows_predicted\":{},\"errors_4xx\":{},\"errors_5xx\":{},\"batches\":{},\"batch_size_hist\":{{{}}},\"latency_us\":{{\"count\":{},\"sum\":{},\"max\":{}}},\"reloads\":{},\"degraded\":{},\"store_unfit\":{}}}",
             self.requests(),
             served,
             self.rows_predicted.load(Ordering::Relaxed),
@@ -119,6 +121,7 @@ impl Metrics {
             self.latency_us_max.load(Ordering::Relaxed),
             self.reloads(),
             degraded,
+            store_unfit,
         )
     }
 }
@@ -151,7 +154,7 @@ mod tests {
         let m = Metrics::new();
         m.record_predict(5, 1200);
         m.record_request(200);
-        let json = m.render_json(false);
+        let json = m.render_json(false, 2);
         for needle in [
             "\"requests\":1",
             "\"predict_requests\":1",
@@ -159,10 +162,10 @@ mod tests {
             "\"batch_size_hist\":{\"le_1\":0,\"le_2\":0,\"le_4\":0,\"le_8\":1,",
             "\"latency_us\":{\"count\":1,\"sum\":1200,\"max\":1200}",
             "\"reloads\":0",
-            "\"degraded\":false",
+            "\"degraded\":false,\"store_unfit\":2}",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
-        assert!(m.render_json(true).contains("\"degraded\":true"));
+        assert!(m.render_json(true, 0).contains("\"degraded\":true"));
     }
 }

@@ -6,7 +6,10 @@
 //! finishes on the model it started with. Reload detection polls the
 //! store entries' mtimes through [`ArtifactStore::entry_stamp`], which
 //! goes through the `StoreFs` seam, so fault schedules and degraded mode
-//! apply to serving exactly as they do to campaign caching.
+//! apply to serving exactly as they do to campaign caching. Boot and
+//! reload read every model through the store's fit check, so a published
+//! model of the wrong input width is refused, retrained and rewritten,
+//! never served.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
@@ -66,9 +69,20 @@ impl ModelRegistry {
         self.store.as_deref().is_some_and(ArtifactStore::degraded)
     }
 
+    /// Stored models the backing store refused for not fitting their rows
+    /// ([`ArtifactStore::unfit`]); 0 without a store.
+    pub(crate) fn store_unfit(&self) -> u64 {
+        self.store.as_deref().map_or(0, ArtifactStore::unfit)
+    }
+
     /// One reload poll: compares every backing artifact's mtime against
     /// the last seen value and rebuilds the families whose artifacts
     /// changed. Returns the number of families reloaded.
+    ///
+    /// A changed artifact that does not fit the served rows is refused by
+    /// the rebuild, which retrains and rewrites it; the rewrite is itself
+    /// a change, so the next poll reloads that family once more, from the
+    /// rewritten entry.
     ///
     /// A stamp that reads as `None` (entry unreadable, store degraded,
     /// fault injected) never triggers a reload and never forgets the last
@@ -115,6 +129,15 @@ impl ModelRegistry {
                 stamps.insert(key.clone(), stamp);
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl ModelRegistry {
+    /// Puts `model` in `kind`'s slot without the store: the one way to
+    /// serve a model the store's fit check would refuse.
+    pub(crate) fn install(&self, kind: MlKind, model: ErrorModel) {
+        *self.models[kind_index(kind)].write().expect("model slot poisoned") = Arc::new(model);
     }
 }
 

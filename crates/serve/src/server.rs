@@ -233,7 +233,9 @@ fn route(
             );
             (200, "OK", body)
         }
-        ("GET", "/metrics") => (200, "OK", metrics.render_json(registry.degraded())),
+        ("GET", "/metrics") => {
+            (200, "OK", metrics.render_json(registry.degraded(), registry.store_unfit()))
+        }
         ("POST", "/predict") => predict(request, registry, metrics),
         _ => (404, "Not Found", error_body("no such route")),
     }
@@ -281,4 +283,69 @@ fn predict(
 
 fn error_body(reason: &str) -> String {
     format!("{{\"error\":\"{reason}\"}}")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::read_response;
+    use crate::protocol::PredictRow;
+    use serde::{Deserialize, Serialize, Value};
+    use std::io::Write;
+    use wade_core::{
+        build_pue_dataset, Campaign, CampaignConfig, ErrorModel, MlKind, SimulatedServer,
+    };
+    use wade_dram::OperatingPoint;
+    use wade_workloads::{paper_suite, Scale};
+
+    fn send_request(stream: &mut TcpStream, method: &str, path: &str, body: &str) {
+        let head = format!(
+            "{method} {path} HTTP/1.1\r\nHost: wade\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        stream.write_all(head.as_bytes()).expect("send head");
+        stream.write_all(body.as_bytes()).expect("send body");
+    }
+
+    #[test]
+    fn protocol_a_panicking_model_answers_500_and_the_connection_keeps_serving() {
+        let data = Campaign::new(SimulatedServer::with_seed(5), CampaignConfig::quick())
+            .collect(&paper_suite(Scale::Test), 8);
+        let server =
+            Server::start(ServeConfig::default(), data.clone(), None).expect("bind loopback");
+        let kind = MlKind::Rdf;
+        // A forest over rows twice the served width whose signal sits only
+        // in the extra half: its splits index past the end of every served
+        // row.
+        let width = build_pue_dataset(&data, SERVED_SET).dim();
+        let (x, y): (Vec<Vec<f64>>, Vec<f64>) = (0..32)
+            .map(|i| {
+                let mut row = vec![0.0; width];
+                row.extend(std::iter::repeat_n(f64::from(i), width));
+                (row, f64::from(i))
+            })
+            .unzip();
+        let wide = kind.train_any(&x, &y);
+        // The served model with the wide forest in its PUE slot. The store
+        // refuses such a model, so it is installed straight into the slot.
+        let mut tree = server.registry().model(kind).to_value();
+        let Value::Map(fields) = &mut tree else { panic!("an error model is a map") };
+        fields.iter_mut().find(|(name, _)| name == "pue_model").expect("PUE slot").1 =
+            Some(wide).to_value();
+        server.registry().install(kind, ErrorModel::from_value(&tree).expect("model rebuilds"));
+
+        let op = OperatingPoint::relaxed(OperatingPoint::WER_TREFP_SWEEP[0], 60.0);
+        let rows = data.rows.iter().take(3).map(|row| PredictRow::new(&row.features, op));
+        let request = PredictRequest { model: kind.label().to_string(), rows: rows.collect() };
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        send_request(&mut stream, "POST", "/predict", &serde_json::to_string(&request).unwrap());
+        let (status, served) = read_response(&mut stream).expect("response");
+        assert_eq!(status, 500);
+        assert_eq!(served, b"{\"error\":\"prediction failed\"}");
+        // The same keep-alive connection is still served.
+        send_request(&mut stream, "GET", "/healthz", "");
+        let (status, _) = read_response(&mut stream).expect("healthz after the 500");
+        assert_eq!(status, 200);
+        assert_eq!(server.metrics().errors_5xx(), 1);
+    }
 }

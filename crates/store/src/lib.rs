@@ -7,11 +7,11 @@
 //! campaign data, fold and serving models and fleet transfer models are
 //! views over one [`ArtifactStore`], each read through
 //! [`ArtifactStore::get_or_put`], so repeated invocations, CI and figure
-//! binaries pay ~0 for work another process already did. The one view
-//! with its own `get` and `put` is the fleet sweep's slice read, which
-//! must also reject a stored slice that disagrees with the devices still
-//! alive. The contract (normative; ARCHITECTURE.md §11 documents the
-//! layout, §12 the failure semantics):
+//! binaries pay ~0 for work another process already did. Each view hands
+//! that call a fit check too: a model must accept its dataset's row width,
+//! a fleet slice must match the devices still alive. The contract
+//! (normative; ARCHITECTURE.md §11 documents the layout, §12 the failure
+//! semantics):
 //!
 //! * **Content is pure.** Every artifact is a pure function of its key; a
 //!   warm read is *byte-identical* to recomputing (payloads store every
@@ -26,6 +26,9 @@
 //!   truncated, garbled or foreign-version file fails the checks, counts as
 //!   [`ArtifactStore::corrupt`], and is atomically rewritten by the next
 //!   [`ArtifactStore::put`].
+//! * **A misfit is a miss.** An entry that decodes but fails its reader's
+//!   fit check counts as [`ArtifactStore::unfit`] and is recomputed and
+//!   rewritten by [`ArtifactStore::get_or_put`], like a corrupt one.
 //! * **Writes are atomic.** Payloads land in a temp file in the target
 //!   directory and are renamed into place, so a crashed or concurrent
 //!   writer can never publish a half-written entry.
@@ -260,6 +263,7 @@ pub struct ArtifactStore {
     hits: AtomicU64,
     misses: AtomicU64,
     corrupt: AtomicU64,
+    unfit: AtomicU64,
     writes: AtomicU64,
     retries: AtomicU64,
     io_errors: AtomicU64,
@@ -287,6 +291,7 @@ impl ArtifactStore {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
+            unfit: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
@@ -320,6 +325,16 @@ impl ArtifactStore {
     /// still maintains the hit/miss/corrupt counters, so `get` is exactly
     /// `try_get(..).unwrap_or(None)`.
     pub fn try_get<T: Deserialize>(&self, kind: &str, key: &str) -> Result<Option<T>, StoreError> {
+        let value = self.read(kind, key)?;
+        if value.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(value)
+    }
+
+    /// [`ArtifactStore::try_get`] without counting a hit, so
+    /// [`ArtifactStore::get_or_put`] can still refuse what decoded.
+    fn read<T: Deserialize>(&self, kind: &str, key: &str) -> Result<Option<T>, StoreError> {
         let path = self.entry_path(kind, key);
         if !self.disk_allowed() {
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -337,10 +352,7 @@ impl ArtifactStore {
         };
         match verify_entry(&bytes, kind, key) {
             Ok(payload) => match serde_json::from_str_exact::<T>(payload) {
-                Ok(value) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Ok(Some(value))
-                }
+                Ok(value) => Ok(Some(value)),
                 Err(_) => Err(self.miss_corrupt(kind, path, CorruptReason::Payload)),
             },
             // A fingerprint collision with a *valid* foreign entry is a
@@ -403,19 +415,27 @@ impl ArtifactStore {
         Ok(path)
     }
 
-    /// The read-through path every store-backed cache takes: one
-    /// [`ArtifactStore::get`]; on a miss the artifact is produced by
-    /// `make`, published (best effort — an unwritable or degraded store
-    /// falls back to compute-every-time, never to failure) and returned.
-    /// The flag is `true` when the value was read from the store.
+    /// The read-through path every store-backed cache takes: one verified
+    /// read, then `fits` on what decoded. On a miss — absent, corrupt, or
+    /// decoded but refused by `fits` (counted as [`ArtifactStore::unfit`])
+    /// — the artifact is produced by `make`, published over the old entry
+    /// (best effort — an unwritable or degraded store falls back to
+    /// compute-every-time, never to failure) and returned. The flag is
+    /// `true` when the value was read from the store.
     pub fn get_or_put<T: Serialize + Deserialize>(
         &self,
         kind: &str,
         key: &str,
+        fits: impl FnOnce(&T) -> bool,
         make: impl FnOnce() -> T,
     ) -> (T, bool) {
-        if let Some(value) = self.get(kind, key) {
-            return (value, true);
+        if let Ok(Some(value)) = self.read(kind, key) {
+            if fits(&value) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return (value, true);
+            }
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.unfit.fetch_add(1, Ordering::Relaxed);
         }
         let value = make();
         let _ = self.put(kind, key, &value);
@@ -505,51 +525,56 @@ impl ArtifactStore {
             return out;
         };
         for kind_entry in kinds {
-            if !kind_entry.is_dir {
-                continue;
-            }
-            let kind = kind_entry.name;
-            let kind_path = self.root.join(&kind);
-            let Ok(entries) = self.fs.read_dir(&kind_path) else {
-                continue;
-            };
-            for entry in entries {
-                // Only files the store itself would have produced: a
-                // mispointed root must never get foreign files listed —
-                // or, through gc()/clear(), deleted.
-                if !entry.is_file || !is_store_file_name(&entry.name) {
-                    continue;
-                }
-                let path = kind_path.join(&entry.name);
-                let accessed = self.fs.accessed(&path).ok();
-                // Temp files are never valid entries, even when their
-                // content is self-consistent (a crash-orphaned temp was
-                // fully written but never renamed — `get` can't serve it,
-                // so `ok: true` would leak it past `gc` forever).
-                let (key, ok) = if entry.name.starts_with(".tmp-") {
-                    (None, false)
-                } else {
-                    match self.fs.read(&path) {
-                        Ok(bytes) => match inspect_entry(&bytes, &kind) {
-                            Ok(key) => (Some(key), true),
-                            Err(EntryError::Header(header)) => (header.map(|h| h.key), false),
-                            Err(_) => (None, false),
-                        },
-                        Err(_) => (None, false),
-                    }
-                };
-                out.push(ArtifactMeta {
-                    kind: kind.clone(),
-                    key,
-                    file_bytes: entry.len,
-                    ok,
-                    accessed,
-                    path,
-                });
+            if kind_entry.is_dir {
+                self.scan_kind(&kind_entry.name, &mut out);
             }
         }
         out.sort_by(|a, b| (a.kind.as_str(), &a.path).cmp(&(b.kind.as_str(), &b.path)));
         out
+    }
+
+    /// Appends the metadata of every store file of `kind` to `out`,
+    /// unsorted — the one entry scan behind [`ArtifactStore::ls`] and
+    /// [`ArtifactStore::keys_with_prefix`].
+    fn scan_kind(&self, kind: &str, out: &mut Vec<ArtifactMeta>) {
+        let kind_path = self.root.join(kind);
+        let Ok(entries) = self.fs.read_dir(&kind_path) else {
+            return;
+        };
+        for entry in entries {
+            // Only files the store itself would have produced: a
+            // mispointed root must never get foreign files listed —
+            // or, through gc()/clear(), deleted.
+            if !entry.is_file || !is_store_file_name(&entry.name) {
+                continue;
+            }
+            let path = kind_path.join(&entry.name);
+            let accessed = self.fs.accessed(&path).ok();
+            // Temp files are never valid entries, even when their
+            // content is self-consistent (a crash-orphaned temp was
+            // fully written but never renamed — `get` can't serve it,
+            // so `ok: true` would leak it past `gc` forever).
+            let (key, ok) = if entry.name.starts_with(".tmp-") {
+                (None, false)
+            } else {
+                match self.fs.read(&path) {
+                    Ok(bytes) => match inspect_entry(&bytes, kind) {
+                        Ok(key) => (Some(key), true),
+                        Err(EntryError::Header(header)) => (header.map(|h| h.key), false),
+                        Err(_) => (None, false),
+                    },
+                    Err(_) => (None, false),
+                }
+            };
+            out.push(ArtifactMeta {
+                kind: kind.to_string(),
+                key,
+                file_bytes: entry.len,
+                ok,
+                accessed,
+                path,
+            });
+        }
     }
 
     /// The keys of every valid entry of `kind` whose key starts with
@@ -559,27 +584,14 @@ impl ArtifactStore {
     /// it bypasses the degradation gate), not a hot-path read. Corrupt,
     /// foreign and temp files are skipped, never surfaced.
     pub fn keys_with_prefix(&self, kind: &str, prefix: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        let kind_path = self.root.join(kind);
-        let Ok(entries) = self.fs.read_dir(&kind_path) else {
-            return out;
-        };
-        for entry in entries {
-            if !entry.is_file
-                || !is_store_file_name(&entry.name)
-                || entry.name.starts_with(".tmp-")
-            {
-                continue;
-            }
-            let Ok(bytes) = self.fs.read(&kind_path.join(&entry.name)) else {
-                continue;
-            };
-            if let Ok(key) = inspect_entry(&bytes, kind) {
-                if key.starts_with(prefix) {
-                    out.push(key);
-                }
-            }
-        }
+        let mut entries = Vec::new();
+        self.scan_kind(kind, &mut entries);
+        let mut out: Vec<String> = entries
+            .into_iter()
+            .filter(|meta| meta.ok)
+            .filter_map(|meta| meta.key)
+            .filter(|key| key.starts_with(prefix))
+            .collect();
         out.sort();
         out
     }
@@ -681,8 +693,8 @@ impl ArtifactStore {
     /// as "no change observed", never as "entry deleted".
     ///
     /// The stamp is a cheap *change hint*: a reload triggered by it still
-    /// re-reads through [`ArtifactStore::get`], whose integrity checks are
-    /// what actually guard the payload.
+    /// re-reads through [`ArtifactStore::get_or_put`], whose integrity and
+    /// fit checks are what actually guard the payload.
     pub fn entry_stamp(&self, kind: &str, key: &str) -> Option<SystemTime> {
         if !self.disk_allowed() {
             return None;
@@ -696,8 +708,8 @@ impl ArtifactStore {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Failed reads (absent, corrupt, unreadable or degraded-skipped) so
-    /// far.
+    /// Failed reads (absent, corrupt, unfit, unreadable or
+    /// degraded-skipped) so far.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -705,6 +717,12 @@ impl ArtifactStore {
     /// Reads that found a file but failed an integrity check.
     pub fn corrupt(&self) -> u64 {
         self.corrupt.load(Ordering::Relaxed)
+    }
+
+    /// Reads through [`ArtifactStore::get_or_put`] whose entry decoded but
+    /// failed the reader's fit check.
+    pub fn unfit(&self) -> u64 {
+        self.unfit.load(Ordering::Relaxed)
     }
 
     /// Entries published so far.
@@ -1017,11 +1035,11 @@ mod tests {
     fn get_or_put_computes_once() {
         let s = Scratch::new("get-or-put");
         let mut calls = 0;
-        let a = s.0.get_or_put("k", "key", || {
+        let a = s.0.get_or_put("k", "key", |_| true, || {
             calls += 1;
             42u64
         });
-        let b = s.0.get_or_put("k", "key", || {
+        let b = s.0.get_or_put("k", "key", |_| true, || {
             calls += 1;
             999u64
         });
@@ -1031,18 +1049,30 @@ mod tests {
     #[test]
     fn get_or_put_reads_each_entry_once_and_counts_it() {
         let s = Scratch::new("get-or-put-counters");
+        let any = |_: &u64| true;
         // Cold: one read (a miss), one compute, one write.
-        assert_eq!(s.0.get_or_put("k", "key", || 7u64), (7, false));
+        assert_eq!(s.0.get_or_put("k", "key", any, || 7u64), (7, false));
         assert_eq!((s.0.misses(), s.0.hits(), s.0.writes()), (1, 0, 1));
         // Warm: one read (a hit), no compute, no write.
-        assert_eq!(s.0.get_or_put("k", "key", || unreachable!("warm read")), (7, true));
+        assert_eq!(s.0.get_or_put("k", "key", any, || unreachable!("warm read")), (7, true));
         assert_eq!((s.0.misses(), s.0.hits(), s.0.writes()), (1, 1, 1));
         // Corrupt: read once (a corrupt miss), recomputed and rewritten.
         let path = s.0.entry_path("k", "key");
         fs::write(&path, b"junk").unwrap();
-        assert_eq!(s.0.get_or_put("k", "key", || 8u64), (8, false));
+        assert_eq!(s.0.get_or_put("k", "key", any, || 8u64), (8, false));
         assert_eq!((s.0.misses(), s.0.corrupt(), s.0.writes()), (2, 1, 2));
         assert_eq!(s.0.get::<u64>("k", "key"), Some(8), "the corrupt entry was rewritten");
+        assert_eq!(s.0.hits(), 2);
+        // Unfit: the entry decodes but the check refuses it — a miss that
+        // is recomputed and rewritten, counted apart from corruption.
+        assert_eq!(s.0.get_or_put("k", "key", |&v: &u64| v == 9, || 9u64), (9, false));
+        assert_eq!(
+            (s.0.misses(), s.0.unfit(), s.0.writes(), s.0.hits(), s.0.corrupt()),
+            (3, 1, 3, 2, 1)
+        );
+        // The rewritten entry passes the same check.
+        assert_eq!(s.0.get_or_put("k", "key", |&v: &u64| v == 9, || unreachable!()), (9, true));
+        assert_eq!((s.0.misses(), s.0.unfit(), s.0.hits()), (3, 1, 3));
     }
 
     #[test]

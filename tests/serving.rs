@@ -14,8 +14,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use wade_core::{
-    build_pue_dataset, train_error_model_stored, Campaign, CampaignConfig, CampaignData, MlKind,
-    SimulatedServer, MODEL_KIND,
+    build_pue_dataset, train_error_model, train_error_model_stored, Campaign, CampaignConfig,
+    CampaignData, MlKind, SimulatedServer, MODEL_KIND,
 };
 use wade_dram::OperatingPoint;
 use wade_serve::{
@@ -269,44 +269,6 @@ fn protocol_abrupt_disconnects_leave_the_server_serving() {
     assert_eq!(served, golden_body(&server, &request));
 }
 
-#[test]
-fn protocol_a_panicking_model_answers_500_and_the_connection_keeps_serving() {
-    let root = scratch("panic");
-    let store = Arc::new(ArtifactStore::open(&root));
-    let server = start_server(Some(store.clone()));
-    let kind = MlKind::Rdf;
-    let set = server.registry().set();
-    // The server booted on this store, so the call only reads its entries.
-    let keys = train_error_model_stored(Some(&store), campaign_data(), kind, set).1;
-    // A forest over rows twice the served width whose signal sits only in
-    // the extra half: its splits index past the end of every served row.
-    let width = build_pue_dataset(campaign_data(), set).dim();
-    let (x, y): (Vec<Vec<f64>>, Vec<f64>) = (0..32)
-        .map(|i| {
-            let mut row = vec![0.0; width];
-            row.extend(std::iter::repeat_n(f64::from(i), width));
-            (row, f64::from(i))
-        })
-        .unzip();
-    let wide = kind.train_any(&x, &y);
-    std::thread::sleep(Duration::from_millis(20)); // distinct mtime
-    store.put(MODEL_KIND, &keys[0], &wide).expect("publish the wide forest");
-    assert!(server.registry().poll_reload() >= 1, "mtime change triggers a reload");
-
-    let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    let body = serde_json::to_string(&sample_request(kind)).unwrap();
-    send_request(&mut stream, "POST", "/predict", &body);
-    let (status, served) = read_response(&mut stream).expect("response");
-    assert_eq!(status, 500);
-    assert_eq!(served, b"{\"error\":\"prediction failed\"}");
-    // The same keep-alive connection is still served.
-    send_request(&mut stream, "GET", "/healthz", "");
-    let (status, _) = read_response(&mut stream).expect("healthz after the 500");
-    assert_eq!(status, 200);
-    assert_eq!(server.metrics().errors_5xx(), 1);
-    let _ = std::fs::remove_dir_all(&root);
-}
-
 // ---- hot reload -------------------------------------------------------------
 
 #[test]
@@ -416,6 +378,82 @@ fn reload_watcher_thread_swaps_published_models_until_shutdown() {
         let _ = done_tx.send(());
     });
     done_rx.recv_timeout(Duration::from_secs(10)).expect("shutdown returns");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn reload_refuses_published_models_that_do_not_fit_the_served_rows() {
+    let root = scratch("refuse");
+    let store = Arc::new(ArtifactStore::open(&root));
+    let server = start_server(Some(store.clone()));
+    let set = server.registry().set();
+    let width = build_pue_dataset(campaign_data(), set).dim();
+    let requests = [sample_request(MlKind::Rdf), sample_request(MlKind::Knn)];
+    let goldens: Vec<Vec<u8>> = requests.iter().map(|r| golden_body(&server, r)).collect();
+    // The golden is the store-free model's own prediction.
+    for (request, golden) in requests.iter().zip(&goldens) {
+        let kind = parse_model_kind(&request.model).expect("known label");
+        let rows: Vec<_> =
+            request.rows.iter().map(|r| r.clone().into_input().expect("valid")).collect();
+        let direct = PredictResponse {
+            model: request.model.clone(),
+            set: feature_set_label(set).to_string(),
+            rows: train_error_model(campaign_data(), kind, set).predict_rows(&rows),
+        };
+        assert_eq!(&serde_json::to_string(&direct).unwrap().into_bytes(), golden);
+    }
+
+    // A forest over rows twice the served width whose signal sits only in
+    // the extra half (its splits index past every served row), and a KNN
+    // trained on rows one feature short.
+    let (x, y): (Vec<Vec<f64>>, Vec<f64>) = (0..32)
+        .map(|i| {
+            let mut row = vec![0.0; width];
+            row.extend(std::iter::repeat_n(f64::from(i), width));
+            (row, f64::from(i))
+        })
+        .unzip();
+    let wide = MlKind::Rdf.train_any(&x, &y);
+    let narrow_x: Vec<Vec<f64>> = x.iter().map(|row| row[..width - 1].to_vec()).collect();
+    let narrow = MlKind::Knn.train_any(&narrow_x, &y);
+    // The server booted on this store, so these calls only read its entries.
+    let rdf_keys = train_error_model_stored(Some(&store), campaign_data(), MlKind::Rdf, set).1;
+    let knn_keys = train_error_model_stored(Some(&store), campaign_data(), MlKind::Knn, set).1;
+    std::thread::sleep(Duration::from_millis(20)); // distinct mtime
+    store.put(MODEL_KIND, &rdf_keys[0], &wide).expect("publish the wide forest");
+    store.put(MODEL_KIND, knn_keys.last().expect("trainable pue slot"), &narrow).expect("publish");
+    std::thread::sleep(Duration::from_millis(20)); // the rewrites get a distinct mtime
+
+    let serves_goldens = |server: &Server| {
+        for (request, golden) in requests.iter().zip(&goldens) {
+            let body = serde_json::to_string(request).unwrap();
+            let (status, served) = exchange(server, "POST", "/predict", &body);
+            assert_eq!(status, 200, "{}", request.model);
+            assert_eq!(&served, golden, "{} serves the boot-time bytes", request.model);
+        }
+    };
+    // Both changed families reload, refuse the misfit and rewrite it; the
+    // rewrites are changes too, so both reload once more, now from a fit
+    // entry; then nothing is left to reload.
+    assert_eq!(server.registry().poll_reload(), 2, "both published models are changes");
+    assert_eq!(store.unfit(), 2, "both published models are refused");
+    serves_goldens(&server);
+    assert_eq!(server.registry().poll_reload(), 2, "the rewrites are changes");
+    assert_eq!(server.registry().poll_reload(), 0);
+    assert_eq!(store.unfit(), 2, "the rewritten entries fit");
+    serves_goldens(&server);
+    let (_, metrics) = exchange(&server, "GET", "/metrics", "");
+    let metrics = String::from_utf8(metrics).unwrap();
+    assert!(metrics.ends_with(",\"store_unfit\":2}"), "refusals in /metrics: {metrics}");
+    assert_eq!(server.metrics().errors_5xx(), 0);
+    drop(server);
+
+    // A misfit under a serving key is refused at boot too.
+    store.put(MODEL_KIND, &rdf_keys[0], &wide).expect("publish the wide forest again");
+    let booted_store = Arc::new(ArtifactStore::open(&root));
+    let booted = start_server(Some(booted_store.clone()));
+    assert_eq!(booted_store.unfit(), 1, "boot refuses the wide forest");
+    serves_goldens(&booted);
     let _ = std::fs::remove_dir_all(&root);
 }
 
