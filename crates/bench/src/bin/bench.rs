@@ -78,6 +78,7 @@ use wade_features::FeatureSet;
 use wade_ml::{
     DecisionTree, FeatureColumns, ForestTrainer, KnnTrainer, Regressor, Trainer, TreeParams,
 };
+use wade_store::torture::{TortureConfig, TortureReport};
 use wade_workloads::{full_suite, paper_suite, Scale};
 
 /// Every flag that takes a value (`--flag VALUE` or `--flag=VALUE`) in
@@ -577,20 +578,8 @@ fn artifact_store(data: &CampaignData, ref_samples: usize, cur_samples: usize) -
 fn store_fault(smoke: bool) -> Value {
     eprintln!("[bench] store fault injection: healthy vs 10% fault rate …");
     let ops: u64 = if smoke { 400 } else { 4_000 };
-    let torture_run = |fault_rate: f64| {
-        let root = std::env::temp_dir().join(format!(
-            "wade-bench-fault-{}-{}",
-            std::process::id(),
-            (fault_rate * 100.0) as u32
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        let config = wade_store::torture::TortureConfig { seed: 42, ops, threads: 4, fault_rate };
-        let start = Instant::now();
-        let report = wade_store::torture::run(&root, &config);
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        let _ = std::fs::remove_dir_all(&root);
-        (ms, report)
-    };
+    let torture_run =
+        |fault_rate| torture_in_scratch(&TortureConfig { seed: 42, ops, threads: 4, fault_rate });
     let (healthy_ms, healthy) = torture_run(0.0);
     let (faulty_ms, faulty) = torture_run(0.10);
     map([
@@ -895,6 +884,41 @@ fn fleet(smoke: bool, samples: usize) -> Value {
     ])
 }
 
+/// A fleet swept through a store that already holds its first
+/// `base_epochs` epochs, extended to its spec's epoch count.
+struct Extension {
+    engine: wade_fleet::FleetSweep,
+    outcome: wade_fleet::FleetOutcome,
+    /// Wall time of the extending sweep.
+    ms: f64,
+    /// Device-epochs at or past `base_epochs`: all the extension may
+    /// simulate.
+    delta: u64,
+    /// Simulations beyond the delta; any is a prefix-reuse bug.
+    prefix_simulations: u64,
+}
+
+/// Sweeps `spec` through `store` with a fresh engine, timing the sweep
+/// and counting the device-epochs past `base_epochs`.
+fn extend_fleet(
+    store: &wade_store::ArtifactStore,
+    spec: wade_fleet::FleetSpec,
+    seed: u64,
+    base_epochs: u32,
+) -> Extension {
+    let engine = wade_fleet::FleetSweep::new(spec, seed);
+    let start = Instant::now();
+    let outcome = engine.sweep_stored(store);
+    let ms = start.elapsed().as_secs_f64() * 1e3;
+    let delta: u64 = outcome
+        .devices
+        .iter()
+        .map(|d| d.epochs.iter().filter(|e| e.epoch >= base_epochs).count() as u64)
+        .sum();
+    let prefix_simulations = engine.simulations().saturating_sub(delta);
+    Extension { engine, outcome, ms, delta, prefix_simulations }
+}
+
 /// `fleet_incremental`: warm a fleet at E epochs, extend the same spec to
 /// E′ against the same store — the persisted epoch slices are keyed by an
 /// epoch-invariant spec prefix, so the extension must simulate *only* the
@@ -922,15 +946,7 @@ fn fleet_incremental(smoke: bool) -> Value {
     let start = Instant::now();
     let _ = wade_fleet::FleetSweep::new(base_spec, seed).sweep_stored(&store);
     let base_ms = start.elapsed().as_secs_f64() * 1e3;
-    let ext_engine = wade_fleet::FleetSweep::new(ext_spec, seed);
-    let start = Instant::now();
-    let ext = ext_engine.sweep_stored(&store);
-    let ext_ms = start.elapsed().as_secs_f64() * 1e3;
-    let delta: u64 = ext
-        .devices
-        .iter()
-        .map(|d| d.epochs.iter().filter(|e| e.epoch >= base_epochs).count() as u64)
-        .sum();
+    let ext = extend_fleet(&store, ext_spec, seed, base_epochs);
     // Cold full reference at E′ in its own scratch store: the speedup
     // denominator and the byte-identity reference.
     let cold_root = scratch("inc-cold");
@@ -938,7 +954,7 @@ fn fleet_incremental(smoke: bool) -> Value {
     let start = Instant::now();
     let cold = wade_fleet::FleetSweep::new(ext_spec, seed).sweep_stored(&cold_store);
     let cold_ms = start.elapsed().as_secs_f64() * 1e3;
-    let identical = ext.devices_json() == cold.devices_json();
+    let identical = ext.outcome.devices_json() == cold.devices_json();
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&cold_root);
     map([
@@ -947,13 +963,13 @@ fn fleet_incremental(smoke: bool) -> Value {
         ("base_epochs", Value::U64(base_epochs.into())),
         ("extended_epochs", Value::U64(ext_epochs.into())),
         ("base_ms", ms(base_ms)),
-        ("extension_ms", ms(ext_ms)),
+        ("extension_ms", ms(ext.ms)),
         ("cold_full_ms", ms(cold_ms)),
-        ("extension_simulations", Value::U64(ext_engine.simulations())),
-        ("expected_delta", Value::U64(delta)),
-        ("prefix_simulations", Value::U64(ext_engine.simulations().saturating_sub(delta))),
-        ("extension_profilings", Value::U64(ext_engine.profilings())),
-        ("speedup_extension_vs_cold", speedup(cold_ms, ext_ms)),
+        ("extension_simulations", Value::U64(ext.engine.simulations())),
+        ("expected_delta", Value::U64(ext.delta)),
+        ("prefix_simulations", Value::U64(ext.prefix_simulations)),
+        ("extension_profilings", Value::U64(ext.engine.profilings())),
+        ("speedup_extension_vs_cold", speedup(cold_ms, ext.ms)),
         ("byte_identical", Value::Bool(identical)),
     ])
 }
@@ -1010,6 +1026,28 @@ fn flag_threads(args: &Args) -> usize {
     threads
 }
 
+/// Runs the store torture harness against a fresh scratch root under the
+/// temp directory, never the user's store, and removes the root after.
+/// Returns the run's wall time in ms and its report.
+fn torture_in_scratch(config: &TortureConfig) -> (f64, TortureReport) {
+    let root =
+        std::env::temp_dir().join(format!("wade-torture-{}-{}", std::process::id(), config.seed));
+    let _ = std::fs::remove_dir_all(&root);
+    eprintln!(
+        "[torture] scratch store {} — seed {}, {} ops, {} threads, fault rate {}",
+        root.display(),
+        config.seed,
+        config.ops,
+        config.threads,
+        config.fault_rate,
+    );
+    let start = Instant::now();
+    let report = wade_store::torture::run(&root, config);
+    let ms = start.elapsed().as_secs_f64() * 1e3;
+    let _ = std::fs::remove_dir_all(&root);
+    (ms, report)
+}
+
 /// `bench store <ls|gc|clear|torture>`: maintenance and chaos-testing of
 /// the shared artifact store (`--store-dir` / `WADE_STORE_DIR` /
 /// `target/wade-store`). `torture` deliberately ignores `--store-dir` and
@@ -1036,7 +1074,7 @@ fn store_command(action: Option<&str>, args: &Args) {
             // Absent means no cap.
             let max_bytes =
                 args.value("--max-bytes").is_some().then(|| flag_num(args, "--max-bytes", 0u64));
-            let report = store.gc_capped(max_bytes);
+            let report = store.gc(max_bytes);
             println!(
                 "store: {} — kept {}, removed {} corrupt, evicted {} over cap, {} B live",
                 store.root().display(),
@@ -1052,7 +1090,7 @@ fn store_command(action: Option<&str>, args: &Args) {
             println!("store: {} — removed {removed} entries", store.root().display());
         }
         Some("torture") => {
-            let config = wade_store::torture::TortureConfig {
+            let config = TortureConfig {
                 seed: flag_num(args, "--seed", 1u64),
                 ops: flag_num(args, "--ops", 5_000u64),
                 threads: flag_threads(args),
@@ -1062,24 +1100,7 @@ fn store_command(action: Option<&str>, args: &Args) {
             if !(0.0..=1.0).contains(&config.fault_rate) {
                 usage_error(&format!("--fault-rate must be in [0, 1], got {}", config.fault_rate));
             }
-            let root = std::env::temp_dir().join(format!(
-                "wade-torture-{}-{}",
-                std::process::id(),
-                config.seed
-            ));
-            let _ = std::fs::remove_dir_all(&root);
-            eprintln!(
-                "[torture] scratch store {} — seed {}, {} ops, {} threads, fault rate {}",
-                root.display(),
-                config.seed,
-                config.ops,
-                config.threads,
-                config.fault_rate,
-            );
-            let start = Instant::now();
-            let report = wade_store::torture::run(&root, &config);
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            let _ = std::fs::remove_dir_all(&root);
+            let (ms, report) = torture_in_scratch(&config);
             println!(
                 "torture: {} ops in {ms:.1} ms — {} puts ({} failed), {} gets \
                  ({} hits, {} misses), {} gc, {} ls",
@@ -1277,21 +1298,15 @@ fn fleet_command(action: Option<&str>, args: &Args) {
             // Warm (or verify) the base prefix first: after this, every
             // slice below `spec.epochs` is on disk, so any extension
             // simulation beyond the delta is a prefix-reuse bug.
-            run_sweep();
+            // Slice keys omit the epoch count, so the base engine's key
+            // prefix enumerates the extended spec's slices too.
+            let (base_engine, _) = run_sweep();
             let store = wade_store::ArtifactStore::open(args.store_dir());
-            let engine = wade_fleet::FleetSweep::new(extended_spec, seed);
             let prefix_slices = store
-                .keys_with_prefix(wade_fleet::FLEET_SLICE_KIND, &engine.slice_key_prefix())
+                .keys_with_prefix(wade_fleet::FLEET_SLICE_KIND, &base_engine.slice_key_prefix())
                 .len();
-            let start = Instant::now();
-            let outcome = engine.sweep_stored(&store);
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            let delta: u64 = outcome
-                .devices
-                .iter()
-                .map(|d| d.epochs.iter().filter(|e| e.epoch >= spec.epochs).count() as u64)
-                .sum();
-            let prefix_sims = engine.simulations().saturating_sub(delta);
+            let Extension { engine, outcome, ms, delta, prefix_simulations } =
+                extend_fleet(&store, extended_spec, seed, spec.epochs);
             println!(
                 "fleet extend: {} → {extend_to} epochs (seed {seed}) in {ms:.1} ms — \
                  {} failed, {} survived, {} simulations for a {delta} device-epoch delta",
@@ -1301,12 +1316,12 @@ fn fleet_command(action: Option<&str>, args: &Args) {
                 engine.simulations(),
             );
             println!(
-                "prefix warm: {prefix_sims} prefix simulations, {} delta simulations \
+                "prefix warm: {prefix_simulations} prefix simulations, {} delta simulations \
                  ({prefix_slices} slices on disk before extension)",
                 engine.simulations().min(delta),
             );
             print_store_line(&store);
-            if prefix_sims != 0 || engine.simulations() > delta {
+            if prefix_simulations != 0 {
                 eprintln!(
                     "error: extension re-simulated the epoch prefix \
                      ({} simulations for a {delta} device-epoch delta)",

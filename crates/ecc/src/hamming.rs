@@ -51,7 +51,7 @@ impl HammingLayout {
                 lane += 1;
             }
         }
-        debug_assert_eq!(lane, DATA_BITS);
+        assert_eq!(lane, DATA_BITS);
         Self { data_pos, pos_to_lane }
     }
 

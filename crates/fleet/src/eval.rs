@@ -11,17 +11,15 @@
 //! monotone non-decreasing in `L` by construction — the property
 //! `tests/fleet_properties.rs` pins.
 //!
-//! Decision extraction is streaming and linear: devices are folded one at
-//! a time through [`FleetEvalBuilder`] (so an evaluation can consume
-//! [`crate::sweep::FleetSweep::sweep_stored_visit`] without materializing
-//! the fleet), and the trailing observation window advances with a
-//! two-pointer — O(epochs · window) per device, not O(epochs²) — while
-//! summing each window ascending from zero so the scores stay
+//! Decision extraction is linear: [`FleetEval::evaluate`] folds the swept
+//! devices in fleet order, and the trailing observation window advances
+//! with a two-pointer — O(epochs · window) per device, not O(epochs²) —
+//! while summing each window ascending from zero so the scores stay
 //! bit-identical to a naive rescan.
 
 use std::hash::Hasher as _;
 
-use crate::sweep::{DeviceHistory, FleetOutcome, FleetSweep};
+use crate::sweep::{FleetOutcome, FleetSweep};
 use wade_core::{
     op_augmented_row, CampaignData, CampaignRow, CharacterizationOutcome, MlKind,
     MIN_CE_COUNT, TRAINER_CONFIG_VERSION,
@@ -104,75 +102,6 @@ pub struct CostPoint {
     pub cost: f64,
 }
 
-/// The streaming accumulator behind [`FleetEval`]: devices are pushed one
-/// at a time (e.g. straight out of
-/// [`crate::sweep::FleetSweep::sweep_stored_visit`]), so peak memory is
-/// the decision points plus one device history — never the fleet.
-#[derive(Debug, Clone)]
-pub struct FleetEvalBuilder {
-    epoch_s: f64,
-    config: FleetEvalConfig,
-    decisions: Vec<DecisionPoint>,
-    failures: Vec<(u32, f64)>,
-    devices: usize,
-}
-
-impl FleetEvalBuilder {
-    /// An empty evaluation over an epoch grid of `epoch_s` seconds.
-    pub fn new(epoch_s: f64, config: FleetEvalConfig) -> Self {
-        Self { epoch_s, config, decisions: Vec::new(), failures: Vec::new(), devices: 0 }
-    }
-
-    /// Folds one device's history in: its failure (if any) and one
-    /// decision point per completed epoch. Crashing epochs produce no
-    /// decision (the device is gone before the boundary), so every
-    /// decision predates its device's failure.
-    ///
-    /// The observation window is tracked with a two-pointer: `lo` — the
-    /// first epoch inside the window — only ever advances, because both
-    /// the decision time and the window start grow with the epoch index.
-    /// The window *sum* is still recomputed ascending from zero each epoch
-    /// (never subtract-on-evict), so every score performs the exact
-    /// additions of a naive rescan and the decisions stay bit-identical.
-    pub fn push(&mut self, device: &DeviceHistory) {
-        self.devices += 1;
-        if let Some(t_f) = device.failed_at_s {
-            self.failures.push((device.index, t_f));
-        }
-        let mut lo = 0usize;
-        for (e, epoch) in device.epochs.iter().enumerate() {
-            let t_s = (e + 1) as f64 * self.epoch_s;
-            let window_start = t_s - self.config.observation_s;
-            while lo <= e && (lo + 1) as f64 * self.epoch_s <= window_start {
-                lo += 1;
-            }
-            if epoch.crashed {
-                continue;
-            }
-            let score = if lo > e {
-                0.0
-            } else {
-                let mut sum = 0.0;
-                for past in &device.epochs[lo..=e] {
-                    sum += past.wer;
-                }
-                sum / (e - lo + 1) as f64
-            };
-            self.decisions.push(DecisionPoint { device: device.index, t_s, score });
-        }
-    }
-
-    /// Finishes the fold.
-    pub fn finish(self) -> FleetEval {
-        FleetEval {
-            config: self.config,
-            decisions: self.decisions,
-            failures: self.failures,
-            devices: self.devices,
-        }
-    }
-}
-
 /// The sliding-window evaluation of one swept fleet.
 #[derive(Debug, Clone)]
 pub struct FleetEval {
@@ -184,14 +113,44 @@ pub struct FleetEval {
 
 impl FleetEval {
     /// Replays `outcome` under `config`, collecting every decision point
-    /// and failure — the materialized convenience over
-    /// [`FleetEvalBuilder`].
+    /// and failure. Each device contributes its failure (if any) and one
+    /// decision point per completed epoch. Crashing epochs produce no
+    /// decision (the device is gone before the boundary), so every
+    /// decision predates its device's failure.
+    ///
+    /// The observation window is tracked with a two-pointer: `lo` — the
+    /// first epoch inside the window — only ever advances, because both
+    /// the decision time and the window start grow with the epoch index.
+    /// The window *sum* is still recomputed ascending from zero each epoch
+    /// (never subtract-on-evict), so every score performs the exact
+    /// additions of a naive rescan and the decisions stay bit-identical.
     pub fn evaluate(outcome: &FleetOutcome, config: FleetEvalConfig) -> Self {
-        let mut builder = FleetEvalBuilder::new(outcome.spec.epoch_s, config);
+        let epoch_s = outcome.spec.epoch_s;
+        let mut decisions = Vec::new();
         for device in &outcome.devices {
-            builder.push(device);
+            let mut lo = 0usize;
+            for (e, epoch) in device.epochs.iter().enumerate() {
+                let t_s = (e + 1) as f64 * epoch_s;
+                let window_start = t_s - config.observation_s;
+                while lo <= e && (lo + 1) as f64 * epoch_s <= window_start {
+                    lo += 1;
+                }
+                if epoch.crashed {
+                    continue;
+                }
+                let score = if lo > e {
+                    0.0
+                } else {
+                    let mut sum = 0.0;
+                    for past in &device.epochs[lo..=e] {
+                        sum += past.wer;
+                    }
+                    sum / (e - lo + 1) as f64
+                };
+                decisions.push(DecisionPoint { device: device.index, t_s, score });
+            }
         }
-        builder.finish()
+        Self { config, decisions, failures: outcome.failures(), devices: outcome.devices.len() }
     }
 
     /// All decision points, in device/time order.

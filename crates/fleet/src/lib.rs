@@ -12,22 +12,19 @@
 //! epoch-invariant key, so a warm sweep is pure store reads (zero
 //! simulation, zero profiling — counter-asserted by the fleet tests) and
 //! extending a spec's epoch count reuses the entire prefix, simulating
-//! only the new epochs. Shard assembly is a bounded-memory fold over
-//! slices; [`FleetSweep::sweep_stored_visit`] streams finished device
-//! histories one shard at a time.
+//! only the new epochs. Shard assembly is a per-shard fold over slices,
+//! and [`FleetSweep::sweep_stored`] concatenates the shards in shard order.
 //!
 //! On top of the swept histories, [`FleetEval`] replays the fleet the way
 //! an operator would see it: sliding observation windows (two-pointer,
 //! linear in epochs) score each device at every epoch boundary, alerts
 //! are graded into precision/recall at configurable lead times, and a
 //! threshold sweep yields the mitigation-cost curve (migration cost vs
-//! unmitigated-crash cost). [`FleetEvalBuilder`] consumes streamed device
-//! histories so evaluation memory stays O(shard), not O(fleet).
-//! [`transfer_matrix`] trains one WER model per vintage on the existing
-//! store-backed trainers and scores every train-on-A/test-on-B pair, and
-//! [`fleet_campaign_data`] repackages a swept fleet as ordinary
-//! `CampaignData` so the serving registry loads fleet-trained models with
-//! no fleet-specific code.
+//! unmitigated-crash cost). [`transfer_matrix`] trains one WER model per
+//! vintage on the existing store-backed trainers and scores every
+//! train-on-A/test-on-B pair, and [`fleet_campaign_data`] repackages a
+//! swept fleet as ordinary `CampaignData` so the serving registry loads
+//! fleet-trained models with no fleet-specific code.
 //!
 //! # Slicing / keying / merge contract (normative)
 //!
@@ -54,13 +51,13 @@
 //!   and simulates only the `E..E′` delta. Any re-baselining event —
 //!   simulator (`det`), profiler (`soc`), stream contract (`fleetv`) or
 //!   spec prefix — turns warm slices into misses, never stale hits.
-//! - Shard assembly is a **bounded-memory fold**:
-//!   [`FleetSweep::sweep_stored_visit`] walks shards sequentially and, per
-//!   shard, slices in epoch order, carrying only the shard's accumulating
-//!   histories and alive set; peak memory is O(shard), not O(fleet). A
-//!   missing slice (cold, evicted, or failed under a degraded store)
-//!   recomputes exactly the alive devices of that one `(shard, epoch)`
-//!   cell and republishes — the fold is byte-identical either way. A
+//! - Shard assembly is a **per-shard fold**: [`FleetSweep::sweep_stored`]
+//!   walks shards sequentially and, per shard, slices in epoch order,
+//!   carrying only the shard's accumulating histories and alive set, then
+//!   appends the shard's finished histories to the outcome. A missing
+//!   slice (cold, evicted, or failed under a degraded store) recomputes
+//!   exactly the alive devices of that one `(shard, epoch)` cell and
+//!   republishes — the fold is byte-identical either way. A
 //!   stored slice whose shard, epoch or rows disagree with the alive set
 //!   is mis-keyed: the store's read-through fit check counts it as unfit
 //!   and it is handled like a missing one.
@@ -78,7 +75,7 @@ mod spec;
 mod sweep;
 
 pub use eval::{
-    fleet_campaign_data, transfer_matrix, CostPoint, DecisionPoint, FleetEval, FleetEvalBuilder,
+    fleet_campaign_data, transfer_matrix, CostPoint, DecisionPoint, FleetEval,
     FleetEvalConfig, LeadTimeReport, TransferCell, TransferMatrix,
 };
 pub use spec::{FleetSpec, FLEET_SLICE_KIND};

@@ -81,17 +81,6 @@ pub struct FleetSlice {
     pub rows: Vec<SliceRow>,
 }
 
-/// One assembled shard: a contiguous block of device histories (an
-/// in-memory fold of its epoch slices; shards themselves are no longer
-/// persisted — the slice is the artifact).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct FleetShard {
-    /// Shard index.
-    pub shard: u32,
-    /// Histories of the shard's devices, in fleet index order.
-    pub devices: Vec<DeviceHistory>,
-}
-
 /// The merged result of a fleet sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetOutcome {
@@ -316,15 +305,17 @@ impl FleetSweep {
         FleetSlice { shard, epoch, rows }
     }
 
-    /// Assembles shard `shard` through `store`: slices are read in epoch
-    /// order; warm slices fold straight in (zero simulation, zero
-    /// profiling), missing ones — cold, evicted, or unreadable under a
-    /// degraded store — are simulated for exactly the devices still alive
-    /// and republished. A stored slice whose shard, epoch or rows disagree
+    /// Assembles shard `shard` through `store` into its devices' histories,
+    /// in fleet index order (an in-memory fold of its epoch slices; shards
+    /// themselves are not persisted — the slice is the artifact). Slices
+    /// are read in epoch order; warm slices fold straight in (zero
+    /// simulation, zero profiling), missing ones — cold, evicted, or
+    /// unreadable under a degraded store — are simulated for exactly the
+    /// devices still alive and republished. A stored slice whose shard, epoch or rows disagree
     /// with the alive set (a mis-keyed artifact) fails the fit check of
     /// [`ArtifactStore::get_or_put`] and is recomputed the same way. The
     /// fold stops early once every device of the shard has failed.
-    pub(crate) fn shard_stored(&self, store: &ArtifactStore, shard: u32) -> FleetShard {
+    pub(crate) fn shard_stored(&self, store: &ArtifactStore, shard: u32) -> Vec<DeviceHistory> {
         let range = self.spec.shard_range(shard);
         let start = range.start;
         let mut devices: Vec<DeviceHistory> = range.map(|k| self.skeleton(k)).collect();
@@ -348,35 +339,20 @@ impl FleetSweep {
                 }
             }
         }
-        FleetShard { shard, devices }
+        devices
     }
 
-    /// The streaming sweep: walks shards in shard order through `store`
-    /// (see `FleetSweep::shard_stored`) and hands each finished device
-    /// history to `visit` in fleet index order. Peak memory is one shard's
-    /// histories, not the fleet's — the bounded-memory path `sweep_stored`
-    /// and the streaming evaluation build on.
-    pub fn sweep_stored_visit(
-        &self,
-        store: &ArtifactStore,
-        mut visit: impl FnMut(DeviceHistory),
-    ) {
-        for shard in 0..self.spec.shards {
-            for device in self.shard_stored(store, shard).devices {
-                visit(device);
-            }
-        }
-    }
-
-    /// Sweeps through `store`, materializing the full outcome: warm slices
-    /// are read back (zero simulation, zero profiling), cold slices are
-    /// simulated and persisted. A store running degraded (see
+    /// Sweeps through `store`, assembling shards in shard order (see
+    /// `FleetSweep::shard_stored`) and concatenating their histories: warm
+    /// slices are read back (zero simulation, zero profiling), cold slices
+    /// are simulated and persisted. A store running degraded (see
     /// `wade-fault`) simply yields more recomputes — the merged outcome is
     /// byte-identical either way.
     pub fn sweep_stored(&self, store: &ArtifactStore) -> FleetOutcome {
-        let mut devices: Vec<DeviceHistory> =
-            Vec::with_capacity(self.spec.devices as usize);
-        self.sweep_stored_visit(store, |d| devices.push(d));
+        let mut devices = Vec::with_capacity(self.spec.devices as usize);
+        for shard in 0..self.spec.shards {
+            devices.extend(self.shard_stored(store, shard));
+        }
         assert_eq!(devices.len() as u32, self.spec.devices, "sweep lost devices");
         for (i, d) in devices.iter().enumerate() {
             assert_eq!(d.index, i as u32, "sweep broke device order");

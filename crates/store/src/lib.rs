@@ -231,13 +231,13 @@ pub struct ArtifactMeta {
     pub ok: bool,
     /// Last access time, captured *before* the verification read (the
     /// read itself bumps atime, which would erase the LRU ordering
-    /// [`ArtifactStore::gc_capped`] evicts by). `None` when unreadable.
+    /// [`ArtifactStore::gc`] evicts by). `None` when unreadable.
     pub accessed: Option<SystemTime>,
     /// Full path of the entry.
     pub path: PathBuf,
 }
 
-/// Summary of an [`ArtifactStore::gc`] / [`ArtifactStore::gc_capped`] pass.
+/// Summary of an [`ArtifactStore::gc`] pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GcReport {
     /// Entries that passed verification and were kept.
@@ -603,17 +603,14 @@ impl ArtifactStore {
     /// [`TMP_GC_GRACE`] are kept — a concurrent writer may be about to
     /// rename them, and deleting an in-flight temp would make that rename
     /// fail and silently drop the artifact.
-    pub fn gc(&self) -> GcReport {
-        self.gc_capped(None)
-    }
-
-    /// [`ArtifactStore::gc`] with an optional size budget: after corrupt
-    /// entries are dropped, valid entries are evicted **least-recently
-    /// accessed first** (atime, falling back to mtime on `noatime`
-    /// mounts; ties broken by path for determinism) until the store holds
-    /// at most `max_bytes`. Evicting a valid entry is always safe — the
-    /// next read is a miss that recomputes and republishes.
-    pub fn gc_capped(&self, max_bytes: Option<u64>) -> GcReport {
+    ///
+    /// With a size budget `Some(max_bytes)`, valid entries are then
+    /// evicted **least-recently accessed first** (atime, falling back to
+    /// mtime on `noatime` mounts; ties broken by path for determinism)
+    /// until the store holds at most `max_bytes`. Evicting a valid entry
+    /// is always safe — the next read is a miss that recomputes and
+    /// republishes. `None` evicts nothing.
+    pub fn gc(&self, max_bytes: Option<u64>) -> GcReport {
         let mut report = GcReport::default();
         let mut live: Vec<ArtifactMeta> = Vec::new();
         for meta in self.ls() {
@@ -657,9 +654,10 @@ impl ArtifactStore {
     }
 
     /// Total bytes of valid (verifiable) entries currently on disk — the
-    /// number [`ArtifactStore::gc_capped`] bounds. Lets cap-enforcement
-    /// smokes and fleet-footprint gates assert `live_bytes() <= cap`
-    /// without re-deriving the sum from [`ArtifactStore::ls`].
+    /// number the size budget of [`ArtifactStore::gc`] bounds. Lets
+    /// cap-enforcement smokes and fleet-footprint gates assert
+    /// `live_bytes() <= cap` without re-deriving the sum from
+    /// [`ArtifactStore::ls`].
     pub fn live_bytes(&self) -> u64 {
         self.ls().iter().filter(|m| m.ok).map(|m| m.file_bytes).sum()
     }
@@ -1092,7 +1090,7 @@ mod tests {
         assert_eq!(ls.iter().filter(|m| m.ok).count(), 2);
         assert!(ls.iter().any(|m| m.key.as_deref() == Some("k1") && m.kind == "alpha"));
 
-        let gc = s.0.gc();
+        let gc = s.0.gc(None);
         assert_eq!((gc.kept, gc.removed, gc.evicted), (2, 1, 0));
         assert!(gc.bytes_kept > 0);
         assert_eq!(s.0.ls().len(), 2);
@@ -1122,7 +1120,7 @@ mod tests {
 
         // Fresh temp: inside the grace period, a concurrent writer may be
         // about to rename it — gc must leave it alone.
-        let gc = s.0.gc();
+        let gc = s.0.gc(None);
         assert_eq!((gc.kept, gc.removed), (2, 0));
         assert!(orphan.exists());
 
@@ -1131,7 +1129,7 @@ mod tests {
         let file = fs::File::options().write(true).open(&orphan).unwrap();
         file.set_times(fs::FileTimes::new().set_modified(old)).unwrap();
         drop(file);
-        let gc = s.0.gc();
+        let gc = s.0.gc(None);
         assert_eq!((gc.kept, gc.removed), (1, 1));
         assert!(!orphan.exists());
         assert_eq!(s.0.get::<u64>("k", "key"), Some(1), "real entry untouched");
@@ -1159,21 +1157,21 @@ mod tests {
         }
 
         // Cap that fits two entries: exactly the oldest-accessed goes.
-        let gc = s.0.gc_capped(Some(total - 1));
+        let gc = s.0.gc(Some(total - 1));
         assert_eq!((gc.kept, gc.removed, gc.evicted), (2, 0, 1));
         assert!(!old.exists(), "oldest-accessed entry must be evicted first");
         assert!(mid.exists() && new.exists());
         assert_eq!(gc.bytes_kept, total - one);
 
         // Cap of zero: everything valid is evicted; the store still works.
-        let gc = s.0.gc_capped(Some(0));
+        let gc = s.0.gc(Some(0));
         assert_eq!((gc.kept, gc.evicted, gc.bytes_kept), (0, 2, 0));
         assert!(s.0.get::<Vec<u64>>("k", "new").is_none());
         s.0.put("k", "new", &vec![3u64; 64]).unwrap();
         assert_eq!(s.0.get::<Vec<u64>>("k", "new"), Some(vec![3; 64]));
 
         // No cap: pure corruption gc, nothing evicted.
-        let gc = s.0.gc_capped(None);
+        let gc = s.0.gc(None);
         assert_eq!((gc.kept, gc.evicted), (1, 0));
     }
 

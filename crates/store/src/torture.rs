@@ -195,7 +195,7 @@ pub fn run(root: &Path, config: &TortureConfig) -> TortureReport {
                             } else {
                                 Some(rng.next_below(1 << 16))
                             };
-                            let _ = store.gc_capped(cap);
+                            let _ = store.gc(cap);
                         }
                         // 5% auditors: ls must never panic mid-chaos.
                         _ => {

@@ -50,17 +50,20 @@ impl TracedBuffer {
     }
 
     fn addr(&self, index: usize) -> u64 {
-        debug_assert!(index < self.data.len(), "index {index} out of bounds");
         self.base + (index as u64) * 8
     }
 
-    /// Instrumented load of word `index` on logical thread `tid`.
+    /// Instrumented load of word `index` on logical thread `tid`. The
+    /// slice is indexed first, so an out-of-range `index` panics before
+    /// its address reaches `sink`.
     pub(crate) fn get(&self, sink: &mut (impl AccessSink + ?Sized), index: usize, tid: u8) -> u64 {
+        let value = self.data[index];
         sink.on_access(MemAccess::read(self.addr(index), tid));
-        self.data[index]
+        value
     }
 
-    /// Instrumented store of `value` to word `index` on thread `tid`.
+    /// Instrumented store of `value` to word `index` on thread `tid`,
+    /// bounds-checked like [`TracedBuffer::get`].
     pub(crate) fn set(
         &mut self,
         sink: &mut (impl AccessSink + ?Sized),
@@ -68,8 +71,8 @@ impl TracedBuffer {
         value: u64,
         tid: u8,
     ) {
-        sink.on_access(MemAccess::write(self.addr(index), value, tid));
         self.data[index] = value;
+        sink.on_access(MemAccess::write(self.addr(index), value, tid));
     }
 
     /// Instrumented load interpreted as `f64`.
@@ -130,6 +133,21 @@ mod tests {
         let mut tracer = Tracer::new();
         buf.set_f64(&mut tracer, 0, 1.234567, 0);
         assert_eq!(buf.get_f64(&mut tracer, 0, 0), 1.234567);
+    }
+
+    #[test]
+    fn out_of_range_accesses_panic_before_reaching_the_sink() {
+        let mut space = AddressSpace::new();
+        let mut buf = TracedBuffer::zeroed(&mut space, 4);
+        let mut tracer = Tracer::new();
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            buf.get(&mut tracer, 4, 0);
+        }));
+        let write = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            buf.set(&mut tracer, 4, 1, 0);
+        }));
+        assert!(read.is_err() && write.is_err());
+        assert_eq!(tracer.report().mem_accesses, 0);
     }
 
     #[test]

@@ -316,7 +316,7 @@ fn schema1_decimal_entries_miss_are_rewritten_and_collected() {
 
     // Left in place, `gc` reclaims it.
     fs::write(&meta.path, &old).unwrap();
-    let gc = store.gc();
+    let gc = store.gc(None);
     assert_eq!((gc.kept, gc.removed), (0, 1));
     assert!(!meta.path.exists());
 }
