@@ -14,12 +14,16 @@
 //! baselines*). End-to-end and per-stage attribution of `repro_all` and
 //! the fleet lives in `perfbench/`.
 //!
-//! Each `results` section is one function returning a JSON map; shared
-//! fixtures (the quick Test-scale campaign) are built once and passed in,
-//! and the report is emitted through the vendored `serde_json`. The
-//! artifact-store and fleet sections use their own scratch stores; no
-//! other section is handed a store, so none can be accidentally warmed by
-//! a previous invocation.
+//! The report's `results` are one table, [`SECTIONS`]: each entry is a
+//! section name and a function that builds that section's fixtures (the
+//! quick Test-scale campaign, scratch stores) and returns its JSON map.
+//! The perf run starts one child process per entry, `bench section NAME
+//! [--smoke]`, with a scratch `TMPDIR` of its own that it removes once
+//! the child exits. The child prints only its section's JSON on stdout,
+//! and the parent merges the sections in table order. No section runs
+//! on the heap, pools or temp files another left behind, so each ratio
+//! times only its own code. A child that exits non-zero fails the run
+//! before the report is written. No section is handed the real store.
 //!
 //! Usage: `cargo run --release -p wade-bench --bin bench [--smoke]
 //! [output.json]`. `--smoke` takes one sample per timing and smaller
@@ -39,7 +43,8 @@
 //!   [--fault-rate F]` — drive a *scratch* store (never the real one)
 //!   through a deterministic fault schedule and assert the no-corruption
 //!   invariant (exit 1 on any wrong-value read); T must be in `1..=64`
-//!   and F in `[0, 1]`, or it exits 2
+//!   and F in `[0, 1]`, or it exits 2. A seed fixes the op mix; at
+//!   `--threads 1` it also replays the fault schedule and every count
 //!
 //! Serving subcommand:
 //!
@@ -124,9 +129,9 @@ fn main() {
     let args = wade_bench::cli::parse(&argv, &VALUE_FLAGS, &["--smoke"])
         .unwrap_or_else(|msg| usage_error(&msg));
     let positional: Vec<&str> = args.positional.iter().map(String::as_str).collect();
-    // A subcommand reads its name and one action; the perf run reads one
-    // output path.
-    let subcommand = matches!(positional.first(), Some(&("store" | "serve" | "fleet")));
+    // A subcommand reads its name and one action (a section, its name);
+    // the perf run reads one output path.
+    let subcommand = matches!(positional.first(), Some(&("store" | "serve" | "fleet" | "section")));
     let expected = if subcommand { 2 } else { 1 };
     if positional.len() > expected {
         usage_error(&format!("unexpected argument {}", positional[expected]));
@@ -139,13 +144,13 @@ fn main() {
         let name = if subcommand { positional.join(" ") } else { "[OUT.json]".to_string() };
         usage_error(&format!("{msg} for `bench {name}`"))
     });
+    let smoke = args.value("--smoke").is_some();
     match positional.first().copied() {
         Some("store") => store_command(positional.get(1).copied(), &args),
         Some("serve") => serve_command(positional.get(1).copied(), &args),
         Some("fleet") => fleet_command(positional.get(1).copied(), &args),
-        out_path => {
-            perf_snapshot(out_path.unwrap_or("BENCH_sim.json"), args.value("--smoke").is_some())
-        }
+        Some("section") => section_command(positional.get(1).copied(), smoke),
+        out_path => perf_snapshot(out_path.unwrap_or("BENCH_sim.json"), smoke),
     }
 }
 
@@ -161,35 +166,40 @@ fn usage_error(msg: &str) -> ! {
     )
 }
 
-/// The perf run: every section in order, written to `out_path` as
-/// `{schema, threads, host, results}` and echoed to stdout.
+/// One `results` section: its name and the function that measures it
+/// (`true` for `--smoke`) and returns its JSON map.
+type Section = (&'static str, fn(bool) -> Value);
+
+/// Every `results` section, in report order.
+const SECTIONS: [Section; 16] = [
+    ("run_2h_1GiB_50C", |smoke| run_2h_1gib(smoke, 2.283, 50.0)),
+    ("run_2h_1GiB_60C", |smoke| run_2h_1gib(smoke, 2.283, 60.0)),
+    ("run_2h_1GiB_70C", |smoke| run_2h_1gib(smoke, 2.283, 70.0)),
+    ("run_2h_1GiB_60C_trefp0.618", |smoke| run_2h_1gib(smoke, 0.618, 60.0)),
+    ("fleet_epoch_sim", fleet_epoch_sim),
+    ("campaign_pue_repeats", campaign_pue_repeats),
+    ("workload_profiling", workload_profiling),
+    ("campaign_quick_grid", campaign_quick_grid),
+    ("ml_training", ml_training),
+    ("artifact_store", artifact_store),
+    ("store_fault", store_fault),
+    ("serving", serving),
+    ("prediction_hot_path", prediction_hot_path),
+    ("predict_rows_batches", |_| predict_rows_batches(&quick_campaign())),
+    ("fleet", fleet),
+    ("fleet_incremental", fleet_incremental),
+];
+
+/// The perf run: every section of [`SECTIONS`] in a child process of its
+/// own, merged in table order and written to `out_path` as `{schema,
+/// threads, host, results}`, then echoed to stdout.
 ///
 /// `smoke` takes one sample per configuration instead of the median of
 /// several, and smaller fixtures (CI runners).
 fn perf_snapshot(out_path: &str, smoke: bool) {
-    let (ref_samples, cur_samples) = if smoke { (1, 1) } else { (3, 5) };
+    let exe = std::env::current_exe().expect("locate the bench binary");
+    let results = SECTIONS.map(|(name, _)| (name.to_string(), run_child(&exe, name, smoke)));
     let threads = rayon::current_num_threads();
-    let quick = quick_campaign();
-
-    let mut results = run_2h_1gib(cur_samples);
-    results.extend(
-        [
-            ("fleet_epoch_sim", fleet_epoch_sim(smoke, cur_samples)),
-            ("campaign_pue_repeats", campaign_pue_repeats(ref_samples, cur_samples)),
-            ("workload_profiling", workload_profiling(ref_samples, cur_samples)),
-            ("campaign_quick_grid", campaign_quick_grid(ref_samples, threads)),
-            ("ml_training", ml_training(&quick, cur_samples)),
-            ("artifact_store", artifact_store(&quick, ref_samples, cur_samples)),
-            ("store_fault", store_fault(smoke)),
-            ("serving", serving(&quick, smoke)),
-            ("prediction_hot_path", prediction_hot_path(&quick, ref_samples, cur_samples)),
-            ("predict_rows_batches", predict_rows_batches(&quick)),
-            ("fleet", fleet(smoke, cur_samples)),
-            ("fleet_incremental", fleet_incremental(smoke)),
-        ]
-        .map(|(name, section)| (name.to_string(), section)),
-    );
-
     let logical_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let wade_scale = std::env::var("WADE_SCALE").unwrap_or_else(|_| "unset".to_string());
     let report = map([
@@ -203,7 +213,7 @@ fn perf_snapshot(out_path: &str, smoke: bool) {
                 ("wade_scale", Value::Str(wade_scale)),
             ]),
         ),
-        ("results", Value::Map(results)),
+        ("results", Value::Map(results.into())),
     ]);
     let json = serde_json::to_string_pretty(&report).expect("serialize the snapshot") + "\n";
     std::fs::write(out_path, &json).expect("write BENCH_sim.json");
@@ -211,45 +221,73 @@ fn perf_snapshot(out_path: &str, smoke: bool) {
     eprintln!("[bench] wrote {out_path}");
 }
 
+/// Runs `bench section NAME` as a child of this process, with a scratch
+/// `TMPDIR` of its own that is removed once it exits, and parses the JSON
+/// it prints. Panics, before any report is written, if the child fails.
+fn run_child(exe: &std::path::Path, name: &str, smoke: bool) -> Value {
+    eprintln!("[bench] {name} …");
+    let tmp = std::env::temp_dir().join(format!("wade-bench-{}-{name}", std::process::id()));
+    std::fs::create_dir_all(&tmp).expect("create the section's scratch directory");
+    let mut child = std::process::Command::new(exe);
+    child.args(["section", name]).args(smoke.then_some("--smoke")).env("TMPDIR", &tmp);
+    let output = child.stderr(std::process::Stdio::inherit()).output().expect("start a section");
+    let _ = std::fs::remove_dir_all(&tmp);
+    assert!(output.status.success(), "section {name} failed ({})", output.status);
+    serde_json::from_str(&String::from_utf8_lossy(&output.stdout))
+        .expect("a section prints one JSON value")
+}
+
+/// `bench section NAME [--smoke]`: measures one entry of [`SECTIONS`] and
+/// prints only its JSON on stdout. `perf_snapshot` runs each section this
+/// way; run alone, a section leaves its scratch stores in the temp
+/// directory.
+fn section_command(name: Option<&str>, smoke: bool) {
+    let Some(&(_, measure)) = SECTIONS.iter().find(|(n, _)| Some(*n) == name) else {
+        wade_bench::cli::exit_usage(
+            &format!("expected a section name, got {name:?}"),
+            &format!("bench section <{}> [--smoke]", SECTIONS.map(|(n, _)| n).join("|")),
+        )
+    };
+    println!("{}", serde_json::to_string(&measure(smoke)).expect("serialize the section"));
+}
+
+/// Samples per timing of the (reference, current) side: one each in a
+/// smoke run.
+fn samples(smoke: bool) -> (usize, usize) {
+    if smoke {
+        (1, 1)
+    } else {
+        (3, 5)
+    }
+}
+
 /// The quick Test-scale campaign that `ml_training`, `artifact_store`,
-/// `serving` and `prediction_hot_path` share. Store-free: the bench must
-/// not warm or depend on the real store.
+/// `serving`, `prediction_hot_path` and `predict_rows_batches` each
+/// collect for themselves. Store-free: the bench must not warm or depend
+/// on the real store.
 fn quick_campaign() -> CampaignData {
     Campaign::new(SimulatedServer::with_seed(5), CampaignConfig::quick())
         .collect(&paper_suite(Scale::Test), 8)
 }
 
-/// `run_2h_1GiB_*`: one 2-hour run over a 1 GiB footprint, on a 1-thread
-/// pool and on the default pool. The three bench-suite points at the
-/// maximum refresh period, plus one short-TREFP grid point where the
-/// quantile thinning dominates (the campaign spends most of its grid
-/// there).
-fn run_2h_1gib(samples: usize) -> Vec<(String, Value)> {
+/// `run_2h_1GiB_*`: one 2-hour run over a 1 GiB footprint at refresh
+/// period `trefp_s` and `temp_c`, on a 1-thread pool and on the default
+/// pool. [`SECTIONS`] holds the three bench-suite points at the maximum
+/// refresh period, plus one short-TREFP grid point where the quantile
+/// thinning dominates (the campaign spends most of its grid there).
+fn run_2h_1gib(smoke: bool, trefp_s: f64, temp_c: f64) -> Value {
+    let (samples, op) = (samples(smoke).1, OperatingPoint::relaxed(trefp_s, temp_c));
     let device = DramDevice::with_seed(42);
     let sim = ErrorSim::new(&device);
     let profile = DramUsageProfile::uniform_synthetic(1 << 27); // 1 GiB
     let one = pool(1);
-    let cases = [
-        ("50C", OperatingPoint::relaxed(2.283, 50.0)),
-        ("60C", OperatingPoint::relaxed(2.283, 60.0)),
-        ("70C", OperatingPoint::relaxed(2.283, 70.0)),
-        ("60C_trefp0.618", OperatingPoint::relaxed(0.618, 60.0)),
-    ];
-    cases
-        .into_iter()
-        .map(|(label, op)| {
-            eprintln!("[bench] dram_sim/run_2h_1GiB/{label} …");
-            let single_ms = median_ms(samples, || {
-                one.install(|| sim.run(&profile, op, 7200.0, 1));
-            });
-            let parallel_ms = median_ms(samples, || {
-                sim.run(&profile, op, 7200.0, 1);
-            });
-            let section =
-                map([("single_thread_ms", ms(single_ms)), ("parallel_ms", ms(parallel_ms))]);
-            (format!("run_2h_1GiB_{label}"), section)
-        })
-        .collect()
+    let single_ms = median_ms(samples, || {
+        one.install(|| sim.run(&profile, op, 7200.0, 1));
+    });
+    let parallel_ms = median_ms(samples, || {
+        sim.run(&profile, op, 7200.0, 1);
+    });
+    map([("single_thread_ms", ms(single_ms)), ("parallel_ms", ms(parallel_ms))])
 }
 
 /// `fleet_epoch_sim`: `ErrorSim::run` on one fleet-representative epoch —
@@ -260,8 +298,7 @@ fn run_2h_1gib(samples: usize) -> Vec<(String, Value)> {
 /// ~27× per 10 °C) — through the blocked weak-cell walk and through the
 /// per-cell reference walk (`ErrorSim::run_reference`), at 1 thread and on
 /// the default pool. Each sample runs the epoch under `runs` run seeds.
-fn fleet_epoch_sim(smoke: bool, samples: usize) -> Value {
-    eprintln!("[bench] fleet epoch simulation: blocked walk vs per-cell reference …");
+fn fleet_epoch_sim(smoke: bool) -> Value {
     let spec = wade_fleet::FleetSpec::test_default();
     let seed = 7;
     let engine = wade_fleet::FleetSweep::new(spec, seed);
@@ -271,7 +308,7 @@ fn fleet_epoch_sim(smoke: bool, samples: usize) -> Value {
     let op = OperatingPoint::relaxed(spec.trefp_s, spec.base_temp_c + spec.temp_swing_c);
     let runs = if smoke { 8 } else { 32 };
     let time = |reference: bool| {
-        median_ms(samples, || {
+        median_ms(samples(smoke).1, || {
             for run_seed in 0..runs {
                 std::hint::black_box(if reference {
                     sim.run_reference(profile, op, spec.epoch_s, run_seed)
@@ -311,8 +348,8 @@ fn fleet_epoch_sim(smoke: bool, samples: usize) -> Value {
 /// `Campaign::characterize` (`ErrorSim::run` per run); `prepared` times
 /// `Campaign::prepare` + `characterize_prepared` over the same grid and
 /// seeds.
-fn campaign_pue_repeats(ref_samples: usize, cur_samples: usize) -> Value {
-    eprintln!("[bench] campaign PUE repeats, prepared vs direct …");
+fn campaign_pue_repeats(smoke: bool) -> Value {
+    let (ref_samples, cur_samples) = samples(smoke);
     let repeats = 10u32;
     let ops: Vec<OperatingPoint> =
         OperatingPoint::PUE_TREFP_SWEEP.iter().map(|&t| OperatingPoint::relaxed(t, 70.0)).collect();
@@ -366,8 +403,8 @@ fn campaign_pue_repeats(ref_samples: usize, cur_samples: usize) -> Value {
 /// batched front-end, serial, then batched + parallel through a profile
 /// cache. `cold` is a first campaign's cost (cache misses); `warm` is
 /// every later campaign in the process (all hits).
-fn workload_profiling(ref_samples: usize, cur_samples: usize) -> Value {
-    eprintln!("[bench] workload profiling: per-access serial vs batched+parallel+cached …");
+fn workload_profiling(smoke: bool) -> Value {
+    let (ref_samples, cur_samples) = samples(smoke);
     let suite = full_suite(Scale::Test);
     let server = SimulatedServer::with_seed(5);
     let seed = 1u64;
@@ -416,12 +453,11 @@ fn workload_profiling(ref_samples: usize, cur_samples: usize) -> Value {
 
 /// `campaign_quick_grid`: the quick campaign's parallel scaling, 1 thread
 /// versus the full pool.
-fn campaign_quick_grid(samples: usize, threads: usize) -> Value {
-    eprintln!("[bench] campaign quick grid …");
+fn campaign_quick_grid(smoke: bool) -> Value {
     let suite = paper_suite(Scale::Test);
     let collect = |threads: usize| {
         let pool = pool(threads);
-        median_ms(samples, || {
+        median_ms(samples(smoke).0, || {
             pool.install(|| {
                 // A new campaign per sample, so a new empty profile
                 // cache: this section tracks the grid's *parallel
@@ -433,7 +469,7 @@ fn campaign_quick_grid(samples: usize, threads: usize) -> Value {
         })
     };
     let single_ms = collect(1);
-    let parallel_ms = collect(threads);
+    let parallel_ms = collect(rayon::current_num_threads());
     map([
         ("workloads", count(suite.len())),
         ("single_thread_ms", ms(single_ms)),
@@ -452,8 +488,8 @@ fn campaign_quick_grid(samples: usize, threads: usize) -> Value {
 /// bootstrap and `mtry`. Each timed forest builds its `FeatureColumns`
 /// once and grows all 100 trees on them, as `train_pointer` does; the two
 /// forests must serialize byte-identically.
-fn ml_training(data: &CampaignData, samples: usize) -> Value {
-    eprintln!("[bench] ml training/evaluation grid …");
+fn ml_training(smoke: bool) -> Value {
+    let (data, samples) = (&quick_campaign(), samples(smoke).1);
     let evaluate =
         || EvalGrid::evaluate_targets_with(None, data, &MlKind::ALL, &FeatureSet::ALL, true, true);
     let consume_grid = |grid: &EvalGrid| {
@@ -527,8 +563,8 @@ type TreeGrower = fn(&FeatureColumns, &[f64], &[usize], TreeParams, &mut StdRng)
 /// store: profiling, collection and training all served from disk). The
 /// warm outputs must be byte-identical to the store-free `data` and its
 /// grid.
-fn artifact_store(data: &CampaignData, ref_samples: usize, cur_samples: usize) -> Value {
-    eprintln!("[bench] artifact store: cold vs warm campaign+eval …");
+fn artifact_store(smoke: bool) -> Value {
+    let (data, (ref_samples, cur_samples)) = (&quick_campaign(), samples(smoke));
     let root = std::env::temp_dir().join(format!("wade-bench-store-{}", std::process::id()));
     let suite = paper_suite(Scale::Test);
     let run_with = |root: &std::path::Path| {
@@ -560,7 +596,6 @@ fn artifact_store(data: &CampaignData, ref_samples: usize, cur_samples: usize) -
         warm_data.to_json().unwrap() == data.to_json().unwrap()
             && grids_equal(&warm_grid, &ref_grid)
     };
-    let _ = std::fs::remove_dir_all(&root);
     map([
         ("workloads", count(suite.len())),
         ("cold_ms", ms(cold_ms)),
@@ -576,7 +611,6 @@ fn artifact_store(data: &CampaignData, ref_samples: usize, cur_samples: usize) -
 /// interesting numbers are the overhead ratio and that the no-corruption
 /// invariant held in both runs.
 fn store_fault(smoke: bool) -> Value {
-    eprintln!("[bench] store fault injection: healthy vs 10% fault rate …");
     let ops: u64 = if smoke { 400 } else { 4_000 };
     let torture_run =
         |fault_rate| torture_in_scratch(&TortureConfig { seed: 42, ops, threads: 4, fault_rate });
@@ -601,11 +635,10 @@ fn store_fault(smoke: bool) -> Value {
 /// wade-serve instance on a loopback socket, with every 200 body compared
 /// byte-for-byte against serializing the registry's own `predict_rows` on
 /// the same rows.
-fn serving(data: &CampaignData, smoke: bool) -> Value {
-    eprintln!("[bench] serving: seeded load over live HTTP vs direct predict_rows …");
+fn serving(smoke: bool) -> Value {
     let (threads, requests) = if smoke { (4usize, 64u64) } else { (8, 256) };
     let seed = 11u64;
-    let (report, hist) = serve_load(data, threads, requests, seed);
+    let (report, hist) = serve_load(&quick_campaign(), threads, requests, seed);
     map([
         ("threads", count(threads)),
         ("requests", Value::U64(requests)),
@@ -638,8 +671,8 @@ fn serving(data: &CampaignData, smoke: bool) -> Value {
 /// production serving model (hundreds of rows → ~50k arena nodes): a
 /// Test-scale campaign dataset grows a forest so small that the whole
 /// ensemble is L1-resident and the layout under test is invisible.
-fn prediction_hot_path(data: &CampaignData, ref_samples: usize, cur_samples: usize) -> Value {
-    eprintln!("[bench] prediction hot path: arena forest, pruned KNN, streaming/exact reads …");
+fn prediction_hot_path(smoke: bool) -> Value {
+    let (data, (ref_samples, cur_samples)) = (&quick_campaign(), samples(smoke));
     let mut rng = 0xC0FFEE_u64;
     let mut next = move || {
         // SplitMix64 → uniform f64 in [0, 1): seeded, dependency-free.
@@ -812,7 +845,6 @@ fn fold_models(data: &CampaignData) -> Vec<AnyModel> {
 /// 1.2×). Each figure is the fastest of [`interleaved_min_ms`]'s sweeps
 /// over 256 rows.
 fn predict_rows_batches(data: &CampaignData) -> Value {
-    eprintln!("[bench] predict_rows by batch size: 1 thread vs the pool …");
     let rows: Vec<_> = data.rows.iter().map(|r| (r.features.clone(), r.op)).collect();
     let single = pool(1);
     let learners = MlKind::ALL.map(|kind| {
@@ -844,14 +876,12 @@ fn predict_rows_batches(data: &CampaignData) -> Value {
 /// simulation counter must stay at zero, and the merged fleet must be
 /// byte-identical cold-vs-warm and to the serial device-major replay of
 /// every device.
-fn fleet(smoke: bool, samples: usize) -> Value {
-    eprintln!("[bench] fleet sweep: cold simulate-and-persist vs warm store reads …");
+fn fleet(smoke: bool) -> Value {
     let mut spec = wade_fleet::FleetSpec::test_default();
     (spec.devices, spec.shards, spec.epochs, spec.max_workloads) =
         if smoke { (32, 4, 3, 3) } else { (64, 8, 4, 4) };
     let seed = 7u64;
     let root = std::env::temp_dir().join(format!("wade-bench-fleet-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
     let store = wade_store::ArtifactStore::open(&root);
     let cold_engine = wade_fleet::FleetSweep::new(spec, seed);
     let start = Instant::now();
@@ -859,7 +889,7 @@ fn fleet(smoke: bool, samples: usize) -> Value {
     let cold_ms = start.elapsed().as_secs_f64() * 1e3;
     let warm_engine = wade_fleet::FleetSweep::new(spec, seed);
     let warm = warm_engine.sweep_stored(&store);
-    let warm_ms = median_ms(samples, || {
+    let warm_ms = median_ms(samples(smoke).1, || {
         wade_fleet::FleetSweep::new(spec, seed).sweep_stored(&store);
     });
     let serial_json = {
@@ -869,7 +899,6 @@ fn fleet(smoke: bool, samples: usize) -> Value {
     };
     let identical =
         cold.devices_json() == warm.devices_json() && cold.devices_json() == serial_json;
-    let _ = std::fs::remove_dir_all(&root);
     map([
         ("devices", Value::U64(spec.devices.into())),
         ("shards", Value::U64(spec.shards.into())),
@@ -925,7 +954,6 @@ fn extend_fleet(
 /// new epochs' alive device-epochs (prefix simulations counter-asserted
 /// at zero) and be byte-identical to a cold full sweep at E′.
 fn fleet_incremental(smoke: bool) -> Value {
-    eprintln!("[bench] fleet incremental: epoch extension vs cold full sweep …");
     let seed = 7u64;
     let mut spec = wade_fleet::FleetSpec::test_default();
     let (base_epochs, ext_epochs);
@@ -936,27 +964,20 @@ fn fleet_incremental(smoke: bool) -> Value {
     let mut ext_spec = spec;
     ext_spec.epochs = ext_epochs;
     let scratch = |name: &str| {
-        let root =
-            std::env::temp_dir().join(format!("wade-bench-fleet-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        root
+        std::env::temp_dir().join(format!("wade-bench-fleet-{name}-{}", std::process::id()))
     };
-    let root = scratch("inc");
-    let store = wade_store::ArtifactStore::open(&root);
+    let store = wade_store::ArtifactStore::open(scratch("inc"));
     let start = Instant::now();
     let _ = wade_fleet::FleetSweep::new(base_spec, seed).sweep_stored(&store);
     let base_ms = start.elapsed().as_secs_f64() * 1e3;
     let ext = extend_fleet(&store, ext_spec, seed, base_epochs);
     // Cold full reference at E′ in its own scratch store: the speedup
     // denominator and the byte-identity reference.
-    let cold_root = scratch("inc-cold");
-    let cold_store = wade_store::ArtifactStore::open(&cold_root);
+    let cold_store = wade_store::ArtifactStore::open(scratch("inc-cold"));
     let start = Instant::now();
     let cold = wade_fleet::FleetSweep::new(ext_spec, seed).sweep_stored(&cold_store);
     let cold_ms = start.elapsed().as_secs_f64() * 1e3;
     let identical = ext.outcome.devices_json() == cold.devices_json();
-    let _ = std::fs::remove_dir_all(&root);
-    let _ = std::fs::remove_dir_all(&cold_root);
     map([
         ("devices", Value::U64(spec.devices.into())),
         ("shards", Value::U64(spec.shards.into())),

@@ -88,25 +88,18 @@ impl Lab {
     }
 
     /// The full-suite campaign data at the paper's grid (`scale()`-sized),
-    /// read through the store so every figure binary — and every
-    /// repeated invocation — shares one collection pass; a cold collection
-    /// profiles through the cache. The store key is explicit: (campaign
-    /// seed, grid config, suite at its scale, device fingerprint); see
-    /// `wade_core::campaign_store_key`.
+    /// read through the store by [`Campaign::collect_stored`], so every
+    /// figure binary — and every repeated invocation — shares one
+    /// collection pass; a cold collection profiles through the cache.
+    /// Profile reads share the store's hit counter, so the one stderr
+    /// line tells a stored campaign by its miss counter standing still.
     pub fn campaign(&self) -> CampaignData {
-        let config = CampaignConfig::paper_full();
-        let suite = experiment_suite();
-        let key = wade_core::campaign_store_key(&server(), &config, &suite, CAMPAIGN_SEED);
-        let root = self.store.root().display();
-        let (data, hit) = self.store.get_or_put(wade_core::CAMPAIGN_KIND, &key, |_| true, || {
-            eprintln!("[wade-bench] collecting full campaign into {root} (first run)…");
-            Campaign::new(server(), config)
-                .with_profile_cache(self.cache.clone())
-                .collect(&suite, CAMPAIGN_SEED)
-        });
-        if hit {
-            eprintln!("[wade-bench] using stored campaign data ({root})");
-        }
+        let misses = self.store.misses();
+        let data = Campaign::new(server(), CampaignConfig::paper_full())
+            .with_profile_cache(self.cache.clone())
+            .collect_stored(&self.store, &experiment_suite(), CAMPAIGN_SEED);
+        let how = if self.store.misses() == misses { "using stored" } else { "collected" };
+        eprintln!("[wade-bench] {how} campaign data ({})", self.store.root().display());
         data
     }
 }

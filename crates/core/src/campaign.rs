@@ -310,14 +310,12 @@ impl Campaign {
     }
 
     /// [`Campaign::collect`] behind the disk-backed artifact store: the
-    /// collection is keyed by
-    /// [`crate::campaign_store_key`] — (campaign seed, grid,
-    /// suite/scale, device fingerprint) — and served from `store` when a
-    /// valid entry exists. Collected data round-trips the store
-    /// byte-identically (the vendored `serde_json` is exact), so a warm
-    /// read equals a fresh collection bit for bit; corrupt or
-    /// foreign-version entries read as misses and are atomically
-    /// rewritten.
+    /// collection is keyed by (campaign seed, grid, suite/scale, device
+    /// fingerprint) and served from `store` when a valid entry exists.
+    /// Collected data round-trips the store byte-identically (the
+    /// vendored `serde_json` is exact), so a warm read equals a fresh
+    /// collection bit for bit; corrupt or foreign-version entries read as
+    /// misses and are atomically rewritten.
     pub fn collect_stored(
         self,
         store: &wade_store::ArtifactStore,
@@ -530,7 +528,7 @@ mod tests {
     #[test]
     fn campaign_store_key_separates_every_input() {
         let key = |device: u64, seed: u64, config: CampaignConfig, n: usize| {
-            crate::campaign_store_key(
+            crate::collect::campaign_store_key(
                 &SimulatedServer::with_seed(device),
                 &config,
                 &tiny_suite()[..n],

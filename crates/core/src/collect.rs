@@ -34,7 +34,7 @@ pub const CAMPAIGN_KIND: &str = "campaign";
 /// Only the two fingerprints are hashes; the config and suite components
 /// stay verbatim so the store's embedded-full-key check (not a 64-bit
 /// hash) is what decides a hit.
-pub fn campaign_store_key(
+pub(crate) fn campaign_store_key(
     server: &SimulatedServer,
     config: &CampaignConfig,
     suite: &[BoxedWorkload],

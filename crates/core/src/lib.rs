@@ -44,8 +44,7 @@ mod thermal;
 
 pub use campaign::{Campaign, CampaignConfig, CampaignData, CampaignRow, CharacterizationOutcome};
 pub use collect::{
-    build_pue_dataset, build_wer_dataset, campaign_store_key, op_augmented_row, CAMPAIGN_KIND,
-    MIN_CE_COUNT,
+    build_pue_dataset, build_wer_dataset, op_augmented_row, CAMPAIGN_KIND, MIN_CE_COUNT,
 };
 pub use error::WadeError;
 pub use model::{

@@ -127,7 +127,9 @@ pub trait StoreFs: Send + Sync + fmt::Debug {
     fn remove_dir(&self, path: &Path) -> io::Result<()>;
     /// Creates `path` and any missing parents.
     fn create_dir_all(&self, path: &Path) -> io::Result<()>;
-    /// Lists the entries of the directory at `path`.
+    /// Lists the entries of the directory at `path`, sorted by name, so a
+    /// scan visits them (and draws from a fault schedule) in the same
+    /// order on every run and filesystem.
     fn read_dir(&self, path: &Path) -> io::Result<Vec<DirEntryInfo>>;
     /// Last-modification time of `path`.
     fn modified(&self, path: &Path) -> io::Result<SystemTime>;
@@ -182,6 +184,7 @@ impl StoreFs for RealFs {
                 len: meta.map(|m| m.len()).unwrap_or(0),
             });
         }
+        out.sort_by(|a, b| a.name.cmp(&b.name));
         Ok(out)
     }
 

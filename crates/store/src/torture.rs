@@ -12,6 +12,17 @@
 //! The harness backs `bench store torture --seed N --ops M` and the
 //! `tests/fault_injection.rs` chaos suite; CI pins a seed so a regression
 //! in the store's integrity checking fails reproducibly.
+//!
+//! On one thread a seed replays the whole run: the op mix, the fault
+//! schedule's draws and every count in the report. Directory scans visit
+//! entries by name ([`wade_fault::StoreFs::read_dir`]), so neither the
+//! filesystem's listing order nor the process id in temp-file names moves
+//! a draw onto another file. One input stays outside the seed: a capped
+//! gc evicts by the filesystem's access times, breaking ties by path, so
+//! entries written within one clock tick could in principle be evicted
+//! in another order on a rerun. With more threads only the op mix
+//! replays; which thread's operation meets which draw depends on the
+//! interleaving.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -278,6 +289,18 @@ mod tests {
         assert!(report.ok(), "wrong reads under faults: {report:?}");
         assert!(report.faults.total() > 0, "a 15% schedule over 600 ops must fire");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_thread_runs_replay_their_seed() {
+        let config = TortureConfig { seed: 3, ops: 800, threads: 1, fault_rate: 0.1 };
+        let report = |tag| {
+            let dir = scratch(tag);
+            let report = run(&dir, &config);
+            let _ = std::fs::remove_dir_all(&dir);
+            format!("{report:?}")
+        };
+        assert_eq!(report("replay-a"), report("replay-b"));
     }
 
     #[test]
